@@ -7,9 +7,8 @@ polynomials over a frozen alphabet, and truncated power series.  Identity
 checking runs either fully symbolically or at seeded random rational points.
 """
 
-from .partitions import (CellStat, Partition, cell_statistics, cells,
-                         conjugate, enumerate_partitions, hooks,
-                         nekrasov_okounkov_check)
+from .partitions import (CellStat, Partition, cells, conjugate,
+                         enumerate_partitions, hooks, nekrasov_okounkov_check)
 from .exactalg import (RationalFunction, RationalSampler, TruncatedSeries,
                        expand_closed_form, generators)
 from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,

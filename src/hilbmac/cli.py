@@ -6,8 +6,9 @@ the full verification suite.  Exit status: 0 success/verified, 1 verification
 failure (with a minimal counterexample), 2 usage error.
 
 Defaults may be overridden from the environment with the HILBMAC_ prefix
-(HILBMAC_ORDER, HILBMAC_MODE, HILBMAC_SEED, HILBMAC_TRIALS, HILBMAC_FORMAT,
-HILBMAC_JOBS).
+(HILBMAC_ORDER, HILBMAC_MODE, HILBMAC_SEED, HILBMAC_TRIALS, HILBMAC_FORMAT).
+Handlers report bad input by raising argparse.ArgumentTypeError, which
+dispatch turns into a one-line usage error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class RunConfig:
     seed: int = 1
     trials: int = 3
     fmt: str = "json"          # json | csv | plain
-    jobs: int = 1
 
     def __post_init__(self):
         if self.order < 0:
@@ -110,6 +110,9 @@ def parse_partition(text: str):
     return mu
 
 
+OPERATORS = {"E": tilde_e_op, "Psi": psi_op, "Lambda": lambda_op, "Sigma": sigma_op}
+
+
 def parse_word(text: str, q, t):
     ops = []
     if text in ("1", "identity", ""):
@@ -120,18 +123,13 @@ def parse_word(text: str, q, t):
         num = tok[len(kind):]
         if not num:
             raise argparse.ArgumentTypeError(f"bad operator token {tok!r}")
-        m = int(num)
-        if kind == "E":
-            ops.append(tilde_e_op(m, q, t))
-        elif kind == "Psi":
-            ops.append(psi_op(m, q, t))
-        elif kind == "Lambda":
-            ops.append(lambda_op(m, q, t))
-        elif kind == "Sigma":
-            ops.append(sigma_op(m, q, t))
-        else:
+        if kind not in OPERATORS:
             raise argparse.ArgumentTypeError(
                 f"unknown operator {tok!r} (use E2, Psi1, Lambda2, Sigma2, 1)")
+        m = int(num)
+        if m < 1 and kind != "E":
+            raise argparse.ArgumentTypeError(f"operator {tok!r} needs a weight >= 1")
+        ops.append(OPERATORS[kind](m, q, t))
     return ops
 
 
@@ -165,10 +163,13 @@ def cmd_symfun(args, cfg: RunConfig) -> int:
         emit(payload, cfg)
         return 0
     # convert
-    data = json.loads(args.input)
-    terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
-    f = SymmetricFunction(data["basis"], terms)
-    g = basis_convert(f, args.to)
+    try:
+        data = json.loads(args.input)
+        terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
+        g = basis_convert(SymmetricFunction(data["basis"], terms), args.to)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot convert --input {args.input!r} to basis {args.to!r}: {exc!r}")
     payload = {"basis": g.basis,
                "terms": [{"partition": list(k), "coeff": fmt_scalar(v)}
                          for k, v in sorted(g.terms.items())]}
@@ -192,6 +193,8 @@ def cmd_macdonald(args, cfg: RunConfig) -> int:
         payload = {"mu": list(mu),
                    "specialization": fmt_scalar(specialize_eps(mu, u, q, t))}
     else:  # eigen
+        if args.r < 0:
+            raise argparse.ArgumentTypeError("--r must be >= 0")
         payload = {"mu": list(mu), "r": args.r,
                    "stabilized": fmt_scalar(eigen_tildeE(mu, args.r, q, t)),
                    "ratio_family": fmt_scalar(eigen_E_r(mu, args.r, q, t))}
@@ -261,8 +264,8 @@ def cmd_chi(args, cfg: RunConfig) -> int:
     u = parse_fraction_or_var(args.u)
     v = parse_fraction_or_var(args.v)
     if args.surface != "C2":
-        raise SystemExit("chi currently computes on the affine plane; "
-                         "use toric-check for P2 and P1xP1")
+        raise argparse.ArgumentTypeError("chi currently computes on the affine plane; "
+                                         "use toric-check for P2 and P1xP1")
     series = chi_C2_series(args.insert, args.twist, u, v, cfg.order, t1, t2)
     payload = {"surface": {"name": args.surface, "twist": list(args.twist)},
                "order": cfg.order, "mode": mode,
@@ -274,14 +277,17 @@ def cmd_chi(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _require_three_trials(cfg: RunConfig) -> None:
+    if cfg.trials < 3:
+        raise argparse.ArgumentTypeError(
+            "evaluate-mode verification verdicts need --trials >= 3")
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
-    if args.what != "main":
-        raise SystemExit(f"unknown verify target {args.what!r}")
     mode = cfg.resolve_mode()
-    if mode == "evaluate" and cfg.trials < 3:
-        raise SystemExit("evaluate-mode verification verdicts need --trials >= 3")
     failures = []
     if mode == "evaluate":
+        _require_three_trials(cfg)
         sampler = RationalSampler(cfg.seed, magnitude=40)
         for _ in range(cfg.trials):
             pt = sampler.point(["t1", "t2", "u", "v"])
@@ -309,8 +315,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_toric_check(args, cfg: RunConfig) -> int:
-    if cfg.trials < 3:
-        raise SystemExit("evaluate-mode verification verdicts need --trials >= 3")
+    _require_three_trials(cfg)
     surf = load_surface(args.surface)
     sampler = RationalSampler(cfg.seed, magnitude=40)
     rows = []
@@ -333,8 +338,7 @@ def cmd_toric_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_all(args, cfg: RunConfig) -> int:
-    if cfg.trials < 3:
-        raise SystemExit("evaluate-mode verification verdicts need --trials >= 3")
+    _require_three_trials(cfg)
     only = args.only.split(",") if args.only else None
     if only:
         known = {ident for ident, _ in acceptance.CRITERIA}
@@ -342,20 +346,17 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
         if unknown:
             raise SystemExit(f"unknown criterion ids: {', '.join(unknown)}; "
                              f"known: {', '.join(sorted(known))}")
-    results = acceptance.run_all(seed=cfg.seed, trials=cfg.trials,
-                                 jobs=cfg.jobs, only=only)
-    rows = []
-    for r in results:
-        line = f"{'PASS' if r.ok else 'FAIL'} {r.ident} {r.name}"
-        if r.detail:
-            line += f" ({r.detail})"
-        print(line)
-        rows.append({"id": r.ident, "name": r.name,
-                     "ok": r.ok, "detail": r.detail})
+    results = acceptance.run_all(seed=cfg.seed, trials=cfg.trials, only=only)
     ok = all(r.ok for r in results)
     if cfg.fmt == "json":
+        rows = [{"id": r.ident, "name": r.name, "ok": r.ok, "detail": r.detail}
+                for r in results]
         print(json.dumps({"results": rows, "verdict": "PASS" if ok else "FAIL"},
                          indent=2, sort_keys=True))
+    else:
+        for r in results:
+            detail = f" ({r.detail})" if r.detail else ""
+            print(f"{'PASS' if r.ok else 'FAIL'} {r.ident} {r.name}{detail}")
     return 0 if ok else 1
 
 
@@ -374,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=int(env.get("HILBMAC_TRIALS", 3)))
     common.add_argument("--format", dest="fmt", choices=["json", "csv", "plain"],
                         default=env.get("HILBMAC_FORMAT", "json"))
-    common.add_argument("--jobs", type=int, default=int(env.get("HILBMAC_JOBS", 1)))
 
     parser = argparse.ArgumentParser(
         prog="hilbmac",
@@ -437,10 +437,13 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(order=args.order, mode=args.mode, seed=args.seed,
-                        trials=args.trials, fmt=args.fmt, jobs=args.jobs)
+                        trials=args.trials, fmt=args.fmt)
     except ValueError as exc:
         parser.error(str(exc))
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
 
 
 def main() -> None:

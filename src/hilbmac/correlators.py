@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import RationalFunction, scalar_sum
+from .exactalg.ratfun import RationalFunction, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .macdonald import (cell_multiset, complete_of, eigen_tildeE,
                         elementary_of, lambda_decomposition, power_of,
@@ -50,7 +50,7 @@ class DiagonalOperator:
 
 
 def identity_op(q, t) -> DiagonalOperator:
-    one = q * 0 + 1
+    one = one_like(q)
     return DiagonalOperator("1", lambda mu: one, weight=0, expansion=(((), one),))
 
 
@@ -61,7 +61,7 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         return identity_op(q, t)
     return DiagonalOperator(
         f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t), weight=r,
-        expansion=(((r,), q * 0 + 1),))
+        expansion=(((r,), one_like(q)),))
 
 
 def psi_op(m: int, q, t) -> DiagonalOperator:
@@ -113,9 +113,8 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
     with a_mu the product of the word's eigenvalues at mu.  The primed flag
     divides by <1>_{u,v}.
     """
-    if u == 0 or (isinstance(u, RationalFunction) and u.is_zero()):
+    if not u:
         raise CorrelatorError("u must be invertible: the weights contain u^{-1}")
-    zero = u * 0
     memo: Dict[Tuple[str, Partition], object] = {}
 
     def eig(op: DiagonalOperator, mu: Partition):
@@ -124,25 +123,29 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
             memo[key] = op.eigenvalue(mu)
         return memo[key]
 
-    coeffs = []
     uinv = 1 / u if not isinstance(u, RationalFunction) else u.inverse()
-    for n in range(order + 1):
-        pieces = []
-        for mu in iter_partitions(n):
-            term = (-u) ** n
-            for c in cells(mu):
-                term = term * (q ** c.coarm - v * t ** c.coleg)
-                term = term / (1 - t ** c.leg * q ** (c.arm + 1))
-                term = term * (t ** (-c.coleg) - uinv * q ** (-c.coarm))
-                term = term / (1 - q ** (-c.arm) * t ** (-(c.leg + 1)))
-            for op in word:
-                term = term * eig(op, mu)
-            pieces.append(term)
-        coeffs.append(scalar_sum(pieces) if pieces else zero)
-    series = TruncatedSeries(coeffs)
+
+    def term(mu: Partition):
+        out = (-u) ** sum(mu)
+        for c in cells(mu):
+            out = out * (q ** c.coarm - v * t ** c.coleg)
+            out = out / (1 - t ** c.leg * q ** (c.arm + 1))
+            out = out * (t ** (-c.coleg) - uinv * q ** (-c.coarm))
+            out = out / (1 - q ** (-c.arm) * t ** (-(c.leg + 1)))
+        for op in word:
+            out = out * eig(op, mu)
+        return out
+
+    series = partition_series(term, order)
     if primed:
         series = series / bracket_one_closed(u, v, q, t, order)
     return series
+
+
+def partition_series(term: Callable[[Partition], object], order: int) -> TruncatedSeries:
+    """The series whose Q^n coefficient is the sum of term(mu) over |mu| = n."""
+    return TruncatedSeries([scalar_sum([term(mu) for mu in iter_partitions(n)])
+                            for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +175,12 @@ def base_bracket_series(k: int, u, v, order: int) -> TruncatedSeries:
     coefficient of z^k (1+zQ)/(1+uzQ) (1+v z^-1)/(1+z^-1) with the fixed
     expansion conventions (positive powers of zQ, negative powers of z)."""
     zero = u * 0
+    one = one_like(u)
     mmax = order + abs(k)
     # (1+zQ)/(1+uzQ) = 1 + sum_{n>=1} (-1)^{n-1} u^{n-1} (1-u) Q^n z^n
-    fq = [zero + 1] + [(-1) ** (n - 1) * u ** (n - 1) * (1 - u) for n in range(1, order + 1)]
+    fq = [one] + [(-1) ** (n - 1) * u ** (n - 1) * (1 - u) for n in range(1, order + 1)]
     # (1+v/z)/(1+1/z) = 1 + sum_{m>=1} (-1)^m (1-v) z^-m
-    fv = [zero + 1] + [(-1) ** m * (1 - v) for m in range(1, mmax + 1)]
+    fv = [one] + [(-1) ** m * (1 - v) for m in range(1, mmax + 1)]
     out = [zero] * (order + 1)
     for n in range(0, order + 1):        # z^n with Q^n from the first factor
         m = n + k                        # need z^{-m} with m = n + k
@@ -194,9 +198,7 @@ def base_bracket_series(k: int, u, v, order: int) -> TruncatedSeries:
 def _check_grading(state: Dict[Tuple[int, ...], List], order: int) -> bool:
     """Q-grading bound: a positive exponent k in any variable forces Q-valuation >= k."""
     for expv, ser in state.items():
-        val = next((i for i, c in enumerate(ser)
-                    if not (c == 0 or (isinstance(c, RationalFunction) and c.is_zero()))),
-                   order + 1)
+        val = next((i for i, c in enumerate(ser) if c), order + 1)
         for e in expv:
             if e > 0 and val < e:
                 return False
@@ -211,13 +213,13 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     indices; extraction runs z_R down to z_1.  All series expansions follow
     the fixed conventions; composition cross-factors couple each earlier-block
     variable (negative powers) with each later-block variable (positive
-    powers).  Termination rests on the Q-grading invariant, asserted at every
-    extraction boundary.
+    powers).  Termination rests on the Q-grading invariant, checked at every
+    extraction boundary; a violation raises CorrelatorError.
     """
     weights = [w for w in weights if w]
     R = sum(weights)
     zero = u * 0
-    one = zero + 1
+    one = one_like(u)
     prefactor = one
     for w in weights:
         for a in range(1, w + 1):
@@ -251,14 +253,11 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
         h = scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
         x_coeff.append(-(1 - q) * (1 - t ** -1) * h)
 
-    def is_zero_c(c):
-        return c == 0 or (isinstance(c, RationalFunction) and c.is_zero())
-
     def mul_terms(state, terms):
         new: Dict[Tuple[int, ...], List] = {}
         for expv, ser in state.items():
             for dv, dq, c in terms:
-                if is_zero_c(c):
+                if not c:
                     continue
                 ne = tuple(e + d for e, d in zip(expv, dv)) if dv else expv
                 tgt = new.get(ne)
@@ -266,14 +265,14 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
                     tgt = [zero] * (N + 1)
                     new[ne] = tgt
                 for n in range(N + 1 - dq):
-                    if not is_zero_c(ser[n]):
+                    if ser[n]:
                         tgt[n + dq] = tgt[n + dq] + ser[n] * c
-        return {k: s for k, s in new.items()
-                if any(not is_zero_c(c) for c in s)}
+        return {k: s for k, s in new.items() if any(s)}
 
     state = {(0,) * R: [one] + [zero] * N}
     for i in range(R, 0, -1):
-        assert _check_grading(state, N), "Q-grading invariant violated entering extraction"
+        if not _check_grading(state, N):
+            raise CorrelatorError("Q-grading invariant violated entering extraction")
         ii = i - 1
         # positive powers of z_i, Q-graded
         terms = []
@@ -301,7 +300,8 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
             terms.append((tuple(dv), 0, fv[m]))
         state = mul_terms(state, terms)
         state = {k: s for k, s in state.items() if k[ii] == 0}
-    assert _check_grading(state, N), "Q-grading invariant violated after extraction"
+    if not _check_grading(state, N):
+        raise CorrelatorError("Q-grading invariant violated after extraction")
     result = state.get((0,) * R)
     if result is None:
         return TruncatedSeries.constant(zero, order)
@@ -426,50 +426,34 @@ def connected_correlators(raw: Dict[Tuple, object]) -> Dict[Tuple, object]:
 
         conn(w) = sum over partitions pi of (-1)^{|pi|-1} (|pi|-1)! prod_B raw(w|_B)
     """
-    out: Dict[Tuple, object] = {}
-    for w in raw:
-        if not w:
-            continue
-        pieces = []
-        for pi in set_partitions(range(len(w))):
-            coeff = Fraction((-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1))
-            term = coeff
-            for block in pi:
-                key = tuple(w[i] for i in sorted(block))
-                if key not in raw:
-                    raise CorrelatorError(f"missing subword {key} for {w}")
-                term = term * raw[key]
-            pieces.append(term)
-        out[w] = scalar_sum(pieces) if not isinstance(pieces[0], TruncatedSeries) \
-            else _series_sum(pieces)
-    return out
+    return _set_partition_sums(
+        raw, lambda k: Fraction((-1) ** (k - 1) * math.factorial(k - 1)))
 
 
 def disconnected_from_connected(conn: Dict[Tuple, object]) -> Dict[Tuple, object]:
     """Inverse of connected_correlators: raw(w) = sum over pi prod_B conn(w|_B)."""
+    return _set_partition_sums(conn, lambda k: Fraction(1))
+
+
+def _set_partition_sums(table: Dict[Tuple, object],
+                        coeff: Callable[[int], Fraction]) -> Dict[Tuple, object]:
+    """out(w) = sum over set partitions pi of w's positions of
+    coeff(|pi|) prod_B table(w|_B), for every nonempty word w of the table."""
     out: Dict[Tuple, object] = {}
-    for w in conn:
+    for w in table:
         if not w:
             continue
         pieces = []
         for pi in set_partitions(range(len(w))):
-            term = Fraction(1)
+            term = coeff(len(pi))
             for block in pi:
                 key = tuple(w[i] for i in sorted(block))
-                if key not in conn:
+                if key not in table:
                     raise CorrelatorError(f"missing subword {key} for {w}")
-                term = term * conn[key]
+                term = term * table[key]
             pieces.append(term)
-        out[w] = scalar_sum(pieces) if not isinstance(pieces[0], TruncatedSeries) \
-            else _series_sum(pieces)
+        out[w] = scalar_sum(pieces)
     return out
-
-
-def _series_sum(pieces):
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total + p
-    return total
 
 
 @dataclass
@@ -488,8 +472,7 @@ def _poly_mul_trunc(a: Dict[Tuple, object], b: Dict[Tuple, object], D: int):
             k = tuple(sorted(ka + kb))
             v = va * vb
             out[k] = out.get(k, v * 0) + v
-    return {k: v for k, v in out.items()
-            if not (v == 0 or (isinstance(v, RationalFunction) and v.is_zero()))}
+    return {k: v for k, v in out.items() if v}
 
 
 def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
@@ -523,14 +506,9 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
         for key, v in power.items():
             w = v * c
             F[key] = F.get(key, w * 0) + w
-
-    def drop_zeros(d):
-        return {k: v for k, v in d.items()
-                if not (v == 0 or (isinstance(v, RationalFunction) and v.is_zero()))}
-
-    F = drop_zeros(F)
-    G = drop_zeros({key: v * (len(key) - 1) for key, v in F.items()})
-    return FqftResult(Z=Z, F=F, G=G)
+    F = {k: v for k, v in F.items() if v}
+    G = {key: v * (len(key) - 1) for key, v in F.items()}
+    return FqftResult(Z=Z, F=F, G={k: v for k, v in G.items() if v})
 
 
 def correlators_from_Z(Z: Dict[Tuple, object]) -> Dict[Tuple, object]:

@@ -3,16 +3,16 @@ truncated power series, and seeded rational-point sampling."""
 
 from .poly import ALPHABET, BASE_ALPHABET, ExponentOverflowError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
-                     RationalFunction, generators, ratfun_arith, rf,
+                     RationalFunction, generators, one_like, rf,
                      rf_coefficient, rf_sum, scalar_sum)
-from .sampling import RationalSampler, equal_by_evaluation, eval_with_retry
+from .sampling import RationalSampler, equal_by_evaluation
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
     "ALPHABET", "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
-    "RationalFunction", "rf", "rf_sum", "scalar_sum", "ratfun_arith",
+    "RationalFunction", "rf", "rf_sum", "scalar_sum", "one_like",
     "rf_coefficient", "generators",
     "ExactAlgError", "DivisionByZero", "PoleError",
     "TruncatedSeries", "SeriesError", "expand_closed_form", "geometric",
-    "RationalSampler", "equal_by_evaluation", "eval_with_retry",
+    "RationalSampler", "equal_by_evaluation",
 ]

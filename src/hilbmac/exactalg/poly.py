@@ -2,9 +2,8 @@
 
 Monomials are tuples of (variable_index, exponent) pairs, sorted by index,
 with nonzero exponents; exponents may be negative (Laurent).  Coefficients
-are arbitrary-precision Python ints.  The alphabet is frozen at import time;
-auxiliary variables (z1, x1, ...) register at the end and never reorder the
-base names, so canonical forms are stable across a run.
+are arbitrary-precision Python ints.  The alphabet is frozen at import time,
+so canonical forms are stable across a run.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class ExponentOverflowError(ArithmeticError):
 
 
 class Alphabet:
-    """Global ordered variable registry: base names plus appended auxiliaries."""
+    """Global ordered variable registry of the frozen base names."""
 
     def __init__(self):
         self._names = list(BASE_ALPHABET)
@@ -37,18 +36,10 @@ class Alphabet:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown variable {name!r}; register auxiliaries first")
+            raise KeyError(f"unknown variable {name!r}")
 
     def name(self, idx: int) -> str:
         return self._names[idx]
-
-    def register(self, name: str) -> int:
-        """Register an auxiliary variable at the end of the order (idempotent)."""
-        if name in self._index:
-            return self._index[name]
-        self._names.append(name)
-        self._index[name] = len(self._names) - 1
-        return self._index[name]
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self._names)
@@ -160,9 +151,6 @@ class LaurentPoly:
         if not self.terms:
             return 0
         return self.terms.get((), 0)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -12,7 +12,9 @@ rendering boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -132,9 +134,8 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.nc == 0
 
-    def is_one(self) -> bool:
-        return (self.nc == 1 and self.dc == 1 and not self.mono
-                and not self.nfac and not self.dfac)
+    def __bool__(self) -> bool:
+        return self.nc != 0
 
     def is_rational(self) -> bool:
         return not self.mono and not self.nfac and not self.dfac
@@ -381,20 +382,6 @@ def rf(x) -> RationalFunction:
     return r
 
 
-def ratfun_arith(a, b, op: str) -> RationalFunction:
-    """Dispatch arithmetic by name: add | sub | mul | div."""
-    a, b = rf(a), rf(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def rf_sum(values) -> RationalFunction:
     """Sum many rational functions over one common denominator.
 
@@ -426,11 +413,22 @@ def rf_sum(values) -> RationalFunction:
 
 
 def scalar_sum(values):
-    """Sum scalars that may be ints, Fractions or RationalFunctions."""
+    """Sum ints, Fractions, RationalFunctions or series of them.
+
+    Rational functions go through rf_sum; anything that is not a scalar
+    (a TruncatedSeries, say) is added as a left fold, term by term.
+    """
     vals = list(values)
     if any(isinstance(v, RationalFunction) for v in vals):
         return rf_sum(vals)
+    if vals and not isinstance(vals[0], (int, Fraction)):
+        return functools.reduce(operator.add, vals)
     return sum(vals, Fraction(0))
+
+
+def one_like(x):
+    """The unit of x's scalar ring: 1 as an int, Fraction or RationalFunction."""
+    return x * 0 + 1
 
 
 def generators(*names: str) -> Tuple[RationalFunction, ...]:

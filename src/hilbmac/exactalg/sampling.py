@@ -48,16 +48,6 @@ class RationalSampler:
         return out
 
 
-def eval_with_retry(f: RationalFunction, names, sampler: RationalSampler,
-                    max_attempts: int = 50) -> Fraction:
-    for _ in range(max_attempts):
-        try:
-            return f.eval(sampler.point(names))
-        except PoleError:
-            continue
-    raise PoleError("could not find a pole-free evaluation point")
-
-
 def equal_by_evaluation(f: RationalFunction, g: RationalFunction,
                         sampler: RationalSampler, trials: int = 3,
                         names: Optional[Iterable[str]] = None) -> bool:

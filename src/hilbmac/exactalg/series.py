@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
-from .poly import ALPHABET
-from .ratfun import RationalFunction
+from .poly import ALPHABET, LaurentPoly
+from .ratfun import RationalFunction, one_like
 
 
 class SeriesError(ArithmeticError):
@@ -40,14 +40,14 @@ class TruncatedSeries:
 
     @staticmethod
     def one(order: int, zero=Fraction(0)) -> "TruncatedSeries":
-        return TruncatedSeries([zero + 1] + [zero] * order)
+        return TruncatedSeries([one_like(zero)] + [zero] * order)
 
     @staticmethod
     def gen(order: int, zero=Fraction(0)) -> "TruncatedSeries":
         """The series variable itself."""
         c = [zero] * (order + 1)
         if order >= 1:
-            c[1] = zero + 1
+            c[1] = one_like(zero)
         return TruncatedSeries(c)
 
     def zero_coeff(self):
@@ -133,15 +133,15 @@ class TruncatedSeries:
 
     def valuation(self) -> int:
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 return i
         return self.order + 1
 
     def exp(self) -> "TruncatedSeries":
-        if not _is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise SeriesError("exp needs vanishing constant term")
         n = self.order
-        one = self.zero_coeff() + 1
+        one = one_like(self.coeffs[0])
         out = TruncatedSeries.constant(one, n)
         term = TruncatedSeries.constant(one, n)
         fact = 1
@@ -152,7 +152,7 @@ class TruncatedSeries:
         return out
 
     def log(self) -> "TruncatedSeries":
-        one = self.zero_coeff() + 1
+        one = one_like(self.coeffs[0])
         if not self.coeffs[0] == one:
             raise SeriesError("log needs constant term 1")
         n = self.order
@@ -171,12 +171,6 @@ class TruncatedSeries:
         return "Series[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, RationalFunction):
-        return c.is_zero()
-    return c == 0
-
-
 def _divide(a, b):
     if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
         if not isinstance(a, RationalFunction):
@@ -187,7 +181,7 @@ def _divide(a, b):
 
 def geometric(ratio, order: int) -> TruncatedSeries:
     """1/(1 - ratio*Q) expanded to the given order."""
-    one = ratio * 0 + 1
+    one = one_like(ratio)
     out = [one]
     cur = one
     for _ in range(order):
@@ -222,8 +216,6 @@ def expand_closed_form(f: RationalFunction, order: int, var: str = "Q") -> Trunc
     if nd and nmin < dmin:
         raise SeriesError(f"negative valuation in {var}: expression is not a power series")
 
-    from .poly import LaurentPoly
-
     def coeff_rf(table, k):
         d = table.get(k)
         if not d:
@@ -231,7 +223,6 @@ def expand_closed_form(f: RationalFunction, order: int, var: str = "Q") -> Trunc
         return RationalFunction.from_poly(LaurentPoly(d))
 
     shift = dmin
-    zero = RationalFunction.from_int(0)
     a = TruncatedSeries([coeff_rf(nd, k + shift) for k in range(order + 1)])
     b = TruncatedSeries([coeff_rf(dd, k + shift) for k in range(order + 1)])
     return a / b

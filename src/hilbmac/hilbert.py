@@ -14,13 +14,14 @@ signs used everywhere below.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .correlators import psi_op, vertex_correlator
-from .exactalg.ratfun import RationalFunction, rf, scalar_sum
+from .correlators import partition_series, psi_op, vertex_correlator
+from .exactalg.ratfun import RationalFunction, one_like, rf, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .macdonald import complete_of, elementary_of
 from .partitions import Partition, cells, iter_partitions
@@ -94,7 +95,7 @@ def _mono(t1, t2, w: Weight):
 
 def tangent_denominator(lam: Partition, t1, t2):
     """prod over cells (1 - t1^{-l} t2^{a+1})(1 - t1^{l+1} t2^{-a})."""
-    out = t1 * 0 + 1
+    out = one_like(t1)
     for c in cells(lam):
         out = out * (1 - t1 ** (-c.leg) * t2 ** (c.arm + 1))
         out = out * (1 - t1 ** (c.leg + 1) * t2 ** (-c.arm))
@@ -118,8 +119,6 @@ def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
     ws = bundle_weights(lam, ins.A, t1, t2)
     if ins.operation in ("plain", "psi"):
         m = 1 if ins.operation == "plain" else ins.m
-        if not ws:
-            return Fraction(0)
         return scalar_sum([w ** m for w in ws])
     if ins.operation == "lambda":
         return elementary_of(ws, ins.m)
@@ -129,7 +128,7 @@ def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
 def twist_factor(lam: Partition, A: Weight, u, v, t1, t2):
     """prod over cells (1 - u t^A t1^{l'} t2^{a'})(1 - v t^{-A} t1^{-l'} t2^{-a'})."""
     tA = _mono(t1, t2, A)
-    out = t1 * 0 + 1
+    out = one_like(t1)
     for c in cells(lam):
         w = t1 ** c.coleg * t2 ** c.coarm
         out = out * (1 - u * tA * w) * (1 - v * w ** (-1) / tA)
@@ -144,17 +143,13 @@ def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
     dual exterior-algebra twist over the tangent denominator.  u = v = 0
     gives the untwisted series.
     """
-    zero = t1 * 0
-    coeffs = []
-    for n in range(order + 1):
-        pieces = []
-        for mu in iter_partitions(n):
-            term = twist_factor(mu, twist_A, u, v, t1, t2) / tangent_denominator(mu, t1, t2)
-            for ins in insertions:
-                term = term * insertion_factor(ins, mu, t1, t2)
-            pieces.append(term)
-        coeffs.append(scalar_sum(pieces) if pieces else zero)
-    return TruncatedSeries(coeffs)
+    def term(mu: Partition):
+        out = twist_factor(mu, twist_A, u, v, t1, t2) / tangent_denominator(mu, t1, t2)
+        for ins in insertions:
+            out = out * insertion_factor(ins, mu, t1, t2)
+        return out
+
+    return partition_series(term, order)
 
 
 @dataclass
@@ -205,7 +200,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
     u2 = u * tA
     v2 = v / tA
     word = []
-    pref = t1 * 0 + 1
+    pref = one_like(t1)
     for ins in insertions:
         m = 1 if ins.operation == "plain" else ins.m
         word.append(psi_op(m, q, t))
@@ -220,7 +215,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
 
 def coh_euler_denominator(lam: Partition, w1, w2):
     """prod over cells (l w1 - (a+1) w2)(-(l+1) w1 + a w2)."""
-    out = w1 * 0 + 1
+    out = one_like(w1)
     for c in cells(lam):
         out = out * (c.leg * w1 - (c.arm + 1) * w2)
         out = out * (-(c.leg + 1) * w1 + c.arm * w2)
@@ -229,10 +224,7 @@ def coh_euler_denominator(lam: Partition, w1, w2):
 
 def coh_insertion_factor(k: int, A: Weight, lam: Partition, w1, w2):
     """(1/k!) sum over cells ((l'+a) w1 + (a'+b) w2)^k."""
-    import math
     a, b = A
-    if not cells(lam):
-        return Fraction(0) if k else Fraction(0)
     vals = [(c.coleg + a) * w1 + (c.coarm + b) * w2 for c in cells(lam)]
     return scalar_sum([x ** k for x in vals]) * Fraction(1, math.factorial(k))
 
@@ -247,23 +239,19 @@ def coh_intersection_series(insertions: Sequence[Tuple[int, Weight]], order: int
     (x + (l'+a) w1 + (a'+b) w2)(y - (l'+a) w1 - (a'+b) w2); the interesting
     slice is then the coefficient of q^n x^n y^n.
     """
-    zero = w1 * 0
-    coeffs = []
-    for n in range(order + 1):
-        pieces = []
-        for mu in iter_partitions(n):
-            term = 1 / coh_euler_denominator(mu, w1, w2) if n else Fraction(1)
-            for k, A in insertions:
-                term = term * coh_insertion_factor(k, A, mu, w1, w2)
-            if chern_twist is not None:
-                A, x, y = chern_twist
-                a, b = A
-                for c in cells(mu):
-                    lin = (c.coleg + a) * w1 + (c.coarm + b) * w2
-                    term = term * (x + lin) * (y - lin)
-            pieces.append(term)
-        coeffs.append(scalar_sum(pieces) if pieces else zero)
-    return TruncatedSeries(coeffs)
+    def term(mu: Partition):
+        out = 1 / coh_euler_denominator(mu, w1, w2) if mu else Fraction(1)
+        for k, A in insertions:
+            out = out * coh_insertion_factor(k, A, mu, w1, w2)
+        if chern_twist is not None:
+            A, x, y = chern_twist
+            a, b = A
+            for c in cells(mu):
+                lin = (c.coleg + a) * w1 + (c.coarm + b) * w2
+                out = out * (x + lin) * (y - lin)
+        return out
+
+    return partition_series(term, order)
 
 
 def coh_chern_diagonal_slice(insertions: Sequence[Tuple[int, Weight]],
@@ -287,16 +275,8 @@ def coh_chern_diagonal_slice(insertions: Sequence[Tuple[int, Weight]],
 # K-theory vs cohomology jet comparison
 # ---------------------------------------------------------------------------
 
-def _exp_jet(c, jet_order: int) -> TruncatedSeries:
-    """exp(eps*c) as a jet in eps."""
-    import math
-    return TruncatedSeries([c ** k * Fraction(1, math.factorial(k))
-                            for k in range(jet_order + 1)])
-
-
 def _one_minus_exp_over_eps(c, jet_order: int) -> TruncatedSeries:
     """(1 - exp(eps*c))/eps; constant term -c, invertible when c != 0."""
-    import math
     return TruncatedSeries([-(c ** (k + 1)) * Fraction(1, math.factorial(k + 1))
                             for k in range(jet_order + 1)])
 
@@ -311,7 +291,6 @@ def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction,
     """
     one = TruncatedSeries.constant(Fraction(1), jet_order)
     a, b = A1
-    import math
     for n in range(order + 1):
         for k in range(k_max + 1):
             total_jet = TruncatedSeries.constant(Fraction(0), jet_order)
@@ -409,9 +388,8 @@ def toric_chi_series(surface: Surface, insertions: Sequence[ToricInsertion],
                      marker_cap: int = 2) -> Dict[MarkerKey, TruncatedSeries]:
     """Product over fixed points of local chart series, graded by the marker
     exponents of the generating-series insertions."""
-    zero = t1 * 0
     total: Dict[MarkerKey, TruncatedSeries] = {
-        (0,) * len(insertions): TruncatedSeries.constant(zero + 1, order)}
+        (0,) * len(insertions): TruncatedSeries.constant(one_like(t1), order)}
     for point in surface.fixed_points:
         local = _local_marker_series(point, insertions, twist, u, v, order, t1, t2, marker_cap)
         new: Dict[MarkerKey, TruncatedSeries] = {}
@@ -441,7 +419,7 @@ def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, square: bool = 
         t2i = _mono(s1, s2, point.tangent[1])
         if square:
             t1i, t2i = t1i ** 2, t2i ** 2
-        w = t1 * 0 + 1
+        w = one_like(t1)
         if bundle is not None:
             w = _mono(t1, t2, point.bundles[bundle])
             if square:
@@ -450,14 +428,7 @@ def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, square: bool = 
         if extra is not None:
             term = term * extra(point, t1i, t2i)
         pieces.append(term)
-    return scalar_sum(pieces) if not isinstance(pieces[0], TruncatedSeries) else _sum_series(pieces)
-
-
-def _sum_series(pieces):
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = total + p
-    return total
+    return scalar_sum(pieces)
 
 
 @dataclass
@@ -491,12 +462,13 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
       plus the exponential product formula for the no-insertion series.
     """
     zero = u * 0
+    one = TruncatedSeries.constant(one_like(u), order)
     geo_uQ = TruncatedSeries([u ** n for n in range(order + 1)])          # 1/(1-uQ)
     Q = TruncatedSeries.gen(order, zero)
     pref1 = Q * (1 - u) * (1 - v) * geo_uQ                                # Q(1-u)(1-v)/(1-uQ)
-    one_minus = TruncatedSeries.constant(zero + 1, order) - pref1
+    one_minus = one - pref1
     qpref = Q * (1 - TruncatedSeries.gen(order, zero)) * (1 - u) * (1 - v) \
-        * (TruncatedSeries.constant(zero + 1, order) - Q * (u * v)) * geo_uQ * geo_uQ
+        * (one - Q * (u * v)) * geo_uQ * geo_uQ
 
     graded = toric_chi_series(surface, [ToricInsertion(L1, "exterior"),
                                         ToricInsertion(L2, "exterior")],
@@ -539,7 +511,7 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
         w1b = _mono(t1, t2, point.bundles[L1])
         kan = t1i * t2i
         sminus = 1 / ((1 + t1i) * (1 + t2i))
-        canonical = TruncatedSeries.constant(zero + 1, order) + Q * (u * kan)
+        canonical = one + Q * (u * kan)
         return g1 * g2 * canonical * (w1b * sminus)
     T4 = qpref * chi_surface(surface, L1, t1, t2, extra=lam2_extra)
     rhs_c = T1 + T2 + T3 + T4

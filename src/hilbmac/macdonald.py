@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import RationalFunction, scalar_sum
+from .exactalg.ratfun import one_like, scalar_sum
 from .partitions import Partition, cells, enumerate_partitions
 from .symfun import (SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, basis_convert, inner_product_qt,
@@ -26,17 +26,13 @@ class MacdonaldError(ValueError):
     pass
 
 
-def _one(q):
-    return q * 0 + 1
-
-
 # ---------------------------------------------------------------------------
 # cell products and norms
 # ---------------------------------------------------------------------------
 
 def b_norm(lam: Partition, q, t):
     """b_lam = prod over cells (1 - q^a t^{l+1})/(1 - q^{a+1} t^l)."""
-    out = _one(q)
+    out = one_like(q)
     for c in cells(lam):
         out = out * (1 - q ** c.arm * t ** (c.leg + 1))
         out = out / (1 - q ** (c.arm + 1) * t ** c.leg)
@@ -48,17 +44,23 @@ def cell_multiset(lam: Partition, q, t) -> List:
     return [t ** (-c.coleg) * q ** c.coarm for c in cells(lam)]
 
 
+def _elementary_list(values: Sequence, one, k: int) -> List:
+    """e_0..e_k of a finite multiset: the z^0..z^k coefficients of
+    prod_w (1 + w z), with one the unit of the values' ring."""
+    es = [one] + [one * 0] * k
+    for n, w in enumerate(values, start=1):
+        for i in range(min(k, n), 0, -1):
+            es[i] = es[i] + es[i - 1] * w
+    return es
+
+
 def elementary_of(values: Sequence, k: int):
     """e_k of a finite multiset of ring elements."""
     if k == 0:
-        return (values[0] * 0 + 1) if values else Fraction(1)
+        return one_like(values[0]) if values else Fraction(1)
     if k > len(values):
         return values[0] * 0 if values else Fraction(0)
-    es = [values[0] * 0 + 1] + [values[0] * 0] * k
-    for w in values:
-        for i in range(min(k, len(es) - 1), 0, -1):
-            es[i] = es[i] + es[i - 1] * w
-    return es[k]
+    return _elementary_list(values, one_like(values[0]), k)[k]
 
 
 def power_of(values: Sequence, m: int):
@@ -73,10 +75,10 @@ def power_of(values: Sequence, m: int):
 def complete_of(values: Sequence, k: int):
     """h_k via the Newton recurrence k h_k = sum p_i h_{k-i}."""
     if k == 0:
-        return (values[0] * 0 + 1) if values else Fraction(1)
+        return one_like(values[0]) if values else Fraction(1)
     if not values:
         return Fraction(0)
-    hs = [values[0] * 0 + 1]
+    hs = [one_like(values[0])]
     ps = [None] + [power_of(values, i) for i in range(1, k + 1)]
     for n in range(1, k + 1):
         s = values[0] * 0
@@ -107,15 +109,11 @@ class MacdonaldTable:
         self.q = q
         self.t = t
         self.degree_bound = degree_bound
-        self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): _one(q)})}
-        self._P_p: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("p", {(): _one(q)})}
-        self._norm: Dict[Partition, object] = {(): _one(q)}
+        one = one_like(q)
+        self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
+        self._P_p: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("p", {(): one})}
+        self._norm: Dict[Partition, object] = {(): one}
         self._degrees_done = {0}
-
-    def _is_zero(self, v) -> bool:
-        if isinstance(v, RationalFunction):
-            return v.is_zero()
-        return v == 0
 
     def _fill_degree(self, n: int):
         if n in self._degrees_done:
@@ -123,24 +121,25 @@ class MacdonaldTable:
         if n > self.degree_bound:
             raise MacdonaldError(f"degree {n} above bound {self.degree_bound}")
         q, t = self.q, self.t
+        one = one_like(q)
         order = enumerate_partitions(n)   # dominance-compatible, dominant first
         pos = {lam: i for i, lam in enumerate(order)}
         # columns of the operator in the m-basis: E m_nu = sum_kappa A[kappa][nu] m_kappa
         A: Dict[Partition, Dict[Partition, object]] = {kappa: {} for kappa in order}
         for nu in order:
-            img = apply_E(SymmetricFunction("m", {nu: _one(q)}), q, t)
+            img = apply_E(SymmetricFunction("m", {nu: one}), q, t)
             for kappa, c in basis_convert(img, "m").terms.items():
-                if not self._is_zero(c):
+                if c:
                     A[kappa][nu] = c
         ev = {lam: eigen_E(lam, q, t) for lam in order}
         for mu in order:
-            coeffs: Dict[Partition, object] = {mu: _one(q)}
+            coeffs: Dict[Partition, object] = {mu: one}
             for kappa in order[pos[mu] + 1:]:
                 pieces = [A[kappa][nu] * coeffs[nu] for nu in coeffs if nu in A[kappa]]
                 if not pieces:
                     continue
                 s = scalar_sum(pieces)
-                if self._is_zero(s):
+                if not s:
                     continue
                 coeffs[kappa] = s / (ev[mu] - ev[kappa])
             self._P[mu] = SymmetricFunction("m", coeffs)
@@ -184,15 +183,14 @@ class MacdonaldTable:
         while work:
             lam = max(work, key=lambda k: (sum(k), k))
             c = work.pop(lam)
-            if c == 0 or (isinstance(c, RationalFunction) and c.is_zero()):
+            if not c:
                 continue
             terms[lam] = c
             for mu, w in self.P(lam).terms.items():
                 if mu == lam:
                     continue
-                cur = work.get(mu, w * 0)
-                work[mu] = cur - c * w
-                if work[mu] == 0 or (isinstance(work[mu], RationalFunction) and work[mu].is_zero()):
+                work[mu] = work.get(mu, w * 0) - c * w
+                if not work[mu]:
                     work.pop(mu)
         return SymmetricFunction("P", terms)
 
@@ -208,7 +206,7 @@ def macdonald_P(mu: Partition, q, t, table: Optional[MacdonaldTable] = None) -> 
 
 def specialize_eps(lam: Partition, u, q, t):
     """Closed-form specialization prod (t^{l'} - q^{a'} u)/(1 - q^a t^{l+1})."""
-    out = _one(q)
+    out = one_like(q)
     for c in cells(lam):
         out = out * (t ** c.coleg - q ** c.coarm * u)
         out = out / (1 - q ** c.arm * t ** (c.leg + 1))
@@ -237,7 +235,7 @@ def _mult_series_coeff(k: int, t) -> List[Tuple[Partition, object]]:
     from .partitions import z_factor
     out = []
     for kappa in enumerate_partitions(k):
-        c = Fraction(1, z_factor(kappa)) * _one(t)
+        c = Fraction(1, z_factor(kappa)) * one_like(t)
         for part in kappa:
             c = c * (1 - t ** (-part))
         out.append((kappa, c))
@@ -285,7 +283,7 @@ def apply_E(f: SymmetricFunction, q, t,
                 out[key] = out.get(key, v * 0) + v
     for kappa, c in g.terms.items():
         out[kappa] = out.get(kappa, c * 0) - c
-    scale = _one(t) / (t - 1)
+    scale = one_like(t) / (t - 1)
     return SymmetricFunction("p", {k: v * scale for k, v in out.items()})
 
 
@@ -300,7 +298,7 @@ def eigen_E(mu: Partition, q, t):
 
 def euler_tail(j: int, t):
     """e_j(t^{-1}, t^{-2}, ...) = prod_{a<=j} 1/(t^a - 1), by Euler's formula."""
-    out = _one(t)
+    out = one_like(t)
     for a in range(1, j + 1):
         out = out / (t ** a - 1)
     return out
@@ -312,14 +310,10 @@ def eigen_tildeE(mu: Partition, r: int, q, t):
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
     if r == 0:
-        return _one(q)
+        return one_like(q)
     l = len(mu)
-    head = [_one(q)]
-    for j, m in enumerate(mu, start=1):
-        w = q ** m * t ** (-j)
-        head = [(head[i] if i < len(head) else w * 0)
-                + (head[i - 1] * w if i >= 1 else w * 0)
-                for i in range(len(head) + 1)]
+    head = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
+                            one_like(q), l)
     total = None
     for n in range(0, r + 1):
         jdeg = r - n
@@ -334,24 +328,12 @@ def eigen_E_r(mu: Partition, r: int, q, t):
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
     if r == 0:
-        return _one(q)
+        return one_like(q)
     if not mu:
         return q * 0
-    num = [_one(q)]
-    for j, m in enumerate(mu, start=1):
-        w = q ** m * t ** (-j)
-        num = [(num[i] if i < len(num) else w * 0)
-               + (num[i - 1] * w if i >= 1 else w * 0)
-               for i in range(len(num) + 1)]
-    den = [_one(q)]
-    for j in range(1, len(mu) + 1):
-        w = t ** (-j)
-        den = [(den[i] if i < len(den) else w * 0)
-               + (den[i - 1] * w if i >= 1 else w * 0)
-               for i in range(len(den) + 1)]
-    zero = q * 0
-    num = num + [zero] * max(0, r + 1 - len(num))
-    den = den + [zero] * max(0, r + 1 - len(den))
+    one = one_like(q)
+    num = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)], one, r)
+    den = _elementary_list([t ** (-j) for j in range(1, len(mu) + 1)], one, r)
     out = []
     for n in range(r + 1):
         s = num[n]
@@ -359,42 +341,6 @@ def eigen_E_r(mu: Partition, r: int, q, t):
             s = s - den[k] * out[n - k]
         out.append(s / den[0])
     return out[r]
-
-
-def q_binomial(n: int, k: int, q):
-    """Gauss binomial coefficient [n choose k]_q."""
-    if k < 0 or k > n:
-        return q * 0
-    out = _one(q)
-    for i in range(k):
-        out = out * (1 - q ** (n - i))
-        out = out / (1 - q ** (i + 1))
-    return out
-
-
-def finite_coefficient_c(j: int, n: int, t):
-    """c_{j,n}(t) = (-1)^j t^{-j} [n+j-1 choose j]_{t^{-1}}.
-
-    Equals (-1)^j t^{(j^2-3j)/2} e_j(1, t^{-1}, ..., t^{-(n+j-2)}); the Gauss
-    reduction fixes the binomial's upper index to n+j-1 (the e_j argument list
-    has n+j-1 entries).
-    """
-    return (-1) ** j * t ** (-j) * q_binomial(n + j - 1, j, t ** -1)
-
-
-def eigen_E_r_finite(mu: Partition, r: int, n: int, q, t):
-    """Finite-n eigenvalue sum_{j<=r} c_{j,n}(t) e_{r-j}(q^{mu_1}t^{-1},...,q^{mu_n}t^{-n}).
-
-    Stable once n >= |mu| + r; kept at test scale only.
-    """
-    if len(mu) > n:
-        raise MacdonaldError("need n >= l(mu)")
-    vals = [q ** (mu[j - 1] if j <= len(mu) else 0) * t ** (-j) for j in range(1, n + 1)]
-    total = None
-    for j in range(0, r + 1):
-        v = finite_coefficient_c(j, n, t) * elementary_of(vals, r - j)
-        total = v if total is None else total + v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +387,13 @@ def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
     else:
         raise MacdonaldError(f"unknown basis {basis!r}")
     if k == 0:
-        return TwoPathValue(direct, _one(q))
+        return TwoPathValue(direct, one_like(q))
 
     if basis == "p":
         alpha = alpha_coefficients(k)
         total = None
         for nu in enumerate_partitions(k):
-            v = alpha[nu] * _one(q)
+            v = alpha[nu] * one_like(q)
             for part in nu:
                 v = v * eigen_tildeE(lam, part, q, t)
             total = v if total is None else total + v
@@ -459,7 +405,7 @@ def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
 
     def table_get(tab, nu):
         if nu == ():
-            return _one(q)
+            return one_like(q)
         return tab.entries[nu]
 
     total = None
@@ -502,79 +448,32 @@ def psi_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], obj
 
 def lambda_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], object]:
     """Exterior-power operator as a polynomial in the stabilized family."""
-    if m < 1:
-        raise MacdonaldError("m must be >= 1")
-    beta, gamma = beta_gamma_coefficients(m, q)
-    acc: Dict[Partition, object] = {}
-    for w_mu in range(0, m + 1):
-        for mu in enumerate_partitions(w_mu):
-            g = gamma.entries[mu] if mu else _one(q)
-            for nu in enumerate_partitions(m - w_mu):
-                b = beta.entries[nu] if nu else _one(q)
-                c = g * b * t ** w_mu
-                for part in nu:
-                    c = c * _e_tail_shifted(part, t)
-                acc[mu] = acc.get(mu, c * 0) + c
-    const = acc.pop((), Fraction(0))
-    return [(c, mu) for mu, c in sorted(acc.items())], const
+    return _power_decomposition(m, q, t, symmetric=False)
 
 
 def sigma_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], object]:
     """Symmetric-power operator as a polynomial in the stabilized family."""
+    return _power_decomposition(m, q, t, symmetric=True)
+
+
+def _power_decomposition(m: int, q, t, symmetric: bool):
+    """Lambda^m pairs gamma on the head with beta on the tail; Sigma^m swaps
+    the two tables and carries the sign (-1)^m."""
     if m < 1:
         raise MacdonaldError("m must be >= 1")
     beta, gamma = beta_gamma_coefficients(m, q)
+    head, tail = (beta, gamma) if symmetric else (gamma, beta)
+    one = one_like(q)
     acc: Dict[Partition, object] = {}
     for w_mu in range(0, m + 1):
         for mu in enumerate_partitions(w_mu):
-            b = beta.entries[mu] if mu else _one(q)
+            h = head.entries[mu] if mu else one
             for nu in enumerate_partitions(m - w_mu):
-                g = gamma.entries[nu] if nu else _one(q)
-                c = b * g * t ** w_mu * Fraction((-1) ** m)
+                c = h * (tail.entries[nu] if nu else one) * t ** w_mu
+                if symmetric:
+                    c = c * Fraction((-1) ** m)
                 for part in nu:
                     c = c * _e_tail_shifted(part, t)
                 acc[mu] = acc.get(mu, c * 0) + c
     const = acc.pop((), Fraction(0))
     return [(c, mu) for mu, c in sorted(acc.items())], const
-
-
-# ---------------------------------------------------------------------------
-# finite-n operator of degree 1, used only as a test oracle
-# ---------------------------------------------------------------------------
-
-def dn1_apply_power_sum(mu: Partition, xs: Sequence[Fraction], q: Fraction, t: Fraction) -> Fraction:
-    """D_n^1 p_mu evaluated at concrete points x_1..x_n (n = len(xs))."""
-    n = len(xs)
-    total = Fraction(0)
-    for i in range(n):
-        coef = Fraction(1)
-        for j in range(n):
-            if j != i:
-                coef *= (t * xs[i] - xs[j]) / (xs[i] - xs[j])
-        prod = Fraction(1)
-        for part in mu:
-            prod *= sum(x ** part for x in xs) + (q ** part - 1) * xs[i] ** part
-        total += coef * prod
-    return total
-
-
-def En_apply_power_sum(mu: Partition, xs: Sequence[Fraction], q: Fraction, t: Fraction) -> Fraction:
-    """E restricted to n variables: t^{-n} D_n^1 - sum_{i<=n} t^{-i}, applied
-    to p_mu and evaluated at the xs."""
-    n = len(xs)
-    p_mu = Fraction(1)
-    for part in mu:
-        p_mu *= sum(x ** part for x in xs)
-    return t ** (-n) * dn1_apply_power_sum(mu, xs, q, t) - sum(t ** (-i) for i in range(1, n + 1)) * p_mu
-
-
-def eval_p_basis(f: SymmetricFunction, xs: Sequence[Fraction]) -> Fraction:
-    """Evaluate a p-basis symmetric function at concrete points."""
-    g = to_p(f)
-    total = Fraction(0)
-    for kappa, c in g.terms.items():
-        v = c
-        for part in kappa:
-            v = v * sum(x ** part for x in xs)
-        total += v if isinstance(v, Fraction) else v.as_fraction()
-    return total

@@ -96,18 +96,8 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
-def cell_statistics(lam: Partition) -> Dict[Tuple[int, int], CellStat]:
-    """Row-major map (i, j) -> CellStat for every cell of the diagram."""
-    conj = conjugate(lam)
-    out: Dict[Tuple[int, int], CellStat] = {}
-    for i, p in enumerate(lam, start=1):
-        for j in range(1, p + 1):
-            out[(i, j)] = CellStat(i, j, p - j, conj[j - 1] - i, j - 1, i - 1)
-    return out
-
-
 def cells(lam: Partition) -> List[CellStat]:
-    """Row-major list of cell statistics (same data as cell_statistics)."""
+    """Row-major list of the statistics of every cell of the diagram."""
     conj = conjugate(lam)
     out: List[CellStat] = []
     for i, p in enumerate(lam, start=1):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .exactalg.ratfun import RationalFunction, scalar_sum
+from .exactalg.ratfun import RationalFunction, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .partitions import Partition, enumerate_partitions, z_factor
 
@@ -28,6 +28,17 @@ def merge_parts(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
+def _merge_product(a: Dict[Partition, object], b: Dict[Partition, object]) -> Dict[Partition, object]:
+    """Product of two partition-keyed term maps whose keys multiply by merging parts."""
+    d: Dict[Partition, object] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = merge_parts(ka, kb)
+            v = va * vb
+            d[k] = d.get(k, v * 0) + v
+    return d
+
+
 class FormalSum:
     """Element of the free commutative algebra on graded generators.
 
@@ -39,7 +50,10 @@ class FormalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[Partition, object]):
-        self.terms = {k: v for k, v in terms.items() if not _scalar_is_zero(v)}
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @staticmethod
     def unit(scalar=Fraction(1)) -> "FormalSum":
@@ -72,13 +86,7 @@ class FormalSum:
 
     def __mul__(self, other):
         if isinstance(other, FormalSum):
-            d: Dict[Partition, object] = {}
-            for ka, va in self.terms.items():
-                for kb, vb in other.terms.items():
-                    k = merge_parts(ka, kb)
-                    v = va * vb
-                    d[k] = d.get(k, v * 0) + v
-            return FormalSum(d)
+            return FormalSum(_merge_product(self.terms, other.terms))
         return FormalSum({k: v * other for k, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -87,7 +95,7 @@ class FormalSum:
         if isinstance(other, FormalSum):
             return self.terms == other.terms
         if not self.terms:
-            return _scalar_is_zero(other) if not isinstance(other, FormalSum) else False
+            return not other
         return set(self.terms) == {()} and self.terms[()] == other
 
     __hash__ = None
@@ -99,14 +107,6 @@ class FormalSum:
         return "FormalSum(" + ", ".join(f"{k}: {v}" for k, v in sorted(self.terms.items())) + ")"
 
 
-def _scalar_is_zero(v) -> bool:
-    if isinstance(v, RationalFunction):
-        return v.is_zero()
-    if isinstance(v, FormalSum):
-        return not v.terms
-    return v == 0
-
-
 @dataclass
 class SymmetricFunction:
     """Basis-tagged sparse symmetric function."""
@@ -116,7 +116,7 @@ class SymmetricFunction:
     def __post_init__(self):
         if self.basis not in BASES:
             raise SymFunError(f"unknown basis {self.basis!r}")
-        self.terms = {k: v for k, v in self.terms.items() if not _scalar_is_zero(v)}
+        self.terms = {k: v for k, v in self.terms.items() if v}
 
     @staticmethod
     def zero(basis: str = "p") -> "SymmetricFunction":
@@ -158,13 +158,7 @@ class SymmetricFunction:
             a = to_p(self)
             b = to_p(other)
             return basis_convert(a * b, self.basis)
-        d: Dict[Partition, object] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = merge_parts(ka, kb)
-                v = va * vb
-                d[k] = d.get(k, v * 0) + v
-        return SymmetricFunction(self.basis, d)
+        return SymmetricFunction(self.basis, _merge_product(self.terms, other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricFunction):
@@ -301,39 +295,20 @@ def to_p(f: SymmetricFunction, degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> Sy
                 v = c * w
                 out[kappa] = out.get(kappa, v * 0) + v
         return SymmetricFunction("p", out)
-    table = e_in_p if f.basis == "e" else h_in_p
-    for lam, c in f.terms.items():
-        factors = [dict(table(part)) for part in lam]
-        acc: Dict[Partition, object] = {(): c}
-        for fac in factors:
-            nxt: Dict[Partition, object] = {}
-            for ka, va in acc.items():
-                for kb, vb in fac.items():
-                    k = merge_parts(ka, kb)
-                    v = va * vb
-                    nxt[k] = nxt.get(k, v * 0) + v
-            acc = nxt
-        for k, v in acc.items():
-            out[k] = out.get(k, v * 0) + v
-    return SymmetricFunction("p", out)
+    return _expand_products(f, e_in_p if f.basis == "e" else h_in_p, "p")
 
 
-def _p_to_multiplicative(f: SymmetricFunction, target: str) -> SymmetricFunction:
+def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFunction:
+    """Expand each term c * prod_i g_{lam_i} of f, where expansion(n) lists
+    the terms of g_n in the target basis."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
         acc: Dict[Partition, object] = {(): c}
         for part in lam:
-            fac = dict(_p_in_generators(part, target))
-            nxt: Dict[Partition, object] = {}
-            for ka, va in acc.items():
-                for kb, vb in fac.items():
-                    k = merge_parts(ka, kb)
-                    v = va * vb
-                    nxt[k] = nxt.get(k, v * 0) + v
-            acc = nxt
+            acc = _merge_product(acc, dict(expansion(part)))
         for k, v in acc.items():
             out[k] = out.get(k, v * 0) + v
-    return SymmetricFunction(target, out)
+    return SymmetricFunction(basis, out)
 
 
 def _p_to_m(f: SymmetricFunction, degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> SymmetricFunction:
@@ -369,7 +344,7 @@ def basis_convert(f: SymmetricFunction, target: str, macdonald_table=None,
         return g
     if target == "m":
         return _p_to_m(g, degree_bound)
-    return _p_to_multiplicative(g, target)
+    return _expand_products(g, lambda n: _p_in_generators(n, target), target)
 
 
 def omega(f: SymmetricFunction) -> SymmetricFunction:
@@ -389,7 +364,7 @@ def inner_product_hall(f: SymmetricFunction, g: SymmetricFunction):
     a, b = to_p(f), to_p(g)
     terms = [ca * b.terms[lam] * z_factor(lam)
              for lam, ca in a.terms.items() if lam in b.terms]
-    return scalar_sum(terms) if terms else Fraction(0)
+    return scalar_sum(terms)
 
 
 def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
@@ -405,7 +380,7 @@ def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
             v = v * (1 - q ** part)
             v = v / (1 - t ** part)
         terms.append(v)
-    return scalar_sum(terms) if terms else Fraction(0)
+    return scalar_sum(terms)
 
 
 def inner_product(f: SymmetricFunction, g: SymmetricFunction, variant: str = "hall",
@@ -461,7 +436,7 @@ def beta_gamma_coefficients(n: int, q=None) -> Tuple[CoefficientTable, Coefficie
         raise SymFunError("n must be >= 1")
     if q is None:
         q = RationalFunction.var("q")
-    one = q * 0 + 1
+    one = one_like(q)
     b: List[FormalSum] = [FormalSum.unit(one)]
     c: List[FormalSum] = [FormalSum.unit(one)]
     for m in range(1, n + 1):
@@ -488,7 +463,7 @@ def bc_product_check(n: int, q=None) -> bool:
     """(sum b_m z^m)(sum c_m z^m) = 1 to order n with generic formal a_r."""
     if q is None:
         q = RationalFunction.var("q")
-    one = q * 0 + 1
+    one = one_like(q)
     beta, gamma = beta_gamma_coefficients(n, q)
     b = [FormalSum.unit(one)] + [
         FormalSum({lam: w for lam, w in beta.entries.items() if sum(lam) == m})

@@ -1,0 +1,88 @@
+"""Reference implementations that only the tests use.
+
+Finite-n Macdonald operators evaluated at concrete points, the finite-n
+eigenvalue family, and the Gauss binomial.  They are written from their
+definitions, independently of the stable-limit code they check.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from hilbmac.exactalg import one_like
+from hilbmac.macdonald import MacdonaldError, elementary_of
+from hilbmac.partitions import Partition
+from hilbmac.symfun import SymmetricFunction, to_p
+
+
+def q_binomial(n: int, k: int, q):
+    """Gauss binomial coefficient [n choose k]_q."""
+    if k < 0 or k > n:
+        return q * 0
+    out = one_like(q)
+    for i in range(k):
+        out = out * (1 - q ** (n - i))
+        out = out / (1 - q ** (i + 1))
+    return out
+
+
+def finite_coefficient_c(j: int, n: int, t):
+    """c_{j,n}(t) = (-1)^j t^{-j} [n+j-1 choose j]_{t^{-1}}.
+
+    Equals (-1)^j t^{(j^2-3j)/2} e_j(1, t^{-1}, ..., t^{-(n+j-2)}); the Gauss
+    reduction fixes the binomial's upper index to n+j-1 (the e_j argument list
+    has n+j-1 entries).
+    """
+    return (-1) ** j * t ** (-j) * q_binomial(n + j - 1, j, t ** -1)
+
+
+def eigen_E_r_finite(mu: Partition, r: int, n: int, q, t):
+    """Finite-n eigenvalue sum_{j<=r} c_{j,n}(t) e_{r-j}(q^{mu_1}t^{-1},...,q^{mu_n}t^{-n}).
+
+    Stable once n >= |mu| + r; kept at test scale only.
+    """
+    if len(mu) > n:
+        raise MacdonaldError("need n >= l(mu)")
+    vals = [q ** (mu[j - 1] if j <= len(mu) else 0) * t ** (-j) for j in range(1, n + 1)]
+    total = None
+    for j in range(0, r + 1):
+        v = finite_coefficient_c(j, n, t) * elementary_of(vals, r - j)
+        total = v if total is None else total + v
+    return total
+
+
+def dn1_apply_power_sum(mu: Partition, xs: Sequence[Fraction], q: Fraction, t: Fraction) -> Fraction:
+    """D_n^1 p_mu evaluated at concrete points x_1..x_n (n = len(xs))."""
+    n = len(xs)
+    total = Fraction(0)
+    for i in range(n):
+        coef = Fraction(1)
+        for j in range(n):
+            if j != i:
+                coef *= (t * xs[i] - xs[j]) / (xs[i] - xs[j])
+        prod = Fraction(1)
+        for part in mu:
+            prod *= sum(x ** part for x in xs) + (q ** part - 1) * xs[i] ** part
+        total += coef * prod
+    return total
+
+
+def En_apply_power_sum(mu: Partition, xs: Sequence[Fraction], q: Fraction, t: Fraction) -> Fraction:
+    """E restricted to n variables: t^{-n} D_n^1 - sum_{i<=n} t^{-i}, applied
+    to p_mu and evaluated at the xs."""
+    n = len(xs)
+    p_mu = Fraction(1)
+    for part in mu:
+        p_mu *= sum(x ** part for x in xs)
+    return t ** (-n) * dn1_apply_power_sum(mu, xs, q, t) - sum(t ** (-i) for i in range(1, n + 1)) * p_mu
+
+
+def eval_p_basis(f: SymmetricFunction, xs: Sequence[Fraction]) -> Fraction:
+    """Evaluate a p-basis symmetric function at concrete points."""
+    g = to_p(f)
+    total = Fraction(0)
+    for kappa, c in g.terms.items():
+        v = c
+        for part in kappa:
+            v = v * sum(x ** part for x in xs)
+        total += v if isinstance(v, Fraction) else v.as_fraction()
+    return total

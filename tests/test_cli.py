@@ -141,11 +141,30 @@ def test_verify_all_subset(capsys):
     assert "PASS C14" in out
 
 
-def test_verify_all_jobs_deterministic(capsys):
-    base = ["verify-all", "--only", "C13,C14", "--seed", "1", "--format", "plain"]
-    _, out1 = run_cli(capsys, base)
-    _, out2 = run_cli(capsys, base + ["--jobs", "2"])
-    assert out1 == out2
+def test_verify_all_json_is_one_document(capsys):
+    code, out = run_cli(capsys, ["verify-all", "--only", "C13,C14"])
+    assert code == 0
+    data = json.loads(out)
+    assert [r["id"] for r in data["results"]] == ["C13", "C14"]
+    assert data["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--word", "Psi0"],
+    ["correlate", "--word", "Foo1"],
+    ["correlate", "--word", "E-1"],
+    ["symfun", "convert", "--input", "{}"],
+    ["macdonald", "eigen", "--r", "-1"],
+    ["chi", "--surface", "P2"],
+    ["verify-all", "--trials", "2"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 def test_csv_output_format(capsys):

@@ -1,9 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hilbmac
+from hilbmac import correlators
 from hilbmac.correlators import (CLOSED_FORM_NAMES, CorrelatorError,
                                  DiagonalOperator, base_bracket_series,
                                  base_bracket_z, bracket_bruteforce,
@@ -121,6 +127,33 @@ def test_operator_without_kernel_is_rejected(point):
     bad = DiagonalOperator("opaque", lambda mu: Fraction(1))
     with pytest.raises(CorrelatorError):
         vertex_correlator([bad], u, v, q, t, 3)
+
+
+GRADING_VIOLATION = """
+from fractions import Fraction
+from hilbmac import correlators as C
+C._check_grading = lambda state, order: False
+try:
+    C.vertex_tilde_bracket([1], Fraction(2), Fraction(3), Fraction(5), Fraction(7), 2)
+except C.CorrelatorError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_grading_violation_raises_also_under_python_O(point, monkeypatch):
+    q, t, u, v = point["q"], point["t"], point["u"], point["v"]
+    with monkeypatch.context() as m:
+        m.setattr(correlators, "_check_grading", lambda state, order: False)
+        with pytest.raises(CorrelatorError, match="Q-grading"):
+            vertex_correlator([tilde_e_op(1, q, t)], u, v, q, t, 3)
+    # python -O strips assert statements; the check must survive it
+    package_root = str(Path(hilbmac.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-O", "-c", GRADING_VIOLATION],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 def test_psi_words_through_decomposition(point):

@@ -9,7 +9,7 @@ from hilbmac.exactalg import (ALPHABET, DivisionByZero, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries,
                               equal_by_evaluation, expand_closed_form,
-                              generators, geometric, ratfun_arith, rf_sum)
+                              generators, geometric, rf_sum)
 
 q, t, u, v = generators("q", "t", "u", "v")
 Q = RationalFunction.var("Q")
@@ -20,11 +20,11 @@ Q = RationalFunction.var("Q")
 # ---------------------------------------------------------------------------
 
 def test_cancellation_example():
-    assert ratfun_arith((1 - u) / (1 - q), 1 - q, "mul") == 1 - u
+    assert (1 - u) / (1 - q) * (1 - q) == 1 - u
 
 
 def test_common_denominator_example():
-    assert ratfun_arith(1 / (1 - t), t / (1 - t), "add") == (1 + t) / (1 - t)
+    assert 1 / (1 - t) + t / (1 - t) == (1 + t) / (1 - t)
 
 
 def test_eval_examples():
@@ -41,9 +41,7 @@ def test_pole_error():
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ratfun_arith(q, q - q, "div")
-    with pytest.raises(ValueError):
-        ratfun_arith(q, t, "frobnicate")
+        q / (q - q)
 
 
 def _random_rf(rng: random.Random) -> RationalFunction:
@@ -75,6 +73,17 @@ def test_field_axioms_on_random_samples():
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert a * a.inverse() == 1
+
+
+def test_bool_agrees_with_equality_to_zero():
+    rng = random.Random(11)
+    values = [(1 - q) / (1 - q) - 1, q - q, RationalFunction.from_int(0)]
+    for _ in range(100):
+        a, b = _random_rf(rng), _random_rf(rng)
+        values += [a, a + b, a - a, (a + b) - b - a, a * b - b * a, a / b * b - a]
+    for f in values:
+        assert bool(f) == (not f == 0)
+    assert any(values) and not all(values)
 
 
 def test_canonicalization_idempotent():

@@ -6,16 +6,17 @@ from hilbmac.exactalg import (RationalFunction, RationalSampler, generators,
                               scalar_sum)
 from hilbmac.macdonald import (MacdonaldError, MacdonaldTable,
                                apply_E, b_norm, cell_multiset,
-                               complete_of, dn1_apply_power_sum, eigen_E,
-                               eigen_E_r, eigen_E_r_finite, eigen_tildeE,
-                               elementary_of, En_apply_power_sum, euler_tail,
-                               eval_p_basis, finite_coefficient_c,
+                               complete_of, eigen_E, eigen_E_r, eigen_tildeE,
+                               elementary_of, euler_tail,
                                lambda_decomposition, macdonald_P,
-                               power_of, psi_decomposition, q_binomial,
+                               power_of, psi_decomposition,
                                sigma_decomposition, specialize_eps,
                                specialize_eps_via_p, sym_of_cells)
 from hilbmac.partitions import enumerate_partitions, partitions_upto
 from hilbmac.symfun import SymmetricFunction, inner_product_qt
+from oracles import (En_apply_power_sum, dn1_apply_power_sum,
+                     eigen_E_r_finite, eval_p_basis, finite_coefficient_c,
+                     q_binomial)
 
 q, t = generators("q", "t")
 u = RationalFunction.var("u")

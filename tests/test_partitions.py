@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbmac.partitions import (CellStat, cell_statistics, cells, conjugate,
+from hilbmac.partitions import (CellStat, cells, conjugate,
                                 dominates, enumerate_partitions,
                                 goettsche_count_check, hooks, is_partition,
                                 iter_partitions, multiplicities,
@@ -59,12 +59,11 @@ def test_conjugate_involution(lam):
 
 
 def test_cell_statistics_examples():
-    assert cell_statistics(()) == {}
-    assert cell_statistics((1,)) == {(1, 1): CellStat(1, 1, 0, 0, 0, 0)}
-    cs = cell_statistics((2, 1))
-    assert cs[(1, 1)] == CellStat(1, 1, 1, 1, 0, 0)
-    assert cs[(1, 2)] == CellStat(1, 2, 0, 0, 1, 0)
-    assert cs[(2, 1)] == CellStat(2, 1, 0, 0, 0, 1)
+    assert cells(()) == []
+    assert cells((1,)) == [CellStat(1, 1, 0, 0, 0, 0)]
+    assert cells((2, 1)) == [CellStat(1, 1, 1, 1, 0, 0),
+                             CellStat(1, 2, 0, 0, 1, 0),
+                             CellStat(2, 1, 0, 0, 0, 1)]
 
 
 @given(partition_strategy)
