@@ -5,17 +5,15 @@ data, correlator series, Hilbert-scheme series, single identity checks, and
 the full verification suite.  Exit status: 0 success/verified, 1 verification
 failure (with a minimal counterexample), 2 usage error.
 
-Defaults may be overridden from the environment with the HILBMAC_ prefix
-(HILBMAC_ORDER, HILBMAC_MODE, HILBMAC_SEED, HILBMAC_TRIALS, HILBMAC_FORMAT).
-Handlers report bad input by raising argparse.ArgumentTypeError, which
-dispatch turns into a one-line usage error.
+Options are read from the command line only; the environment does not change
+their defaults.  Handlers report bad input by raising
+argparse.ArgumentTypeError, which dispatch turns into a one-line usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +30,7 @@ from .hilbert import (BundleInsertion, chi_C2_series, load_surface,
                       toric_correlator_checks, verify_main_identity)
 from .macdonald import (MacdonaldTable, b_norm, eigen_E_r, eigen_tildeE,
                         specialize_eps)
+from .partitions import is_partition
 from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,
                      beta_gamma_coefficients)
 
@@ -67,6 +66,19 @@ def fmt_scalar(c) -> str:
 def _series_payload(series: TruncatedSeries) -> List[Dict]:
     return [{"power": n, "coeff": fmt_scalar(series.coeffs[n])}
             for n in range(series.order + 1)]
+
+
+def _terms_payload(terms: Dict) -> List[Dict]:
+    return [{"partition": list(k), "coeff": fmt_scalar(v)} for k, v in sorted(terms.items())]
+
+
+def _scalars(cfg: RunConfig, mode: str, names: Sequence[str]):
+    """The scalars named: one seeded rational point and its bindings in
+    evaluate mode, the symbolic generators and no bindings otherwise."""
+    if mode == "evaluate":
+        pt = RationalSampler(cfg.seed, magnitude=40).point(names)
+        return pt, {k: str(val) for k, val in sorted(pt.items())}
+    return {n: RationalFunction.var(n) for n in names}, None
 
 
 def emit(payload: dict, cfg: RunConfig) -> None:
@@ -148,31 +160,27 @@ def parse_insert(text: str) -> BundleInsertion:
 def cmd_symfun(args, cfg: RunConfig) -> int:
     if args.what == "alpha":
         table = alpha_coefficients(args.degree)
-        payload = {"kind": "alpha",
-                   "terms": [{"partition": list(k), "coeff": fmt_scalar(v)}
-                             for k, v in sorted(table.entries.items())]}
+        payload = {"kind": "alpha", "terms": _terms_payload(table.entries)}
         emit(payload, cfg)
         return 0
     if args.what == "betagamma":
         beta, gamma = beta_gamma_coefficients(args.degree)
-        payload = {
-            "beta": [{"partition": list(k), "coeff": fmt_scalar(v)}
-                     for k, v in sorted(beta.entries.items())],
-            "gamma": [{"partition": list(k), "coeff": fmt_scalar(v)}
-                      for k, v in sorted(gamma.entries.items())]}
+        payload = {"beta": _terms_payload(beta.entries),
+                   "gamma": _terms_payload(gamma.entries)}
         emit(payload, cfg)
         return 0
     # convert
     try:
         data = json.loads(args.input)
         terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
+        bad = [list(k) for k in terms if not is_partition(k)]
+        if bad:
+            raise ValueError(f"not a partition: {bad[0]}")
         g = basis_convert(SymmetricFunction(data["basis"], terms), args.to)
     except (ValueError, KeyError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"cannot convert --input {args.input!r} to basis {args.to!r}: {exc!r}")
-    payload = {"basis": g.basis,
-               "terms": [{"partition": list(k), "coeff": fmt_scalar(v)}
-                         for k, v in sorted(g.terms.items())]}
+    payload = {"basis": g.basis, "terms": _terms_payload(g.terms)}
     emit(payload, cfg)
     return 0
 
@@ -183,9 +191,7 @@ def cmd_macdonald(args, cfg: RunConfig) -> int:
     if args.what == "P":
         table = MacdonaldTable(q, t, degree_bound=max(8, sum(mu)))
         P = table.P(mu)
-        payload = {"basis": "m", "mu": list(mu),
-                   "terms": [{"partition": list(k), "coeff": fmt_scalar(v)}
-                             for k, v in sorted(P.terms.items())]}
+        payload = {"basis": "m", "mu": list(mu), "terms": _terms_payload(P.terms)}
     elif args.what == "norm":
         payload = {"mu": list(mu), "b_norm": fmt_scalar(b_norm(mu, q, t))}
     elif args.what == "eps":
@@ -205,15 +211,8 @@ def cmd_macdonald(args, cfg: RunConfig) -> int:
 def cmd_correlate(args, cfg: RunConfig) -> int:
     mode = cfg.resolve_mode()
     verified = []
-    if mode == "evaluate":
-        sampler = RationalSampler(cfg.seed, magnitude=40)
-        pt = sampler.point(["q", "t", "u", "v"])
-        q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
-        bindings = {k: str(val) for k, val in sorted(pt.items())}
-    else:
-        q, t = RationalFunction.var("q"), RationalFunction.var("t")
-        u, v = RationalFunction.var("u"), RationalFunction.var("v")
-        bindings = None
+    pt, bindings = _scalars(cfg, mode, ["q", "t", "u", "v"])
+    q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
     word = parse_word(args.word, q, t)
     series = bracket_bruteforce(word, u, v, q, t, cfg.order, primed=args.normalized)
     if args.normalized or all(op.label.startswith("E") or op.label == "1" for op in word):
@@ -253,14 +252,8 @@ def cmd_correlate(args, cfg: RunConfig) -> int:
 
 def cmd_chi(args, cfg: RunConfig) -> int:
     mode = cfg.resolve_mode()
-    if mode == "evaluate":
-        sampler = RationalSampler(cfg.seed, magnitude=40)
-        pt = sampler.point(["t1", "t2"])
-        t1, t2 = pt["t1"], pt["t2"]
-        bindings = {k: str(v) for k, v in sorted(pt.items())}
-    else:
-        t1, t2 = RationalFunction.var("t1"), RationalFunction.var("t2")
-        bindings = None
+    pt, bindings = _scalars(cfg, mode, ["t1", "t2"])
+    t1, t2 = pt["t1"], pt["t2"]
     u = parse_fraction_or_var(args.u)
     v = parse_fraction_or_var(args.v)
     if args.surface != "C2":
@@ -344,8 +337,8 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
         known = {ident for ident, _ in acceptance.CRITERIA}
         unknown = sorted(set(only) - known)
         if unknown:
-            raise SystemExit(f"unknown criterion ids: {', '.join(unknown)}; "
-                             f"known: {', '.join(sorted(known))}")
+            raise argparse.ArgumentTypeError(f"unknown criterion ids: {', '.join(unknown)}; "
+                                             f"known: {', '.join(sorted(known))}")
     results = acceptance.run_all(seed=cfg.seed, trials=cfg.trials, only=only)
     ok = all(r.ok for r in results)
     if cfg.fmt == "json":
@@ -365,16 +358,13 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    env = os.environ
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int,
-                        default=int(env.get("HILBMAC_ORDER", 4)))
-    common.add_argument("--mode", choices=["symbolic", "evaluate", "auto"],
-                        default=env.get("HILBMAC_MODE", "auto"))
-    common.add_argument("--seed", type=int, default=int(env.get("HILBMAC_SEED", 1)))
-    common.add_argument("--trials", type=int, default=int(env.get("HILBMAC_TRIALS", 3)))
+    common.add_argument("--order", type=int, default=4)
+    common.add_argument("--mode", choices=["symbolic", "evaluate", "auto"], default="auto")
+    common.add_argument("--seed", type=int, default=1)
+    common.add_argument("--trials", type=int, default=3)
     common.add_argument("--format", dest="fmt", choices=["json", "csv", "plain"],
-                        default=env.get("HILBMAC_FORMAT", "json"))
+                        default="json")
 
     parser = argparse.ArgumentParser(
         prog="hilbmac",

@@ -64,28 +64,26 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         expansion=(((r,), one_like(q)),))
 
 
-def psi_op(m: int, q, t) -> DiagonalOperator:
-    terms, const = psi_decomposition(m, q, t)
+def _cell_op(label: str, decomposition, cell_function, m: int, q, t) -> DiagonalOperator:
+    """The operator with eigenvalue cell_function(cell multiset of mu, m),
+    expanded in the stabilized family by decomposition(m, q, t)."""
+    terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
     return DiagonalOperator(
-        f"Psi{m}", lambda mu: power_of(cell_multiset(mu, q, t), m) if mu else Fraction(0),
-        weight=None, expansion=expansion)
+        f"{label}{m}", lambda mu: cell_function(cell_multiset(mu, q, t), m),
+        expansion=expansion)
+
+
+def psi_op(m: int, q, t) -> DiagonalOperator:
+    return _cell_op("Psi", psi_decomposition, power_of, m, q, t)
 
 
 def lambda_op(m: int, q, t) -> DiagonalOperator:
-    terms, const = lambda_decomposition(m, q, t)
-    expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
-    return DiagonalOperator(
-        f"Lambda{m}", lambda mu: elementary_of(cell_multiset(mu, q, t), m),
-        weight=None, expansion=expansion)
+    return _cell_op("Lambda", lambda_decomposition, elementary_of, m, q, t)
 
 
 def sigma_op(m: int, q, t) -> DiagonalOperator:
-    terms, const = sigma_decomposition(m, q, t)
-    expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
-    return DiagonalOperator(
-        f"Sigma{m}", lambda mu: complete_of(cell_multiset(mu, q, t), m),
-        weight=None, expansion=expansion)
+    return _cell_op("Sigma", sigma_decomposition, complete_of, m, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
             memo[key] = op.eigenvalue(mu)
         return memo[key]
 
-    uinv = 1 / u if not isinstance(u, RationalFunction) else u.inverse()
+    uinv = 1 / u
 
     def term(mu: Partition):
         out = (-u) ** sum(mu)
@@ -170,17 +168,26 @@ def base_bracket_z(k: int, u=None, v=None) -> RationalFunction:
     return (-u * Q) ** (m - 1) * Q * (1 - u) * (1 - u * v * Q) / (1 - u * Q)
 
 
+def _depth_one_factors(u, v, nq: int, nv: int) -> Tuple[List, List]:
+    """Coefficient lists fq (to Q^nq z^nq) and fv (to z^-nv) of the two
+    depth-one factors under the fixed expansion conventions (positive powers
+    of zQ, negative powers of z):
+
+        (1+zQ)/(1+uzQ) = 1 + sum_{n>=1} (-1)^{n-1} u^{n-1} (1-u) Q^n z^n
+        (1+v/z)/(1+1/z) = 1 + sum_{m>=1} (-1)^m (1-v) z^-m
+    """
+    one = one_like(u)
+    fq = [one] + [(-1) ** (n - 1) * u ** (n - 1) * (1 - u) for n in range(1, nq + 1)]
+    fv = [one] + [(-1) ** m * (1 - v) for m in range(1, nv + 1)]
+    return fq, fv
+
+
 def base_bracket_series(k: int, u, v, order: int) -> TruncatedSeries:
     """Defining series expansion of the depth-one bracket of z^k: the z^0
-    coefficient of z^k (1+zQ)/(1+uzQ) (1+v z^-1)/(1+z^-1) with the fixed
-    expansion conventions (positive powers of zQ, negative powers of z)."""
+    coefficient of z^k (1+zQ)/(1+uzQ) (1+v z^-1)/(1+z^-1)."""
     zero = u * 0
-    one = one_like(u)
     mmax = order + abs(k)
-    # (1+zQ)/(1+uzQ) = 1 + sum_{n>=1} (-1)^{n-1} u^{n-1} (1-u) Q^n z^n
-    fq = [one] + [(-1) ** (n - 1) * u ** (n - 1) * (1 - u) for n in range(1, order + 1)]
-    # (1+v/z)/(1+1/z) = 1 + sum_{m>=1} (-1)^m (1-v) z^-m
-    fv = [one] + [(-1) ** m * (1 - v) for m in range(1, mmax + 1)]
+    fq, fv = _depth_one_factors(u, v, order, mmax)
     out = [zero] * (order + 1)
     for n in range(0, order + 1):        # z^n with Q^n from the first factor
         m = n + k                        # need z^{-m} with m = n + k
@@ -244,8 +251,7 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
                     pair_partners[hi_var].append((lo_var, "cross"))
 
     N = order
-    fq = [one] + [(-1) ** (n - 1) * u ** (n - 1) * (1 - u) for n in range(1, N + 1)]
-    fv = [one] + [(-1) ** m * (1 - v) for m in range(1, N + 1)]
+    fq, fv = _depth_one_factors(u, v, N, N)
     g_coeff = [one] + [(t ** -1 - 1) * t ** (-(m - 1)) for m in range(1, N + 1)]
     # exp(-sum (1-q^n)(1-t^-n)/n x^n) = 1 - sum (1-q)(1-t^-1) h_{m-1}(q, t^-1) x^m
     x_coeff = [one]
@@ -475,6 +481,15 @@ def _poly_mul_trunc(a: Dict[Tuple, object], b: Dict[Tuple, object], D: int):
     return {k: v for k, v in out.items() if v}
 
 
+def _multiplicity_factorials(key: Tuple) -> Fraction:
+    """prod over the labels of a sorted word of (multiplicity)!: the
+    multinomial factor between a correlator and its Z coefficient."""
+    out = Fraction(1)
+    for _, grp in itertools.groupby(key):
+        out *= math.factorial(len(list(grp)))
+    return out
+
+
 def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
     """Partition function, free energy and entropy from a normalized
     correlator table.
@@ -489,10 +504,7 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
         if not word or len(word) > D:
             continue
         key = tuple(sorted(word))
-        denom = Fraction(1)
-        for _, grp in itertools.groupby(key):
-            denom *= math.factorial(len(list(grp)))
-        v = val * (1 / denom)
+        v = val * (1 / _multiplicity_factorials(key))
         Z[key] = Z.get(key, v * 0) + v
     # F = log Z = sum (-1)^{k-1} (Z-1)^k / k
     zminus = {k: v for k, v in Z.items() if k != ()}
@@ -518,8 +530,5 @@ def correlators_from_Z(Z: Dict[Tuple, object]) -> Dict[Tuple, object]:
     for key, v in Z.items():
         if not key:
             continue
-        mult = Fraction(1)
-        for _, grp in itertools.groupby(key):
-            mult *= math.factorial(len(list(grp)))
-        out[key] = v * mult
+        out[key] = v * _multiplicity_factorials(key)
     return out

@@ -41,9 +41,6 @@ class Alphabet:
     def name(self, idx: int) -> str:
         return self._names[idx]
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._names)
-
 
 ALPHABET = Alphabet()
 
@@ -231,10 +228,6 @@ class LaurentPoly:
         prim = LaurentPoly({m: c // g for m, c in shifted.items()})
         return g, mono, prim
 
-    def content(self) -> Tuple[int, Monomial]:
-        g, mono, _ = self.primitive()
-        return g, mono
-
     def leading(self) -> Tuple[Monomial, int]:
         """Maximal term in the graded canonical order (division leading term)."""
         m = max(self.terms, key=mono_key)
@@ -283,7 +276,7 @@ class LaurentPoly:
                     rem.pop(mm, None)
         return LaurentPoly(quot) if not rem else None
 
-    # -- evaluation / substitution ------------------------------------------
+    # -- evaluation --------------------------------------------------------
     def eval(self, bindings: Dict[int, Fraction]) -> Fraction:
         total = Fraction(0)
         for m, c in self.terms.items():
@@ -291,16 +284,6 @@ class LaurentPoly:
             for i, e in m:
                 term *= bindings[i] ** e
             total += term
-        return total
-
-    def subs(self, bindings: Dict[int, object], one, mul, add, power):
-        """Generic substitution with caller-supplied ring operations."""
-        total = None
-        for m, c in self.terms.items():
-            term = one * c
-            for i, e in m:
-                term = mul(term, power(bindings[i], e))
-            total = term if total is None else add(total, term)
         return total
 
     def variables(self) -> Tuple[int, ...]:

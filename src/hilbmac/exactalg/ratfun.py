@@ -197,29 +197,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.nc == 0:
-            return other
-        if other.nc == 0:
-            return self
-        # common denominator by factor multiset lcm
-        da, db = dict(self.dfac), dict(other.dfac)
-        extra_a: Dict[LaurentPoly, int] = {}   # multiply onto self's numerator
-        extra_b: Dict[LaurentPoly, int] = {}
-        for p in set(da) | set(db):
-            ka, kb = da.get(p, 0), db.get(p, 0)
-            m = max(ka, kb)
-            if m > ka:
-                extra_a[p] = m - ka
-            if m > kb:
-                extra_b[p] = m - kb
-        den = _factor_mul(self.dfac, tuple(sorted(extra_a.items(), key=lambda t: t[0].key())))
-
-        # numerators expanded over the common denominator
-        pa = _expand(_factor_mul(self.nfac, tuple(extra_a.items()))).mono_shift(self.mono)
-        pb = _expand(_factor_mul(other.nfac, tuple(extra_b.items()))).mono_shift(other.mono)
-        l = self.dc * other.dc // math.gcd(self.dc, other.dc)
-        num = pa.scale(self.nc * (l // self.dc)) + pb.scale(other.nc * (l // other.dc))
-        return _reduce_over(num, l, den)
+        return rf_sum((self, other))
 
     __radd__ = __add__
 
@@ -302,14 +280,13 @@ class RationalFunction:
         def sub_poly(p: LaurentPoly) -> RationalFunction:
             if not any(i in rbind for m in p.terms for i, _ in m):
                 return RationalFunction.from_poly(p)
-            return p.subs(
-                {i: (rbind[i] if i in rbind else RationalFunction.var(ALPHABET.name(i)))
-                 for m in p.terms for i, _ in m},
-                one=RationalFunction.from_int(1),
-                mul=lambda a, b: a * b,
-                add=lambda a, b: a + b,
-                power=lambda b, e: b ** e,
-            ) or RationalFunction.from_int(0)
+            total = RationalFunction.from_int(0)
+            for m, c in p.terms.items():
+                term = RationalFunction.from_int(c)
+                for i, e in m:
+                    term = term * rbind.get(i, RationalFunction.var(ALPHABET.name(i))) ** e
+                total = total + term
+            return total
 
         out = RationalFunction(self.nc, self.dc, (), (), ())
         for i, e in self.mono:
@@ -385,8 +362,9 @@ def rf(x) -> RationalFunction:
 def rf_sum(values) -> RationalFunction:
     """Sum many rational functions over one common denominator.
 
-    Equivalent to repeated addition but expands and reduces once, which is
-    substantially cheaper for long sums (inner products, partition sums).
+    Expands and reduces once, which is substantially cheaper than a fold of
+    two-term sums for long sums (inner products, partition sums).  Two-term
+    addition is this function on a pair.
     """
     vals = [rf(v) for v in values]
     vals = [v for v in vals if v.nc != 0]
@@ -404,7 +382,8 @@ def rf_sum(values) -> RationalFunction:
         dc = dc * v.dc // math.gcd(dc, v.dc)
     num = LaurentPoly({})
     for v in vals:
-        extra = [(p, den[p] - dict(v.dfac).get(p, 0)) for p in den]
+        own = dict(v.dfac)
+        extra = [(p, den[p] - own.get(p, 0)) for p in den]
         part = _expand(_factor_mul(v.nfac, tuple((p, k) for p, k in extra if k)))
         part = part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
         num = num + part

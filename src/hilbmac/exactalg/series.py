@@ -105,8 +105,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            inv = Fraction(1) / other if isinstance(other, (int, Fraction)) else other ** (-1)
-            return self * inv
+            return self * (Fraction(1) / other)
         a, b = self._align(other)
         n = a.order
         out: List = []
@@ -125,17 +124,6 @@ class TruncatedSeries:
         return all(x == y for x, y in zip(a.coeffs, b.coeffs))
 
     __hash__ = None
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by the k-th power of the series variable (k >= 0)."""
-        zero = self.zero_coeff()
-        return TruncatedSeries(([zero] * k + list(self.coeffs))[: self.order + 1])
-
-    def valuation(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.order + 1
 
     def exp(self) -> "TruncatedSeries":
         if self.coeffs[0]:

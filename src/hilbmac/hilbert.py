@@ -20,9 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .correlators import partition_series, psi_op, vertex_correlator
+from .correlators import (bracket_one_closed, partition_series, psi_op,
+                          vertex_correlator)
 from .exactalg.ratfun import RationalFunction, one_like, rf, scalar_sum
-from .exactalg.series import TruncatedSeries
+from .exactalg.series import TruncatedSeries, geometric
 from .macdonald import complete_of, elementary_of
 from .partitions import Partition, cells, iter_partitions
 
@@ -162,14 +163,10 @@ class VerifyReport:
 
 
 def main_identity_rhs(A: Weight, u, v, order: int, t1, t2) -> TruncatedSeries:
-    """exp( sum_n (1 - u^n t^{nA})(1 - v^n t^{-nA}) Q^n / (n (1-t1^n)(1-t2^n)) )."""
+    """exp( sum_n (1 - u^n t^{nA})(1 - v^n t^{-nA}) Q^n / (n (1-t1^n)(1-t2^n)) ):
+    the bracket <1> at (u t^A, v t^{-A}) under q = t2, t = t1^{-1}."""
     tA = _mono(t1, t2, A)
-    zero = t1 * 0
-    log_terms = [zero]
-    for n in range(1, order + 1):
-        log_terms.append(Fraction(1, n) * (1 - u ** n * tA ** n) * (1 - v ** n / tA ** n)
-                         / ((1 - t1 ** n) * (1 - t2 ** n)))
-    return TruncatedSeries(log_terms).exp()
+    return bracket_one_closed(u * tA, v / tA, t2, 1 / t1, order)
 
 
 def verify_main_identity(A: Weight, order: int, u, v, t1, t2) -> VerifyReport:
@@ -195,7 +192,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
         if ins.operation not in ("psi", "plain"):
             raise HilbertError("the correlator bridge takes Adams-type insertions")
     q = t2
-    t = 1 / t1 if not isinstance(t1, RationalFunction) else t1.inverse()
+    t = 1 / t1
     tA = _mono(t1, t2, twist_A)
     u2 = u * tA
     v2 = v / tA
@@ -463,7 +460,7 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
     """
     zero = u * 0
     one = TruncatedSeries.constant(one_like(u), order)
-    geo_uQ = TruncatedSeries([u ** n for n in range(order + 1)])          # 1/(1-uQ)
+    geo_uQ = geometric(u, order)                                          # 1/(1-uQ)
     Q = TruncatedSeries.gen(order, zero)
     pref1 = Q * (1 - u) * (1 - v) * geo_uQ                                # Q(1-u)(1-v)/(1-uQ)
     one_minus = one - pref1
@@ -488,8 +485,8 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
 
     # (b): chi(X, L1 L2 S_{uQ}T*X) expands each cotangent factor geometrically
     def suq_extra(point, t1i, t2i):
-        g1 = TruncatedSeries([(u * t1i) ** n for n in range(order + 1)])
-        g2 = TruncatedSeries([(u * t2i) ** n for n in range(order + 1)])
+        g1 = geometric(u * t1i, order)
+        g2 = geometric(u * t2i, order)
         w2 = _mono(t1, t2, point.bundles[L2])
         return g1 * g2 * w2
     chi_12_suq = chi_surface(surface, L1, t1, t2, extra=suq_extra)
@@ -506,8 +503,8 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
     T3 = one_minus * one_minus * chiL1_sq * Fraction(1, 2)
 
     def lam2_extra(point, t1i, t2i):
-        g1 = TruncatedSeries([(u * t1i) ** n for n in range(order + 1)])
-        g2 = TruncatedSeries([(u * t2i) ** n for n in range(order + 1)])
+        g1 = geometric(u * t1i, order)
+        g2 = geometric(u * t2i, order)
         w1b = _mono(t1, t2, point.bundles[L1])
         kan = t1i * t2i
         sminus = 1 / ((1 + t1i) * (1 + t2i))
@@ -517,16 +514,14 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
     rhs_c = T1 + T2 + T3 + T4
     lambda2_ok = (r_x1sq == rhs_c)
 
-    # exponential product formula for the untwisted-insertion denominator
-    log_terms = [zero]
-    for n in range(1, order + 1):
-        pieces = []
-        for point in surface.fixed_points:
-            t1i = _mono(t1, t2, point.tangent[0])
-            t2i = _mono(t1, t2, point.tangent[1])
-            pieces.append((1 - u ** n) * (1 - v ** n) / ((1 - t1i ** n) * (1 - t2i ** n)))
-        log_terms.append(scalar_sum(pieces) * Fraction(1, n))
-    denominator_ok = (base == TruncatedSeries(log_terms).exp())
+    # exponential product formula for the untwisted-insertion denominator:
+    # one bracket <1> per chart, with q = t2i and t = t1i^{-1}
+    product = one
+    for point in surface.fixed_points:
+        t1i = _mono(t1, t2, point.tangent[0])
+        t2i = _mono(t1, t2, point.tangent[1])
+        product = product * bracket_one_closed(u, v, t2i, 1 / t1i, order)
+    denominator_ok = (base == product)
 
     report = ToricCheckReport(lambda1_ok, lambda11_ok, connected_ok, lambda2_ok,
                               denominator_ok)

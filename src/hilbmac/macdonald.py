@@ -242,8 +242,7 @@ def _mult_series_coeff(k: int, t) -> List[Tuple[Partition, object]]:
     return out
 
 
-def apply_E(f: SymmetricFunction, q, t,
-            degree_bound: Optional[int] = None) -> SymmetricFunction:
+def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     """Action of the modified degree-1 Macdonald operator on the Fock space.
 
     Realized as 1/(t-1) [ M(z) . f(p_n + (q^n - 1) z^{-n}) |_{z^0} - f ]
@@ -252,8 +251,6 @@ def apply_E(f: SymmetricFunction, q, t,
     """
     g = to_p(f)
     dmax = g.degree()
-    if degree_bound is not None and dmax > degree_bound:
-        raise MacdonaldError(f"degree {dmax} above bound {degree_bound}")
     # shifted[k] = z^{-k} coefficient of f(p + a), a_n = (q^n - 1) z^{-n}
     shifted: List[Dict[Partition, object]] = [dict() for _ in range(dmax + 1)]
     for kappa, coeff in g.terms.items():
@@ -350,16 +347,11 @@ def eigen_E_r(mu: Partition, r: int, q, t):
 @dataclass
 class TwoPathValue:
     value: object          # direct over cells
-    formula_value: object  # through the beta/gamma/alpha expansions
+    formula_value: object  # through the stabilized-family decomposition
 
     @property
     def agree(self) -> bool:
         return self.value == self.formula_value
-
-
-def _e_head_shifted(lam: Partition, r: int, q, t):
-    """e_r({q^{lam_i} t^{-i+1}}_{i>=1}) = t^r e_r({q^{lam_i} t^{-i}})."""
-    return t ** r * eigen_tildeE(lam, r, q, t)
 
 
 def _e_tail_shifted(r: int, t):
@@ -372,59 +364,30 @@ def _e_tail_shifted(r: int, t):
 
 def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
     """k-th elementary/complete/power symmetric function of the cell multiset,
-    computed directly and through the universal coefficient expansions."""
+    computed directly and through the decomposition in the stabilized family
+    that the Lambda/Sigma/Psi operators hand to the vertex engine, each
+    E~-word evaluated by eigen_tildeE."""
     if k < 0:
         raise MacdonaldError("k must be >= 0")
     values = cell_multiset(lam, q, t)
     if basis == "e":
-        direct = elementary_of(values, k)
+        direct, decomposition = elementary_of(values, k), lambda_decomposition
     elif basis == "h":
-        direct = complete_of(values, k)
+        direct, decomposition = complete_of(values, k), sigma_decomposition
     elif basis == "p":
         if k == 0:
             raise MacdonaldError("p_0 of the cell multiset is not defined")
-        direct = power_of(values, k)
+        direct, decomposition = power_of(values, k), psi_decomposition
     else:
         raise MacdonaldError(f"unknown basis {basis!r}")
     if k == 0:
         return TwoPathValue(direct, one_like(q))
-
-    if basis == "p":
-        alpha = alpha_coefficients(k)
-        total = None
-        for nu in enumerate_partitions(k):
-            v = alpha[nu] * one_like(q)
-            for part in nu:
-                v = v * eigen_tildeE(lam, part, q, t)
-            total = v if total is None else total + v
-        formula = Fraction((-1) ** k) * k * t ** k / (1 - q ** k) * total \
-            + 1 / ((1 - q ** k) * (1 - t ** (-k)))
-        return TwoPathValue(direct, formula)
-
-    beta, gamma = beta_gamma_coefficients(k, q)
-
-    def table_get(tab, nu):
-        if nu == ():
-            return one_like(q)
-        return tab.entries[nu]
-
-    total = None
-    for w_mu in range(0, k + 1):
-        for mu in enumerate_partitions(w_mu):
-            for nu in enumerate_partitions(k - w_mu):
-                if basis == "e":
-                    c = table_get(gamma, mu) * table_get(beta, nu)
-                else:
-                    c = table_get(beta, mu) * table_get(gamma, nu)
-                v = c
-                for part in mu:
-                    v = v * _e_head_shifted(lam, part, q, t)
-                for part in nu:
-                    v = v * _e_tail_shifted(part, t)
-                total = v if total is None else total + v
-    if basis == "h":
-        total = total * Fraction((-1) ** k)
-    return TwoPathValue(direct, total)
+    terms, formula = decomposition(k, q, t)
+    for c, mu in terms:
+        for part in mu:
+            c = c * eigen_tildeE(lam, part, q, t)
+        formula = formula + c
+    return TwoPathValue(direct, formula)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ library is deterministic.  Cells are iterated row-major, 1-indexed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 Partition = Tuple[int, ...]
 
@@ -37,20 +37,8 @@ def is_partition(parts) -> bool:
         all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
-def iter_partitions(n: int, shard: Optional[Tuple[int, int]] = None) -> Iterator[Partition]:
-    """Yield partitions of n in reverse-lexicographic order.
-
-    With shard=(k, K), yields every K-th partition starting at index k, so K
-    workers produce a deterministic disjoint cover of the full sequence.
-    """
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """Yield partitions of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -62,20 +50,11 @@ def iter_partitions(n: int, shard: Optional[Tuple[int, int]] = None) -> Iterator
             for rest in gen(m - first, first):
                 yield (first,) + rest
 
-    it = gen(n, n if n else 1)
-    if shard is None:
-        yield from it
-        return
-    k, K = shard
-    if not (K >= 1 and 0 <= k < K):
-        raise ValueError("shard must be (k, K) with 0 <= k < K")
-    for idx, lam in enumerate(it):
-        if idx % K == k:
-            yield lam
+    yield from gen(n, n if n else 1)
 
 
-def enumerate_partitions(n: int, shard: Optional[Tuple[int, int]] = None) -> List[Partition]:
-    return list(iter_partitions(n, shard))
+def enumerate_partitions(n: int) -> List[Partition]:
+    return list(iter_partitions(n))
 
 
 def partitions_upto(n: int) -> List[Partition]:

@@ -127,15 +127,8 @@ class SymmetricFunction:
         """p_n, m_(n), e_n or h_n."""
         return SymmetricFunction(basis, {(n,): scalar})
 
-    @staticmethod
-    def from_partition(basis: str, lam: Partition, scalar=Fraction(1)) -> "SymmetricFunction":
-        return SymmetricFunction(basis, {tuple(lam): scalar})
-
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
-
-    def homogeneous(self, n: int) -> "SymmetricFunction":
-        return SymmetricFunction(self.basis, {k: v for k, v in self.terms.items() if sum(k) == n})
 
     def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
         if self.basis != other.basis:
@@ -170,9 +163,6 @@ class SymmetricFunction:
         return to_p(self) == to_p(other)
 
     __hash__ = None
-
-    def map_coeffs(self, f) -> "SymmetricFunction":
-        return SymmetricFunction(self.basis, {k: f(v) for k, v in self.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +208,9 @@ def _p_in_generators(n: int, target: str) -> Tuple[Tuple[Partition, Fraction], .
 # m <-> p transition matrices (per-degree, exact, cached)
 # ---------------------------------------------------------------------------
 
-DEFAULT_M_DEGREE_BOUND = 10
+#: highest degree converted through the monomial basis; bounds the
+#: transition matrices built for input from outside the program.
+M_DEGREE_BOUND = 10
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +271,7 @@ def _m_to_p_matrix(n: int) -> Dict[Partition, Dict[Partition, Fraction]]:
 # basis conversion
 # ---------------------------------------------------------------------------
 
-def to_p(f: SymmetricFunction, degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> SymmetricFunction:
+def to_p(f: SymmetricFunction) -> SymmetricFunction:
     if f.basis == "p":
         return f
     if f.basis == "P":
@@ -288,9 +280,8 @@ def to_p(f: SymmetricFunction, degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> Sy
     if f.basis == "m":
         for mu, c in f.terms.items():
             n = sum(mu)
-            if n > degree_bound:
-                raise SymFunError(f"monomial conversion degree {n} above bound "
-                                  f"{degree_bound}")
+            if n > M_DEGREE_BOUND:
+                raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
             for kappa, w in _m_to_p_matrix(n)[mu].items():
                 v = c * w
                 out[kappa] = out.get(kappa, v * 0) + v
@@ -311,25 +302,23 @@ def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFu
     return SymmetricFunction(basis, out)
 
 
-def _p_to_m(f: SymmetricFunction, degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> SymmetricFunction:
+def _p_to_m(f: SymmetricFunction) -> SymmetricFunction:
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
         n = sum(lam)
-        if n > degree_bound:
-            raise SymFunError(f"monomial conversion degree {n} above bound "
-                              f"{degree_bound}")
+        if n > M_DEGREE_BOUND:
+            raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
         for mu, w in _p_to_m_matrix(n)[lam].items():
             v = c * w
             out[mu] = out.get(mu, v * 0) + v
     return SymmetricFunction("m", out)
 
 
-def basis_convert(f: SymmetricFunction, target: str, macdonald_table=None,
-                  degree_bound: int = DEFAULT_M_DEGREE_BOUND) -> SymmetricFunction:
+def basis_convert(f: SymmetricFunction, target: str, macdonald_table=None) -> SymmetricFunction:
     """Convert between the p/m/e/h bases (and P with a MacdonaldTable).
 
-    Conversions through the monomial basis respect the configurable degree
-    bound (default 10): the transition matrices are built per degree.
+    Conversions through the monomial basis stop at degree M_DEGREE_BOUND:
+    the transition matrices are built per degree.
     """
     if target not in BASES:
         raise SymFunError(f"unknown basis {target!r}")
@@ -339,11 +328,11 @@ def basis_convert(f: SymmetricFunction, target: str, macdonald_table=None,
         if macdonald_table is None:
             raise SymFunError("Macdonald-basis conversion requires a MacdonaldTable")
         return macdonald_table.convert(f, target)
-    g = to_p(f, degree_bound)
+    g = to_p(f)
     if target == "p":
         return g
     if target == "m":
-        return _p_to_m(g, degree_bound)
+        return _p_to_m(g)
     return _expand_products(g, lambda n: _p_in_generators(n, target), target)
 
 
@@ -381,19 +370,6 @@ def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
             v = v / (1 - t ** part)
         terms.append(v)
     return scalar_sum(terms)
-
-
-def inner_product(f: SymmetricFunction, g: SymmetricFunction, variant: str = "hall",
-                  q=None, t=None):
-    """Variant dispatch: 'hall' for the classical pairing, 'qt' for the
-    two-parameter deformation (q, t default to the symbolic generators)."""
-    if variant == "hall":
-        return inner_product_hall(f, g)
-    if variant == "qt":
-        q = RationalFunction.var("q") if q is None else q
-        t = RationalFunction.var("t") if t is None else t
-        return inner_product_qt(f, g, q, t)
-    raise SymFunError(f"unknown inner product variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,18 @@ def test_C09_cell_multiset_two_path():
     _run(acceptance.c09_sym_of_cells)
 
 
+def test_C09_guards_the_decomposition_the_engine_uses(monkeypatch):
+    from hilbmac import macdonald
+    decompose = macdonald.lambda_decomposition
+
+    def off_by_one(m, q, t):
+        terms, const = decompose(m, q, t)
+        return terms, const + 1
+
+    monkeypatch.setattr(macdonald, "lambda_decomposition", off_by_one)
+    assert not acceptance.c09_sym_of_cells(seed=1, trials=3).ok
+
+
 def test_C10_exponential_identity():
     _run(acceptance.c10_main_identity)
 

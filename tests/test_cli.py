@@ -157,6 +157,13 @@ def test_verify_all_json_is_one_document(capsys):
     ["macdonald", "eigen", "--r", "-1"],
     ["chi", "--surface", "P2"],
     ["verify-all", "--trials", "2"],
+    ["verify-all", "--only", "C99"],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "m", "terms": [{"partition": [1, 2], "coeff": "1"}]}'],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "m", "terms": [{"partition": [0], "coeff": "1"}]}'],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "m", "terms": [{"partition": [2.0], "coeff": "1"}]}'],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -165,6 +172,16 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_environment_does_not_change_defaults(capsys, monkeypatch):
+    argv = ["correlate", "--word", "E1", "--order", "2", "--normalized"]
+    expected = run_cli(capsys, argv)
+    for name, value in (("HILBMAC_ORDER", "abc"), ("HILBMAC_MODE", "evaluate"),
+                        ("HILBMAC_SEED", "9"), ("HILBMAC_TRIALS", "0"),
+                        ("HILBMAC_FORMAT", "xml")):
+        monkeypatch.setenv(name, value)
+    assert run_cli(capsys, argv) == expected
 
 
 def test_csv_output_format(capsys):
@@ -209,7 +226,8 @@ def test_cross_process_byte_determinism():
     assert runs[0].stdout
 
 
-def test_verify_all_unknown_criterion_rejected():
+def test_verify_all_unknown_criterion_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["verify-all", "--only", "C99"])
-    assert "unknown criterion" in str(exc.value)
+    assert exc.value.code == 2
+    assert "unknown criterion" in capsys.readouterr().err

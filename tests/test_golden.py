@@ -1,8 +1,9 @@
 """CLI output compared byte for byte against a golden corpus.
 
-The files under ``golden/`` were captured before the scalar-protocol
-refactor.  Coefficient strings are not canonical (equal values can print
-differently), so any change in the order of the arithmetic shows here.
+Each file under ``golden/`` was captured before the refactor that merged
+the code paths its command runs.  Coefficient strings are not canonical
+(equal values can print differently), so any change in the order of the
+arithmetic shows here.
 """
 
 import json
@@ -27,9 +28,19 @@ COMMANDS = {
     "correlate_E2": ["correlate", "--word", "E2", "--order", "3", "--normalized"],
     "correlate_Psi2": ["correlate", "--word", "Psi2", "--order", "3", "--normalized"],
     "correlate_E1E1": ["correlate", "--word", "E1,E1", "--order", "3", "--normalized"],
+    "correlate_Lambda2": ["correlate", "--word", "Lambda2", "--order", "3", "--normalized"],
+    "correlate_Sigma2": ["correlate", "--word", "Sigma2", "--order", "3", "--normalized"],
+    "correlate_E1_evaluate": ["correlate", "--word", "E1", "--order", "6", "--mode",
+                              "evaluate", "--seed", "7", "--normalized"],
     "chi_psi2": ["chi", "--insert", "psi:2:1,0", "--order", "3"],
+    "chi_lambda_sigma": ["chi", "--insert", "lambda:2:0,1", "--insert", "sigma:2:1,0",
+                         "--order", "3"],
+    "chi_psi1_evaluate": ["chi", "--insert", "psi:1:0,0", "--order", "6", "--mode",
+                          "evaluate", "--seed", "3"],
     "verify_main": ["verify", "main", "--order", "3"],
+    "verify_main_A": ["verify", "main", "--A", "2,-1", "--order", "3"],
     "toric_check_P2": ["toric-check", "--surface", "P2", "--order", "2"],
+    "toric_check_P1xP1": ["toric-check", "--surface", "P1xP1", "--order", "2"],
     "verify_all_C13_C14": ["verify-all", "--only", "C13,C14", "--format", "plain"],
 }
 

@@ -331,11 +331,6 @@ def test_decompositions_reproduce_cell_values(decomp, basis):
             assert got == expect, (m, mu, basis)
 
 
-def test_apply_E_degree_bound():
-    f = SymmetricFunction("p", {(3, 2): Fraction(1)})
-    with pytest.raises(MacdonaldError):
-        apply_E(f, q, t, degree_bound=4)
-    apply_E(f, q, t, degree_bound=5)
 
 
 def test_conjugate_specialization_variant():

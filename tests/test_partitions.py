@@ -27,20 +27,7 @@ def test_enumeration_counts_match_partition_function():
         assert len(enumerate_partitions(n)) == counts[n]
 
 
-def test_sharded_enumeration_covers_everything():
-    full = enumerate_partitions(9)
-    K = 3
-    shards = [enumerate_partitions(9, shard=(k, K)) for k in range(K)]
-    merged = [None] * len(full)
-    for k, shard in enumerate(shards):
-        for i, lam in enumerate(shard):
-            merged[k + K * i] = lam
-    assert merged == full
-
-
 def test_shard_validation():
-    with pytest.raises(ValueError):
-        list(iter_partitions(4, shard=(3, 2)))
     with pytest.raises(ValueError):
         list(iter_partitions(-1))
 

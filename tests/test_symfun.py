@@ -9,7 +9,7 @@ from hilbmac.partitions import enumerate_partitions, partitions_upto
 from hilbmac.symfun import (FormalSum, SymFunError, SymmetricFunction,
                             alpha_coefficients, basis_convert,
                             bc_product_check, beta_gamma_coefficients,
-                            inner_product, inner_product_hall,
+                            inner_product_hall,
                             inner_product_qt, omega, to_p)
 
 q, t = generators("q", "t")
@@ -114,10 +114,6 @@ def test_inner_product_examples():
     p11 = sf("p", {(1, 1): 1})
     assert inner_product_qt(p2, p11, q, t) == 0
     assert inner_product_hall(p11, p11) == 2
-    assert inner_product(p11, p11, "hall") == 2
-    assert inner_product(p1, p1, "qt", q, t) == (1 - q) / (1 - t)
-    with pytest.raises(SymFunError):
-        inner_product(p1, p1, "nope")
 
 
 def test_qt_inner_product_specializes_to_hall():
