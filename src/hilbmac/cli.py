@@ -6,7 +6,9 @@ the full verification suite.  Exit status: 0 success/verified, 1 verification
 failure (with a minimal counterexample), 2 usage error.
 
 Options are read from the command line only; the environment does not change
-their defaults.  Handlers report bad input by raising
+their defaults, and each default is written once, in build_parser.  Argparse
+checks each option's range through its type function, and the handlers take
+the parsed namespace as it is.  Handlers report other bad input by raising
 argparse.ArgumentTypeError, which dispatch turns into a one-line usage error.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -35,26 +36,11 @@ from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,
                      beta_gamma_coefficients)
 
 
-@dataclass
-class RunConfig:
-    order: int = 4
-    mode: str = "auto"         # symbolic | evaluate | auto
-    seed: int = 1
-    trials: int = 3
-    fmt: str = "json"          # json | csv | plain
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.mode not in ("symbolic", "evaluate", "auto"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    def resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "evaluate" if self.order >= 6 else "symbolic"
+def resolve_mode(args) -> str:
+    """--mode auto is symbolic below order 6 and evaluate from order 6 on."""
+    if args.mode != "auto":
+        return args.mode
+    return "evaluate" if args.order >= 6 else "symbolic"
 
 
 def fmt_scalar(c) -> str:
@@ -72,19 +58,19 @@ def _terms_payload(terms: Dict) -> List[Dict]:
     return [{"partition": list(k), "coeff": fmt_scalar(v)} for k, v in sorted(terms.items())]
 
 
-def _scalars(cfg: RunConfig, mode: str, names: Sequence[str]):
+def _scalars(args, mode: str, names: Sequence[str]):
     """The scalars named: one seeded rational point and its bindings in
     evaluate mode, the symbolic generators and no bindings otherwise."""
     if mode == "evaluate":
-        pt = RationalSampler(cfg.seed, magnitude=40).point(names)
+        pt = RationalSampler(args.seed, magnitude=40).point(names)
         return pt, {k: str(val) for k, val in sorted(pt.items())}
     return {n: RationalFunction.var(n) for n in names}, None
 
 
-def emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def emit(payload: dict, args) -> None:
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         rows = payload.get("series") or payload.get("terms") or payload.get("results") or []
         if rows:
             cols = sorted(rows[0])
@@ -99,8 +85,8 @@ def emit(payload: dict, cfg: RunConfig) -> None:
             print(f"{k}: {payload[k]}")
 
 
-def parse_fraction_or_var(text: str, names=("u", "v", "q", "t", "t1", "t2")):
-    if text in names:
+def parse_fraction_or_var(text: str):
+    if text in ("u", "v", "q", "t", "t1", "t2"):
         return RationalFunction.var(text)
     return Fraction(text)
 
@@ -157,17 +143,17 @@ def parse_insert(text: str) -> BundleInsertion:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_symfun(args, cfg: RunConfig) -> int:
+def cmd_symfun(args) -> int:
     if args.what == "alpha":
         table = alpha_coefficients(args.degree)
-        payload = {"kind": "alpha", "terms": _terms_payload(table.entries)}
-        emit(payload, cfg)
+        payload = {"kind": "alpha", "terms": _terms_payload(table)}
+        emit(payload, args)
         return 0
     if args.what == "betagamma":
         beta, gamma = beta_gamma_coefficients(args.degree)
-        payload = {"beta": _terms_payload(beta.entries),
-                   "gamma": _terms_payload(gamma.entries)}
-        emit(payload, cfg)
+        payload = {"beta": _terms_payload(beta),
+                   "gamma": _terms_payload(gamma)}
+        emit(payload, args)
         return 0
     # convert
     try:
@@ -181,11 +167,11 @@ def cmd_symfun(args, cfg: RunConfig) -> int:
         raise argparse.ArgumentTypeError(
             f"cannot convert --input {args.input!r} to basis {args.to!r}: {exc!r}")
     payload = {"basis": g.basis, "terms": _terms_payload(g.terms)}
-    emit(payload, cfg)
+    emit(payload, args)
     return 0
 
 
-def cmd_macdonald(args, cfg: RunConfig) -> int:
+def cmd_macdonald(args) -> int:
     q, t = RationalFunction.var("q"), RationalFunction.var("t")
     mu = args.mu
     if args.what == "P":
@@ -199,92 +185,90 @@ def cmd_macdonald(args, cfg: RunConfig) -> int:
         payload = {"mu": list(mu),
                    "specialization": fmt_scalar(specialize_eps(mu, u, q, t))}
     else:  # eigen
-        if args.r < 0:
-            raise argparse.ArgumentTypeError("--r must be >= 0")
         payload = {"mu": list(mu), "r": args.r,
                    "stabilized": fmt_scalar(eigen_tildeE(mu, args.r, q, t)),
                    "ratio_family": fmt_scalar(eigen_E_r(mu, args.r, q, t))}
-    emit(payload, cfg)
+    emit(payload, args)
     return 0
 
 
-def cmd_correlate(args, cfg: RunConfig) -> int:
-    mode = cfg.resolve_mode()
+def cmd_correlate(args) -> int:
+    mode = resolve_mode(args)
     verified = []
-    pt, bindings = _scalars(cfg, mode, ["q", "t", "u", "v"])
+    pt, bindings = _scalars(args, mode, ["q", "t", "u", "v"])
     q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
     word = parse_word(args.word, q, t)
-    series = bracket_bruteforce(word, u, v, q, t, cfg.order, primed=args.normalized)
+    series = bracket_bruteforce(word, u, v, q, t, args.order, primed=args.normalized)
     if args.normalized or all(op.label.startswith("E") or op.label == "1" for op in word):
-        vx = vertex_correlator(word, u, v, q, t, cfg.order, primed=args.normalized)
+        vx = vertex_correlator(word, u, v, q, t, args.order, primed=args.normalized)
         if vx == series:
             verified.append("vertex-engine")
         else:
             payload = {"error": "vertex engine disagrees with brute force",
                        "word": args.word}
-            emit(payload, cfg)
+            emit(payload, args)
             return 1
     lib_name = {"E1": "E1", "E2": "E2", "E1,E1": "E1E1", "Psi1": "Psi1",
                 "Psi2": "Psi2", "Psi1,Psi1": "Psi1sq"}.get(args.word)
     if lib_name and args.normalized:
-        cf = closed_form_series(lib_name, cfg.order,
+        cf = closed_form_series(lib_name, args.order,
                                 None if mode == "symbolic" else pt)
         if cf == series:
             verified.append(f"closed-form:{lib_name}")
         else:
-            first_bad = next(n for n in range(cfg.order + 1)
+            first_bad = next(n for n in range(args.order + 1)
                              if not cf.coeffs[n] == series.coeffs[n])
             payload = {"error": "closed form disagrees",
                        "order": first_bad,
                        "bruteforce": fmt_scalar(series.coeffs[first_bad]),
                        "closed_form": fmt_scalar(cf.coeffs[first_bad])}
-            emit(payload, cfg)
+            emit(payload, args)
             return 1
-    payload = {"word": args.word, "order": cfg.order, "mode": mode,
+    payload = {"word": args.word, "order": args.order, "mode": mode,
                "normalized": bool(args.normalized),
                "series": _series_payload(series),
                "verified_against": verified}
     if bindings:
         payload["bindings"] = bindings
-    emit(payload, cfg)
+    emit(payload, args)
     return 0
 
 
-def cmd_chi(args, cfg: RunConfig) -> int:
-    mode = cfg.resolve_mode()
-    pt, bindings = _scalars(cfg, mode, ["t1", "t2"])
+def cmd_chi(args) -> int:
+    mode = resolve_mode(args)
+    pt, bindings = _scalars(args, mode, ["t1", "t2"])
     t1, t2 = pt["t1"], pt["t2"]
     u = parse_fraction_or_var(args.u)
     v = parse_fraction_or_var(args.v)
     if args.surface != "C2":
         raise argparse.ArgumentTypeError("chi currently computes on the affine plane; "
                                          "use toric-check for P2 and P1xP1")
-    series = chi_C2_series(args.insert, args.twist, u, v, cfg.order, t1, t2)
+    series = chi_C2_series(args.insert, args.twist, u, v, args.order, t1, t2)
     payload = {"surface": {"name": args.surface, "twist": list(args.twist)},
-               "order": cfg.order, "mode": mode,
+               "order": args.order, "mode": mode,
                "insertions": [f"{i.operation}:{i.m}:{i.A[0]},{i.A[1]}" for i in args.insert],
                "series": _series_payload(series)}
     if bindings:
         payload["bindings"] = bindings
-    emit(payload, cfg)
+    emit(payload, args)
     return 0
 
 
-def _require_three_trials(cfg: RunConfig) -> None:
-    if cfg.trials < 3:
+def _require_three_trials(args) -> None:
+    if args.trials < 3:
         raise argparse.ArgumentTypeError(
             "evaluate-mode verification verdicts need --trials >= 3")
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    mode = cfg.resolve_mode()
+def cmd_verify(args) -> int:
+    mode = resolve_mode(args)
     failures = []
     if mode == "evaluate":
-        _require_three_trials(cfg)
-        sampler = RationalSampler(cfg.seed, magnitude=40)
-        for _ in range(cfg.trials):
+        _require_three_trials(args)
+        sampler = RationalSampler(args.seed, magnitude=40)
+        for _ in range(args.trials):
             pt = sampler.point(["t1", "t2", "u", "v"])
-            rep = verify_main_identity(args.A, cfg.order, pt["u"], pt["v"],
+            rep = verify_main_identity(args.A, args.order, pt["u"], pt["v"],
                                        pt["t1"], pt["t2"])
             if not rep.ok:
                 n, lhs, rhs = rep.first_mismatch
@@ -294,44 +278,44 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     else:
         t1, t2 = RationalFunction.var("t1"), RationalFunction.var("t2")
         u, v = RationalFunction.var("u"), RationalFunction.var("v")
-        rep = verify_main_identity(args.A, cfg.order, u, v, t1, t2)
+        rep = verify_main_identity(args.A, args.order, u, v, t1, t2)
         if not rep.ok:
             n, lhs, rhs = rep.first_mismatch
             failures.append({"order": n, "lhs": fmt_scalar(lhs), "rhs": fmt_scalar(rhs)})
     payload = {"identity": "twisted-series-exponential-form", "A": list(args.A),
-               "order": cfg.order, "mode": mode,
+               "order": args.order, "mode": mode,
                "verdict": "PASS" if not failures else "FAIL"}
     if failures:
         payload["counterexample"] = failures[0]
-    emit(payload, cfg)
+    emit(payload, args)
     return 0 if not failures else 1
 
 
-def cmd_toric_check(args, cfg: RunConfig) -> int:
-    _require_three_trials(cfg)
+def cmd_toric_check(args) -> int:
+    _require_three_trials(args)
     surf = load_surface(args.surface)
-    sampler = RationalSampler(cfg.seed, magnitude=40)
+    sampler = RationalSampler(args.seed, magnitude=40)
     rows = []
     all_ok = True
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         pt = sampler.point(["t1", "t2", "u", "v"])
-        rep = toric_correlator_checks(surf, cfg.order, pt["u"], pt["v"],
+        rep = toric_correlator_checks(surf, args.order, pt["u"], pt["v"],
                                       pt["t1"], pt["t2"])
         wanted = rep.details if args.which == "all" else \
-            {args.which: rep.details.get(args.which, "unknown-check")}
+            {args.which: rep.details[args.which]}
         for name, status in sorted(wanted.items()):
             ok = status == "ok"
             all_ok = all_ok and ok
             rows.append({"check": name, "status": status,
                          "point": ";".join(f"{k}={v}" for k, v in sorted(pt.items()))})
-    payload = {"surface": args.surface, "order": cfg.order,
+    payload = {"surface": args.surface, "order": args.order,
                "results": rows, "verdict": "PASS" if all_ok else "FAIL"}
-    emit(payload, cfg)
+    emit(payload, args)
     return 0 if all_ok else 1
 
 
-def cmd_verify_all(args, cfg: RunConfig) -> int:
-    _require_three_trials(cfg)
+def cmd_verify_all(args) -> int:
+    _require_three_trials(args)
     only = args.only.split(",") if args.only else None
     if only:
         known = {ident for ident, _ in acceptance.CRITERIA}
@@ -339,9 +323,9 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
         if unknown:
             raise argparse.ArgumentTypeError(f"unknown criterion ids: {', '.join(unknown)}; "
                                              f"known: {', '.join(sorted(known))}")
-    results = acceptance.run_all(seed=cfg.seed, trials=cfg.trials, only=only)
+    results = acceptance.run_all(seed=args.seed, trials=args.trials, only=only)
     ok = all(r.ok for r in results)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         rows = [{"id": r.ident, "name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results]
         print(json.dumps({"results": rows, "verdict": "PASS" if ok else "FAIL"},
@@ -357,12 +341,26 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=4)
+    common.add_argument("--order", type=nonnegative_int, default=4)
     common.add_argument("--mode", choices=["symbolic", "evaluate", "auto"], default="auto")
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--trials", type=int, default=3)
+    common.add_argument("--trials", type=positive_int, default=3)
     common.add_argument("--format", dest="fmt", choices=["json", "csv", "plain"],
                         default="json")
 
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("macdonald", help="Macdonald polynomial data")
     p.add_argument("what", choices=["P", "norm", "eps", "eigen"])
     p.add_argument("--mu", type=parse_partition, default=())
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=nonnegative_int, default=1)
     p.set_defaults(func=cmd_macdonald)
 
     p = add_parser("correlate", help="bracket series of an operator word")
@@ -426,12 +424,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(order=args.order, mode=args.mode, seed=args.seed,
-                        trials=args.trials, fmt=args.fmt)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
 

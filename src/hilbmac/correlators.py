@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import RationalFunction, one_like, scalar_sum
+from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .macdonald import (cell_multiset, complete_of, eigen_tildeE,
                         elementary_of, lambda_decomposition, power_of,
@@ -35,14 +35,11 @@ class CorrelatorError(ValueError):
 class DiagonalOperator:
     """Operator diagonal on the Macdonald basis.
 
-    weight: number of constant-term variables of its vertex kernel (None when
-    the operator is only given as a polynomial in the stabilized family).
-    expansion: dict mapping tuples of stabilized weights to scalars, plus the
+    expansion: pairs of a tuple of stabilized weights and a scalar, with the
     key () for an additive multiple of the identity.
     """
     label: str
     eigenvalue: Callable[[Partition], object]
-    weight: Optional[int] = None
     expansion: Optional[Tuple[Tuple[Partition, object], ...]] = None
 
     def __repr__(self):
@@ -51,22 +48,23 @@ class DiagonalOperator:
 
 def identity_op(q, t) -> DiagonalOperator:
     one = one_like(q)
-    return DiagonalOperator("1", lambda mu: one, weight=0, expansion=(((), one),))
+    return DiagonalOperator("1", lambda mu: one, expansion=(((), one),))
 
 
 def tilde_e_op(r: int, q, t) -> DiagonalOperator:
+    q, t = exact_scalars(q, t)
     if r < 0:
         raise CorrelatorError("weight must be >= 0")
     if r == 0:
         return identity_op(q, t)
     return DiagonalOperator(
-        f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t), weight=r,
-        expansion=(((r,), one_like(q)),))
+        f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t), expansion=(((r,), one_like(q)),))
 
 
 def _cell_op(label: str, decomposition, cell_function, m: int, q, t) -> DiagonalOperator:
     """The operator with eigenvalue cell_function(cell multiset of mu, m),
     expanded in the stabilized family by decomposition(m, q, t)."""
+    q, t = exact_scalars(q, t)
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
     return DiagonalOperator(
@@ -111,6 +109,7 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
     with a_mu the product of the word's eigenvalues at mu.  The primed flag
     divides by <1>_{u,v}.
     """
+    u, v, q, t = exact_scalars(u, v, q, t)
     if not u:
         raise CorrelatorError("u must be invertible: the weights contain u^{-1}")
     memo: Dict[Tuple[str, Partition], object] = {}
@@ -157,6 +156,7 @@ def base_bracket_z(k: int, u=None, v=None) -> RationalFunction:
         k > 0:   (-1)^k (1-v)(1-Q)/(1-uQ)
         k < 0:   (-uQ)^{|k|-1} Q (1-u)(1-uvQ)/(1-uQ)
     """
+    u, v = exact_scalars(u, v)
     u = RationalFunction.var("u") if u is None else u
     v = RationalFunction.var("v") if v is None else v
     Q = RationalFunction.var("Q")
@@ -332,6 +332,7 @@ def _expand_word(word: Sequence[DiagonalOperator]) -> List[Tuple[object, Tuple[i
 def vertex_correlator(word: Sequence[DiagonalOperator], u, v, q, t,
                       order: int, primed: bool = True) -> TruncatedSeries:
     """Bracket of a word through the vertex kernels (normalized by default)."""
+    u, v, q, t = exact_scalars(u, v, q, t)
     zero = u * 0
     total = TruncatedSeries.constant(zero, order)
     cache: Dict[Tuple[int, ...], TruncatedSeries] = {}
@@ -375,18 +376,16 @@ def closed_form_library(name: str) -> RationalFunction:
         return ti ** 3 / ((1 - ti) * (1 - ti ** 2)) * (one_minus ** 2 + (1 - ti) * x2)
     if name == "E1E1":
         return (ti / (1 - ti)) ** 2 * (one_minus ** 2 + (1 - q) * (1 - ti) * x0)
+    psi1 = Q * (1 - u) * (1 - v) / ((1 - q) * (1 - ti) * (1 - u * Q))
+    c2 = 1 / ((1 - q ** 2) * (1 - ti ** 2))
     if name == "Psi1":
-        return Q * (1 - u) * (1 - v) / ((1 - q) * (1 - ti) * (1 - u * Q))
+        return psi1
     if name == "Psi2":
-        c2 = 1 / ((1 - q ** 2) * (1 - ti ** 2))
         return c2 * (1 - one_minus ** 2) \
             + (-1 + q + ti + q * ti - 2 * u * q * ti * Q) * c2 * x0
     if name == "Psi1sq":
-        psi1 = Q * (1 - u) * (1 - v) / ((1 - q) * (1 - ti) * (1 - u * Q))
         return psi1 ** 2 + x0 / ((1 - q) * (1 - ti))
     if name == "Lambda2":
-        psi1 = Q * (1 - u) * (1 - v) / ((1 - q) * (1 - ti) * (1 - u * Q))
-        c2 = 1 / ((1 - q ** 2) * (1 - ti ** 2))
         return psi1 ** 2 - c2 + c2 * one_minus ** 2 \
             + (2 + 2 * u * q * ti * Q) * c2 * x0
     raise CorrelatorError(f"unknown closed form {name!r}; "

@@ -410,6 +410,14 @@ def one_like(x):
     return x * 0 + 1
 
 
+def exact_scalars(*values) -> tuple:
+    """The values with each int made a Fraction, so that no division turns
+    it into a float; a float raises TypeError, anything else passes."""
+    if any(isinstance(x, float) for x in values):
+        raise TypeError("float scalar: pass an int, Fraction or RationalFunction")
+    return tuple(Fraction(x) if isinstance(x, int) else x for x in values)
+
+
 def generators(*names: str) -> Tuple[RationalFunction, ...]:
     return tuple(RationalFunction.var(n) for n in names)
 

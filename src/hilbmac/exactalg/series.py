@@ -178,15 +178,15 @@ def geometric(ratio, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def expand_closed_form(f: RationalFunction, order: int, var: str = "Q") -> TruncatedSeries:
-    """Series expansion of a rational expression in the series variable.
+def expand_closed_form(f: RationalFunction, order: int) -> TruncatedSeries:
+    """Series expansion of a rational expression in the series variable Q.
 
-    The denominator must have a nonzero coefficient at the variable's lowest
-    (zeroth after monomial normalization) power; net negative valuation is an
+    The denominator must have a nonzero coefficient at the lowest power of Q
+    (zeroth after monomial normalization); net negative valuation is an
     error since the result is a power series.
     """
     num, den = f.expanded()
-    i_var = ALPHABET.index(var)
+    i_var = ALPHABET.index("Q")
 
     def split(poly):
         by_pow = {}
@@ -202,7 +202,7 @@ def expand_closed_form(f: RationalFunction, order: int, var: str = "Q") -> Trunc
     dmin = min(dd)
     nmin = min(nd) if nd else 0
     if nd and nmin < dmin:
-        raise SeriesError(f"negative valuation in {var}: expression is not a power series")
+        raise SeriesError("negative valuation in Q: expression is not a power series")
 
     def coeff_rf(table, k):
         d = table.get(k)

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .correlators import (bracket_one_closed, partition_series, psi_op,
                           vertex_correlator)
-from .exactalg.ratfun import RationalFunction, one_like, rf, scalar_sum
+from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, rf,
+                              scalar_sum)
 from .exactalg.series import TruncatedSeries, geometric
 from .macdonald import complete_of, elementary_of
 from .partitions import Partition, cells, iter_partitions
@@ -144,6 +145,8 @@ def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
     dual exterior-algebra twist over the tangent denominator.  u = v = 0
     gives the untwisted series.
     """
+    u, v, t1, t2 = exact_scalars(u, v, t1, t2)
+
     def term(mu: Partition):
         out = twist_factor(mu, twist_A, u, v, t1, t2) / tangent_denominator(mu, t1, t2)
         for ins in insertions:
@@ -171,6 +174,7 @@ def main_identity_rhs(A: Weight, u, v, order: int, t1, t2) -> TruncatedSeries:
 
 def verify_main_identity(A: Weight, order: int, u, v, t1, t2) -> VerifyReport:
     """Twisted series with no insertions against its exponential closed form."""
+    u, v, t1, t2 = exact_scalars(u, v, t1, t2)
     lhs = chi_C2_series([], A, u, v, order, t1, t2)
     rhs = main_identity_rhs(A, u, v, order, t1, t2)
     for n in range(order + 1):
@@ -188,6 +192,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
     the unnormalized bracket of the corresponding Adams-operator word.
     Agreement with chi_C2_series is the library's central theorem check.
     """
+    u, v, t1, t2 = exact_scalars(u, v, t1, t2)
     for ins in insertions:
         if ins.operation not in ("psi", "plain"):
             raise HilbertError("the correlator bridge takes Adams-type insertions")
@@ -236,6 +241,8 @@ def coh_intersection_series(insertions: Sequence[Tuple[int, Weight]], order: int
     (x + (l'+a) w1 + (a'+b) w2)(y - (l'+a) w1 - (a'+b) w2); the interesting
     slice is then the coefficient of q^n x^n y^n.
     """
+    w1, w2 = exact_scalars(w1, w2)
+
     def term(mu: Partition):
         out = 1 / coh_euler_denominator(mu, w1, w2) if mu else Fraction(1)
         for k, A in insertions:
@@ -287,7 +294,6 @@ def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction,
     and the ch_k slice of the single insertion matches the degree-k factor.
     """
     one = TruncatedSeries.constant(Fraction(1), jet_order)
-    a, b = A1
     for n in range(order + 1):
         for k in range(k_max + 1):
             total_jet = TruncatedSeries.constant(Fraction(0), jet_order)
@@ -298,10 +304,7 @@ def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction,
                     l2 = (c.leg + 1) * w1 - c.arm * w2         # 1 - t1^{l+1} t2^{-a}
                     jet = jet / _one_minus_exp_over_eps(l1, jet_order)
                     jet = jet / _one_minus_exp_over_eps(l2, jet_order)
-                ins = sum(((c.coleg + a) * w1 + (c.coarm + b) * w2) ** k
-                          for c in cells(mu)) * Fraction(1, math.factorial(k)) \
-                    if cells(mu) else Fraction(0)
-                total_jet = total_jet + jet * ins
+                total_jet = total_jet + jet * coh_insertion_factor(k, A1, mu, w1, w2)
             coh = coh_intersection_series([(k, A1)], n, w1, w2).coeffs[n]
             if not total_jet.coeffs[0] == coh:
                 return VerifyReport(False, (n, total_jet.coeffs[0], coh))
@@ -385,6 +388,7 @@ def toric_chi_series(surface: Surface, insertions: Sequence[ToricInsertion],
                      marker_cap: int = 2) -> Dict[MarkerKey, TruncatedSeries]:
     """Product over fixed points of local chart series, graded by the marker
     exponents of the generating-series insertions."""
+    u, v, t1, t2 = exact_scalars(u, v, t1, t2)
     total: Dict[MarkerKey, TruncatedSeries] = {
         (0,) * len(insertions): TruncatedSeries.constant(one_like(t1), order)}
     for point in surface.fixed_points:
@@ -430,25 +434,18 @@ def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, square: bool = 
 
 @dataclass
 class ToricCheckReport:
-    lambda1_ok: bool
-    lambda11_ok: bool
-    connected_ok: bool
-    lambda2_ok: bool
-    denominator_ok: bool
-    details: Dict[str, str] = field(default_factory=dict)
+    details: Dict[str, str]      # check name -> "ok" | "MISMATCH"
 
     @property
     def ok(self) -> bool:
-        return (self.lambda1_ok and self.lambda11_ok and self.connected_ok
-                and self.lambda2_ok and self.denominator_ok)
+        return all(status == "ok" for status in self.details.values())
 
 
-def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
-                            L1: str = "L1", L2: str = "L2") -> ToricCheckReport:
+def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> ToricCheckReport:
     """Equivariant identities for the marker slices of the twisted toric series.
 
-    The dual-twist bundle is taken equivariantly trivial; L1, L2 are bundle
-    labels from the surface data.  Checks:
+    The dual-twist bundle is taken equivariantly trivial; L1, L2 are the
+    bundle labels of the surface data.  Checks:
       (a) the x1 slice of the ratio equals Q(1-u)(1-v)/(1-uQ) chi(X, L1);
       (b) the x1 x2 slice equals the product of two (a)-factors plus the
           connected term with the symmetric-power twisted chi, and the
@@ -458,6 +455,8 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
           power slice;
       plus the exponential product formula for the no-insertion series.
     """
+    u, v, t1, t2 = exact_scalars(u, v, t1, t2)
+    L1, L2 = "L1", "L2"
     zero = u * 0
     one = TruncatedSeries.constant(one_like(u), order)
     geo_uQ = geometric(u, order)                                          # 1/(1-uQ)
@@ -523,10 +522,8 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2,
         product = product * bracket_one_closed(u, v, t2i, 1 / t1i, order)
     denominator_ok = (base == product)
 
-    report = ToricCheckReport(lambda1_ok, lambda11_ok, connected_ok, lambda2_ok,
-                              denominator_ok)
-    for name, ok in (("lambda1", lambda1_ok), ("lambda11", lambda11_ok),
-                     ("connected", connected_ok), ("lambda2", lambda2_ok),
-                     ("denominator_formula", denominator_ok)):
-        report.details[name] = "ok" if ok else "MISMATCH"
-    return report
+    return ToricCheckReport({
+        name: "ok" if ok else "MISMATCH"
+        for name, ok in (("lambda1", lambda1_ok), ("lambda11", lambda11_ok),
+                         ("connected", connected_ok), ("lambda2", lambda2_ok),
+                         ("denominator_formula", denominator_ok))})

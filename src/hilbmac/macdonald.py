@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import one_like, scalar_sum
+from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
+from .exactalg.series import TruncatedSeries
 from .partitions import Partition, cells, enumerate_partitions
 from .symfun import (SymmetricFunction, alpha_coefficients,
-                     beta_gamma_coefficients, basis_convert, inner_product_qt,
-                     merge_parts, to_p)
+                     beta_gamma_coefficients, basis_convert, merge_parts, to_p)
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -32,6 +32,7 @@ class MacdonaldError(ValueError):
 
 def b_norm(lam: Partition, q, t):
     """b_lam = prod over cells (1 - q^a t^{l+1})/(1 - q^{a+1} t^l)."""
+    q, t = exact_scalars(q, t)
     out = one_like(q)
     for c in cells(lam):
         out = out * (1 - q ** c.arm * t ** (c.leg + 1))
@@ -73,19 +74,12 @@ def power_of(values: Sequence, m: int):
 
 
 def complete_of(values: Sequence, k: int):
-    """h_k via the Newton recurrence k h_k = sum p_i h_{k-i}."""
-    if k == 0:
-        return one_like(values[0]) if values else Fraction(1)
+    """h_k of a finite multiset: the z^k coefficient of 1/E(-z)."""
     if not values:
-        return Fraction(0)
-    hs = [one_like(values[0])]
-    ps = [None] + [power_of(values, i) for i in range(1, k + 1)]
-    for n in range(1, k + 1):
-        s = values[0] * 0
-        for i in range(1, n + 1):
-            s = s + ps[i] * hs[n - i]
-        hs.append(s * Fraction(1, n))
-    return hs[k]
+        return Fraction(int(k == 0))
+    es = _elementary_list(values, one_like(values[0]), k)
+    signed = TruncatedSeries([-e if i % 2 else e for i, e in enumerate(es)])
+    return (TruncatedSeries.one(k, es[0] * 0) / signed).coeffs[k]
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +100,13 @@ class MacdonaldTable:
     """
 
     def __init__(self, q, t, degree_bound: int = DEFAULT_DEGREE_BOUND):
+        q, t = exact_scalars(q, t)
         self.q = q
         self.t = t
         self.degree_bound = degree_bound
         one = one_like(q)
         self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
         self._P_p: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("p", {(): one})}
-        self._norm: Dict[Partition, object] = {(): one}
         self._degrees_done = {0}
 
     def _fill_degree(self, n: int):
@@ -144,7 +138,6 @@ class MacdonaldTable:
                 coeffs[kappa] = s / (ev[mu] - ev[kappa])
             self._P[mu] = SymmetricFunction("m", coeffs)
             self._P_p[mu] = to_p(self._P[mu])
-            self._norm[mu] = None   # filled lazily; see norm_squared
         self._degrees_done.add(n)
 
     def P(self, mu: Partition) -> SymmetricFunction:
@@ -158,42 +151,6 @@ class MacdonaldTable:
         self._fill_degree(sum(mu))
         return self._P_p[mu]
 
-    def norm_squared(self, mu: Partition):
-        """<P_mu, P_mu>_{q,t}; equals 1/b_norm(mu)."""
-        mu = tuple(mu)
-        self._fill_degree(sum(mu))
-        if self._norm[mu] is None:
-            f = self._P_p[mu]
-            self._norm[mu] = inner_product_qt(f, f, self.q, self.t)
-        return self._norm[mu]
-
-    def convert(self, f: SymmetricFunction, target: str) -> SymmetricFunction:
-        """Conversion to or from the Macdonald basis."""
-        if f.basis == "P":
-            out = SymmetricFunction.zero("p")
-            for mu, c in f.terms.items():
-                out = out + self.P_in_p(mu).scale(c)
-            return out if target == "p" else basis_convert(out, target)
-        if target != "P":
-            return basis_convert(f, target)
-        g = basis_convert(f, "m")
-        terms: Dict[Partition, object] = {}
-        work = dict(g.terms)
-        # triangular elimination, dominance-maximal keys first
-        while work:
-            lam = max(work, key=lambda k: (sum(k), k))
-            c = work.pop(lam)
-            if not c:
-                continue
-            terms[lam] = c
-            for mu, w in self.P(lam).terms.items():
-                if mu == lam:
-                    continue
-                work[mu] = work.get(mu, w * 0) - c * w
-                if not work[mu]:
-                    work.pop(mu)
-        return SymmetricFunction("P", terms)
-
 
 def macdonald_P(mu: Partition, q, t, table: Optional[MacdonaldTable] = None) -> SymmetricFunction:
     table = table or MacdonaldTable(q, t)
@@ -206,6 +163,7 @@ def macdonald_P(mu: Partition, q, t, table: Optional[MacdonaldTable] = None) -> 
 
 def specialize_eps(lam: Partition, u, q, t):
     """Closed-form specialization prod (t^{l'} - q^{a'} u)/(1 - q^a t^{l+1})."""
+    u, q, t = exact_scalars(u, q, t)
     out = one_like(q)
     for c in cells(lam):
         out = out * (t ** c.coleg - q ** c.coarm * u)
@@ -249,6 +207,7 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     with M(z) = exp(sum (1-t^{-n})/n p_n z^n): the translation part collects
     z^{-k}, the multiplication series restores degree k.
     """
+    q, t = exact_scalars(q, t)
     g = to_p(f)
     dmax = g.degree()
     # shifted[k] = z^{-k} coefficient of f(p + a), a_n = (q^n - 1) z^{-n}
@@ -286,6 +245,7 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
 
 def eigen_E(mu: Partition, q, t):
     """(q-1)/t * sum over cells t^{-l'} q^{a'}; vacuum eigenvalue 0."""
+    q, t = exact_scalars(q, t)
     return (q - 1) / t * power_of(cell_multiset(mu, q, t), 1) if mu else Fraction(0)
 
 
@@ -304,6 +264,7 @@ def euler_tail(j: int, t):
 def eigen_tildeE(mu: Partition, r: int, q, t):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
     finite head product times the Euler-summed tail."""
+    q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
     if r == 0:
@@ -322,6 +283,7 @@ def eigen_tildeE(mu: Partition, r: int, q, t):
 
 def eigen_E_r(mu: Partition, r: int, q, t):
     """Coefficient of z^r in prod_{j<=l} (1 + q^{mu_j} t^{-j} z)/(1 + t^{-j} z)."""
+    q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
     if r == 0:
@@ -331,13 +293,7 @@ def eigen_E_r(mu: Partition, r: int, q, t):
     one = one_like(q)
     num = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)], one, r)
     den = _elementary_list([t ** (-j) for j in range(1, len(mu) + 1)], one, r)
-    out = []
-    for n in range(r + 1):
-        s = num[n]
-        for k in range(1, n + 1):
-            s = s - den[k] * out[n - k]
-        out.append(s / den[0])
-    return out[r]
+    return (TruncatedSeries(num) / TruncatedSeries(den)).coeffs[r]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +323,7 @@ def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
     computed directly and through the decomposition in the stabilized family
     that the Lambda/Sigma/Psi operators hand to the vertex engine, each
     E~-word evaluated by eigen_tildeE."""
+    q, t = exact_scalars(q, t)
     if k < 0:
         raise MacdonaldError("k must be >= 0")
     values = cell_multiset(lam, q, t)
@@ -400,6 +357,7 @@ def psi_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], obj
         Psi^m = (-1)^m m t^m/(1-q^m) sum_{|lam|=m} alpha_lam E~^lam
                 + 1/((1-q^m)(1-t^{-m})).
     """
+    q, t = exact_scalars(q, t)
     if m < 1:
         raise MacdonaldError("m must be >= 1")
     alpha = alpha_coefficients(m)
@@ -430,9 +388,9 @@ def _power_decomposition(m: int, q, t, symmetric: bool):
     acc: Dict[Partition, object] = {}
     for w_mu in range(0, m + 1):
         for mu in enumerate_partitions(w_mu):
-            h = head.entries[mu] if mu else one
+            h = head[mu] if mu else one
             for nu in enumerate_partitions(m - w_mu):
-                c = h * (tail.entries[nu] if nu else one) * t ** w_mu
+                c = h * (tail[nu] if nu else one) * t ** w_mu
                 if symmetric:
                     c = c * Fraction((-1) ** m)
                 for part in nu:

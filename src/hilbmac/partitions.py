@@ -1,5 +1,8 @@
 """Partitions, Young-diagram cell statistics, and two classical q-series checks.
 
+The checks compare partition sums (hook lengths, counts) with Euler products
+prod (1 - q^n)^alpha, expanded once as the exponential of their logarithm.
+
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the partition of 0.  Enumeration order is reverse-lexicographic
 (largest first part first), frozen so that every series summation in the
@@ -10,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Tuple
+
+from .exactalg.series import TruncatedSeries
 
 Partition = Tuple[int, ...]
 
@@ -140,21 +145,21 @@ def partition_counts(n: int) -> List[int]:
     return p
 
 
-def _binomial_fraction(alpha: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(alpha, k) for rational alpha."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= (alpha - i)
-        out /= (i + 1)
-    return out
+def _euler_product(alpha: Fraction, N: int) -> List[Fraction]:
+    """Coefficients of prod_{n>=1} (1 - q^n)^alpha to q^N, computed as
+    exp(-alpha sum_{n,k>=1} q^{nk}/k)."""
+    log = [Fraction(0)] * (N + 1)
+    for n in range(1, N + 1):
+        for k in range(1, N // n + 1):
+            log[n * k] -= alpha / k
+    return list(TruncatedSeries(log).exp().coeffs)
 
 
 def nekrasov_okounkov_check(m, N: int) -> bool:
     """Hook-length series vs Euler-product side, compared to order N.
 
     Left: sum over partitions of q^{|lam|} prod (h^2 - m^2)/h^2.
-    Right: prod_{n>=1} (1 - q^n)^{m^2 - 1}, each factor expanded by the
-    generalized binomial series.  m is a rational parameter.
+    Right: prod_{n>=1} (1 - q^n)^{m^2 - 1}.  m is a rational parameter.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -168,37 +173,13 @@ def nekrasov_okounkov_check(m, N: int) -> bool:
                 term *= Fraction(h * h) - m2
                 term /= h * h
             lhs[n] += term
-    rhs = [Fraction(0)] * (N + 1)
-    rhs[0] = Fraction(1)
-    alpha = m2 - 1
-    for n in range(1, N + 1):
-        # multiply by (1 - q^n)^{alpha}
-        factor = [_binomial_fraction(alpha, k) * (-1) ** k for k in range(N // n + 1)]
-        new = [Fraction(0)] * (N + 1)
-        for i, c in enumerate(rhs):
-            if c == 0:
-                continue
-            for k, f in enumerate(factor):
-                if i + k * n <= N:
-                    new[i + k * n] += c * f
-        rhs = new
-    return lhs == rhs
+    return lhs == _euler_product(m2 - 1, N)
 
 
 def goettsche_count_check(N: int) -> bool:
-    """Partition counts match the coefficients of prod (1-q^n)^{-1} up to q^N."""
-    series = [Fraction(0)] * (N + 1)
-    series[0] = Fraction(1)
-    for n in range(1, N + 1):
-        new = [Fraction(0)] * (N + 1)
-        for i, c in enumerate(series):
-            if c == 0:
-                continue
-            k = 0
-            while i + k * n <= N:
-                new[i + k * n] += c
-                k += 1
-        series = new
+    """Partition counts by enumeration and by Euler's pentagonal recurrence
+    match the coefficients of prod (1-q^n)^{-1} up to q^N."""
+    series = _euler_product(Fraction(-1), N)
     counts = partition_counts(N)
     return all(series[n] == counts[n] and counts[n] == len(enumerate_partitions(n))
                for n in range(N + 1))

@@ -13,11 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .exactalg.ratfun import RationalFunction, one_like, scalar_sum
+from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .partitions import Partition, enumerate_partitions, z_factor
 
-BASES = ("p", "m", "e", "h", "P")
+BASES = ("p", "m", "e", "h")
 
 
 class SymFunError(ValueError):
@@ -190,18 +190,12 @@ def h_in_p(k: int) -> Tuple[Tuple[Partition, Fraction], ...]:
 def _p_in_generators(n: int, target: str) -> Tuple[Tuple[Partition, Fraction], ...]:
     """Expansion of p_n in e's (target='e') or h's (target='h').
 
-    From P(t) = -log E(-t) = log H(t): p_n is n times the t^n coefficient.
+    From sum p_n z^n/n = log H(z) = -log E(-z) and the alpha table of the
+    logarithm: p_n = n sum alpha_lam h_lam = n (-1)^{n-1} sum alpha_lam e_lam.
     """
-    one = FormalSum.unit()
-    coeffs = [one]
-    for k in range(1, n + 1):
-        sign = Fraction((-1) ** k) if target == "e" else Fraction(1)
-        coeffs.append(FormalSum.gen(k, sign))
-    series = TruncatedSeries(coeffs)
-    ln = series.log()
-    sign = Fraction(-n) if target == "e" else Fraction(n)
-    fs = ln.coeffs[n] * sign
-    return tuple(sorted(fs.terms.items()))
+    scale = n * (-1) ** (n - 1) if target == "e" else n
+    return tuple(sorted((lam, scale * c) for lam, c in alpha_coefficients(n).items()
+                        if sum(lam) == n))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +268,6 @@ def _m_to_p_matrix(n: int) -> Dict[Partition, Dict[Partition, Fraction]]:
 def to_p(f: SymmetricFunction) -> SymmetricFunction:
     if f.basis == "p":
         return f
-    if f.basis == "P":
-        raise SymFunError("Macdonald-basis conversion requires a MacdonaldTable")
     out: Dict[Partition, object] = {}
     if f.basis == "m":
         for mu, c in f.terms.items():
@@ -314,20 +306,17 @@ def _p_to_m(f: SymmetricFunction) -> SymmetricFunction:
     return SymmetricFunction("m", out)
 
 
-def basis_convert(f: SymmetricFunction, target: str, macdonald_table=None) -> SymmetricFunction:
-    """Convert between the p/m/e/h bases (and P with a MacdonaldTable).
+def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
+    """Convert between the p/m/e/h bases, always through p.
 
     Conversions through the monomial basis stop at degree M_DEGREE_BOUND:
-    the transition matrices are built per degree.
+    the transition matrices are built per degree.  e and h are reached by
+    expanding each p_n through the alpha table (_p_in_generators).
     """
     if target not in BASES:
         raise SymFunError(f"unknown basis {target!r}")
     if f.basis == target:
         return f
-    if target == "P" or f.basis == "P":
-        if macdonald_table is None:
-            raise SymFunError("Macdonald-basis conversion requires a MacdonaldTable")
-        return macdonald_table.convert(f, target)
     g = to_p(f)
     if target == "p":
         return g
@@ -341,7 +330,7 @@ def omega(f: SymmetricFunction) -> SymmetricFunction:
     g = to_p(f)
     out = {lam: c * _eps(lam) for lam, c in g.terms.items()}
     res = SymmetricFunction("p", out)
-    return res if f.basis in ("p", "P") else basis_convert(res, f.basis)
+    return basis_convert(res, f.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +347,7 @@ def inner_product_hall(f: SymmetricFunction, g: SymmetricFunction):
 
 def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
     """<p_lam, p_mu>_{q,t} = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    q, t = exact_scalars(q, t)
     a, b = to_p(f), to_p(g)
     terms = []
     for lam, ca in a.terms.items():
@@ -376,31 +366,16 @@ def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
 # universal coefficient families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CoefficientTable:
-    kind: str                      # alpha | beta | gamma
-    entries: Dict[Partition, object]
-
-    def __getitem__(self, lam: Partition):
-        return self.entries[tuple(lam)]
-
-
-def alpha_coefficients(n: int) -> CoefficientTable:
+def alpha_coefficients(n: int) -> Dict[Partition, Fraction]:
     """log(sum e_k z^k) = sum alpha_lam e_lam z^{|lam|}: rational alpha table."""
     if n < 1:
         raise SymFunError("n must be >= 1")
     series = TruncatedSeries([FormalSum.unit()] +
                              [FormalSum.gen(k) for k in range(1, n + 1)])
-    ln = series.log()
-    entries: Dict[Partition, Fraction] = {}
-    for deg in range(1, n + 1):
-        fs = ln.coeffs[deg]
-        for lam, c in fs.terms.items():
-            entries[lam] = c
-    return CoefficientTable("alpha", entries)
+    return {lam: c for fs in series.log().coeffs[1:] for lam, c in fs.terms.items()}
 
 
-def beta_gamma_coefficients(n: int, q=None) -> Tuple[CoefficientTable, CoefficientTable]:
+def beta_gamma_coefficients(n: int, q=None) -> Tuple[Dict[Partition, object], Dict[Partition, object]]:
     """Coefficients of a_mu in b_m and c_m from the two recursions
 
         b_m = 1/(1-q^m) sum_{r=1..m} q^{m-r} a_r b_{m-r}
@@ -408,6 +383,7 @@ def beta_gamma_coefficients(n: int, q=None) -> Tuple[CoefficientTable, Coefficie
 
     with deg a_r = r.  q defaults to the symbolic generator.
     """
+    (q,) = exact_scalars(q)
     if n < 1:
         raise SymFunError("n must be >= 1")
     if q is None:
@@ -425,14 +401,8 @@ def beta_gamma_coefficients(n: int, q=None) -> Tuple[CoefficientTable, Coefficie
         scale_b = one / (1 - q ** m)
         b.append(sb * scale_b)
         c.append(sc * (-scale_b))
-    beta: Dict[Partition, object] = {}
-    gamma: Dict[Partition, object] = {}
-    for m in range(1, n + 1):
-        for lam, w in b[m].terms.items():
-            beta[lam] = w
-        for lam, w in c[m].terms.items():
-            gamma[lam] = w
-    return (CoefficientTable("beta", beta), CoefficientTable("gamma", gamma))
+    return ({lam: w for fs in b[1:] for lam, w in fs.terms.items()},
+            {lam: w for fs in c[1:] for lam, w in fs.terms.items()})
 
 
 def bc_product_check(n: int, q=None) -> bool:
@@ -442,10 +412,10 @@ def bc_product_check(n: int, q=None) -> bool:
     one = one_like(q)
     beta, gamma = beta_gamma_coefficients(n, q)
     b = [FormalSum.unit(one)] + [
-        FormalSum({lam: w for lam, w in beta.entries.items() if sum(lam) == m})
+        FormalSum({lam: w for lam, w in beta.items() if sum(lam) == m})
         for m in range(1, n + 1)]
     c = [FormalSum.unit(one)] + [
-        FormalSum({lam: w for lam, w in gamma.entries.items() if sum(lam) == m})
+        FormalSum({lam: w for lam, w in gamma.items() if sum(lam) == m})
         for m in range(1, n + 1)]
     prod = TruncatedSeries(b) * TruncatedSeries(c)
     return prod == TruncatedSeries([FormalSum.unit(one)] + [FormalSum({})] * n)

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from hilbmac.cli import RunConfig, dispatch
+from hilbmac.cli import dispatch, resolve_mode
 
 
 def run_cli(capsys, argv):
@@ -26,15 +27,18 @@ def test_malformed_flags_exit_2():
     assert exc.value.code == 2
 
 
-def test_runconfig_invariants():
-    with pytest.raises(ValueError):
-        RunConfig(order=-1)
-    with pytest.raises(ValueError):
-        RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(mode="wild")
-    assert RunConfig(order=6).resolve_mode() == "evaluate"
-    assert RunConfig(order=4).resolve_mode() == "symbolic"
+def test_out_of_range_options_exit_2(capsys):
+    for option in (["--order", "-1"], ["--trials", "0"], ["--mode", "wild"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["correlate", "--word", "E1"] + option)
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+
+def test_auto_mode_switches_to_evaluate_at_order_6():
+    assert resolve_mode(argparse.Namespace(mode="auto", order=6)) == "evaluate"
+    assert resolve_mode(argparse.Namespace(mode="auto", order=5)) == "symbolic"
+    assert resolve_mode(argparse.Namespace(mode="symbolic", order=8)) == "symbolic"
 
 
 def test_correlate_json_schema(capsys):

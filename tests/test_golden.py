@@ -42,6 +42,15 @@ COMMANDS = {
     "toric_check_P2": ["toric-check", "--surface", "P2", "--order", "2"],
     "toric_check_P1xP1": ["toric-check", "--surface", "P1xP1", "--order", "2"],
     "verify_all_C13_C14": ["verify-all", "--only", "C13,C14", "--format", "plain"],
+    "symfun_convert_e_to_h": ["symfun", "convert", "--to", "h", "--input", json.dumps(
+        {"basis": "e", "terms": [{"partition": [3, 1], "coeff": "2"}]})],
+    "symfun_convert_m_to_e": ["symfun", "convert", "--to", "e", "--input", json.dumps(
+        {"basis": "m", "terms": [{"partition": [2, 2, 1], "coeff": "1/3"}]})],
+    "macdonald_eigen_r3": ["macdonald", "eigen", "--mu", "3,2,1", "--r", "3"],
+    "chi_sigma3": ["chi", "--insert", "sigma:3:1,0", "--order", "3"],
+    "correlate_Sigma3": ["correlate", "--word", "Sigma3", "--order", "2", "--normalized"],
+    "toric_check_P2_lambda2": ["toric-check", "--surface", "P2", "--which", "lambda2",
+                               "--order", "2"],
 }
 
 

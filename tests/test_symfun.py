@@ -158,10 +158,10 @@ def test_alpha_reproduces_concrete_log():
     concrete = TruncatedSeries([e_k(k) for k in range(D + 1)])
     lhs = concrete.log()
     for deg in range(1, D + 1):
-        rhs = sum((al.entries[lam] *
+        rhs = sum((al[lam] *
                    _prod(e_k(part) for part in lam)
                    for lam in enumerate_partitions(deg)
-                   if lam in al.entries), Fraction(0))
+                   if lam in al), Fraction(0))
         assert lhs.coeffs[deg] == rhs, deg
 
 
@@ -188,7 +188,7 @@ def test_beta_gamma_poles_only_at_unity_roots():
     beta, gamma = beta_gamma_coefficients(4)
     cyclo = [1 - RationalFunction.var("q") ** k for k in range(1, 5)]
     for table in (beta, gamma):
-        for lam, val in table.entries.items():
+        for lam, val in table.items():
             cleared = val
             for k in range(1, sum(lam) + 1):
                 cleared = cleared * (1 - RationalFunction.var("q") ** k)
@@ -207,7 +207,7 @@ def test_weighted_homogeneity():
     lam_scale = Fraction(2)
     for table in (beta, gamma):
         for m in range(1, 6):
-            entries = {k: v for k, v in table.entries.items() if sum(k) == m}
+            entries = {k: v for k, v in table.items() if sum(k) == m}
             assert entries
             direct = sum((v * _prod(lam_scale ** part for part in k)
                           for k, v in entries.items()), Fraction(0))
