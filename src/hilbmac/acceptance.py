@@ -177,7 +177,7 @@ def c07_macdonald_suite(seed: int = 0, trials: int = 3) -> CriterionResult:
                 return CriterionResult("C07", "Macdonald suite", False,
                                        f"eigenrelation fails at {lam}")
     for lam in partitions_upto(5):
-        if not specialize_eps(lam, u, q, t) == specialize_eps_via_p(lam, u, q, t, table):
+        if not specialize_eps(lam, u, q, t) == specialize_eps_via_p(lam, u, table):
             return CriterionResult("C07", "Macdonald suite", False,
                                    f"specialization two-path fails at {lam}")
     return CriterionResult("C07", "Macdonald suite", True)

@@ -6,10 +6,11 @@ the full verification suite.  Exit status: 0 success/verified, 1 verification
 failure (with a minimal counterexample), 2 usage error.
 
 Options are read from the command line only; the environment does not change
-their defaults, and each default is written once, in build_parser.  Argparse
-checks each option's range through its type function, and the handlers take
-the parsed namespace as it is.  Handlers report other bad input by raising
-argparse.ArgumentTypeError, which dispatch turns into a one-line usage error.
+their defaults, and each default is written once.  A subcommand offers only
+the common options it reads.  Argparse checks each option's range through its
+type function, and the handlers take the parsed namespace as it is.  Handlers
+report other bad input by raising argparse.ArgumentTypeError, which dispatch
+turns into a one-line usage error.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .correlators import (bracket_bruteforce, closed_form_series,
 from .exactalg.ratfun import RationalFunction
 from .exactalg.sampling import RationalSampler
 from .exactalg.series import TruncatedSeries
-from .hilbert import (BundleInsertion, chi_C2_series, load_surface,
+from .hilbert import (BundleInsertion, HilbertError, chi_C2_series, load_surface,
                       toric_correlator_checks, verify_main_identity)
 from .macdonald import (MacdonaldTable, b_norm, eigen_E_r, eigen_tildeE,
                         specialize_eps)
 from .partitions import is_partition
-from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,
-                     beta_gamma_coefficients)
+from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
+                     basis_convert, beta_gamma_coefficients)
 
 
 def resolve_mode(args) -> str:
@@ -88,7 +89,10 @@ def emit(payload: dict, args) -> None:
 def parse_fraction_or_var(text: str):
     if text in ("u", "v", "q", "t", "t1", "t2"):
         return RationalFunction.var(text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction or variable name: {text!r}")
 
 
 def parse_weight(text: str):
@@ -175,6 +179,8 @@ def cmd_macdonald(args) -> int:
     q, t = RationalFunction.var("q"), RationalFunction.var("t")
     mu = args.mu
     if args.what == "P":
+        if sum(mu) > M_DEGREE_BOUND:
+            raise argparse.ArgumentTypeError(f"|mu| = {sum(mu)} exceeds {M_DEGREE_BOUND}")
         table = MacdonaldTable(q, t, degree_bound=max(8, sum(mu)))
         P = table.P(mu)
         payload = {"basis": "m", "mu": list(mu), "terms": _terms_payload(P.terms)}
@@ -237,14 +243,9 @@ def cmd_correlate(args) -> int:
 def cmd_chi(args) -> int:
     mode = resolve_mode(args)
     pt, bindings = _scalars(args, mode, ["t1", "t2"])
-    t1, t2 = pt["t1"], pt["t2"]
-    u = parse_fraction_or_var(args.u)
-    v = parse_fraction_or_var(args.v)
-    if args.surface != "C2":
-        raise argparse.ArgumentTypeError("chi currently computes on the affine plane; "
-                                         "use toric-check for P2 and P1xP1")
-    series = chi_C2_series(args.insert, args.twist, u, v, args.order, t1, t2)
-    payload = {"surface": {"name": args.surface, "twist": list(args.twist)},
+    series = chi_C2_series(args.insert, args.twist, args.u, args.v, args.order,
+                           pt["t1"], pt["t2"])
+    payload = {"surface": {"name": "C2", "twist": list(args.twist)},
                "order": args.order, "mode": mode,
                "insertions": [f"{i.operation}:{i.m}:{i.A[0]},{i.A[1]}" for i in args.insert],
                "series": _series_payload(series)}
@@ -293,7 +294,10 @@ def cmd_verify(args) -> int:
 
 def cmd_toric_check(args) -> int:
     _require_three_trials(args)
-    surf = load_surface(args.surface)
+    try:
+        surf = load_surface(args.surface)
+    except HilbertError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     sampler = RationalSampler(args.seed, magnitude=40)
     rows = []
     all_ok = True
@@ -355,15 +359,16 @@ def positive_int(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=nonnegative_int, default=4)
-    common.add_argument("--mode", choices=["symbolic", "evaluate", "auto"], default="auto")
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--trials", type=positive_int, default=3)
-    common.add_argument("--format", dest="fmt", choices=["json", "csv", "plain"],
-                        default="json")
+COMMON_OPTIONS = {
+    "--order": dict(type=nonnegative_int, default=4),
+    "--mode": dict(choices=["symbolic", "evaluate", "auto"], default="auto"),
+    "--seed": dict(type=int, default=1),
+    "--trials": dict(type=positive_int, default=3),
+    "--format": dict(dest="fmt", choices=["json", "csv", "plain"], default="json"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbmac",
         description="Exact computer algebra for Hilbert-scheme intersection "
@@ -371,50 +376,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "correlators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, options, **kw):
+        """A subcommand with --format and the common options it reads."""
+        p = sub.add_parser(name, **kw)
+        for option in options + ("--format",):
+            p.add_argument(option, **COMMON_OPTIONS[option])
+        return p
 
-    p = add_parser("symfun", help="symmetric-function tables and conversions")
+    p = add_parser("symfun", (), help="symmetric-function tables and conversions")
     p.add_argument("what", choices=["convert", "alpha", "betagamma"])
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=positive_int, default=4)
     p.add_argument("--to", default="p", help="target basis for convert")
     p.add_argument("--input", default="{}",
                    help='JSON {"basis": "e", "terms": [{"partition": [2], "coeff": "1"}]}')
     p.set_defaults(func=cmd_symfun)
 
-    p = add_parser("macdonald", help="Macdonald polynomial data")
+    p = add_parser("macdonald", (), help="Macdonald polynomial data")
     p.add_argument("what", choices=["P", "norm", "eps", "eigen"])
     p.add_argument("--mu", type=parse_partition, default=())
     p.add_argument("--r", type=nonnegative_int, default=1)
     p.set_defaults(func=cmd_macdonald)
 
-    p = add_parser("correlate", help="bracket series of an operator word")
+    p = add_parser("correlate", ("--order", "--mode", "--seed"),
+                   help="bracket series of an operator word")
     p.add_argument("--word", required=True,
                    help="comma-separated operators, e.g. E2 or E1,E1 or Psi2")
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=cmd_correlate)
 
-    p = add_parser("chi", help="equivariant Euler-characteristic series")
-    p.add_argument("--surface", default="C2")
+    p = add_parser("chi", ("--order", "--mode", "--seed"),
+                   help="equivariant Euler-characteristic series on the plane")
     p.add_argument("--insert", type=parse_insert, action="append", default=[])
     p.add_argument("--twist", type=parse_weight, default=(0, 0))
-    p.add_argument("--u", default="u")
-    p.add_argument("--v", default="v")
+    p.add_argument("--u", type=parse_fraction_or_var, default="u")
+    p.add_argument("--v", type=parse_fraction_or_var, default="v")
     p.set_defaults(func=cmd_chi)
 
-    p = add_parser("verify", help="check one displayed identity")
+    p = add_parser("verify", ("--order", "--mode", "--seed", "--trials"),
+                   help="check one displayed identity")
     p.add_argument("what", choices=["main"])
     p.add_argument("--A", type=parse_weight, default=(0, 0))
     p.set_defaults(func=cmd_verify)
 
-    p = add_parser("toric-check", help="toric-surface correlator identities")
+    p = add_parser("toric-check", ("--order", "--seed", "--trials"),
+                   help="toric-surface correlator identities")
     p.add_argument("--surface", default="P2")
     p.add_argument("--which", default="all",
                    choices=["all", "lambda1", "lambda11", "connected",
                             "lambda2", "denominator_formula"])
     p.set_defaults(func=cmd_toric_check)
 
-    p = add_parser("verify-all", help="run the full verification suite")
+    p = add_parser("verify-all", ("--seed", "--trials"), help="run the full verification suite")
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
     p.set_defaults(func=cmd_verify_all)
     return parser

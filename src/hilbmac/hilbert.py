@@ -13,6 +13,7 @@ signs used everywhere below.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,13 +38,15 @@ class HilbertError(ValueError):
 
 @dataclass(frozen=True)
 class BundleInsertion:
-    """One tautological-bundle insertion with a K-theory power operation."""
-    operation: str            # psi | lambda | sigma | plain
+    """One tautological-bundle insertion with a K-theory power operation:
+    the Adams operation psi^m, the exterior power lambda^m or the symmetric
+    power sigma^m of the bundle with weight shift A (psi^1 is the bundle)."""
+    operation: str            # psi | lambda | sigma
     m: int
     A: Weight
 
     def __post_init__(self):
-        if self.operation not in ("psi", "lambda", "sigma", "plain"):
+        if self.operation not in ("psi", "lambda", "sigma"):
             raise HilbertError(f"unknown operation {self.operation!r}")
         if self.m < 1:
             raise HilbertError("m must be >= 1")
@@ -119,9 +122,8 @@ def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
     a test, not the implementation).
     """
     ws = bundle_weights(lam, ins.A, t1, t2)
-    if ins.operation in ("plain", "psi"):
-        m = 1 if ins.operation == "plain" else ins.m
-        return scalar_sum([w ** m for w in ws])
+    if ins.operation == "psi":
+        return scalar_sum([w ** ins.m for w in ws])
     if ins.operation == "lambda":
         return elementary_of(ws, ins.m)
     return complete_of(ws, ins.m)
@@ -194,7 +196,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
     """
     u, v, t1, t2 = exact_scalars(u, v, t1, t2)
     for ins in insertions:
-        if ins.operation not in ("psi", "plain"):
+        if ins.operation != "psi":
             raise HilbertError("the correlator bridge takes Adams-type insertions")
     q = t2
     t = 1 / t1
@@ -204,9 +206,8 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
     word = []
     pref = one_like(t1)
     for ins in insertions:
-        m = 1 if ins.operation == "plain" else ins.m
-        word.append(psi_op(m, q, t))
-        pref = pref * t1 ** (m * ins.A[0]) * t2 ** (m * ins.A[1])
+        word.append(psi_op(ins.m, q, t))
+        pref = pref * t1 ** (ins.m * ins.A[0]) * t2 ** (ins.m * ins.A[1])
     raw = vertex_correlator(word, u2, v2, q, t, order, primed=False)
     return raw * pref
 
@@ -368,19 +369,8 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
 
 
 def _marker_keys(n_markers: int, cap: int) -> List[MarkerKey]:
-    if n_markers == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], remaining - 1, budget - k)
-
-    rec([], n_markers, cap)
-    return sorted(out)
+    return [key for key in itertools.product(range(cap + 1), repeat=n_markers)
+            if sum(key) <= cap]
 
 
 def toric_chi_series(surface: Surface, insertions: Sequence[ToricInsertion],
@@ -408,23 +398,16 @@ def toric_chi_series(surface: Surface, insertions: Sequence[ToricInsertion],
     return total
 
 
-def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, square: bool = False,
-                extra=None):
-    """chi(X, L)(t1, t2) by surface-level localization; with square=True all
-    weights are evaluated at (t1^2, t2^2).  extra(point, t1i, t2i) multiplies
-    per-point factors in (e.g. symmetric-power twists)."""
+def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, extra=None):
+    """chi(X, L)(t1, t2) by surface-level localization.  extra(point, t1i,
+    t2i) multiplies per-point factors in (e.g. symmetric-power twists)."""
     pieces = []
     for point in surface.fixed_points:
-        s1, s2 = (t1, t2)
-        t1i = _mono(s1, s2, point.tangent[0])
-        t2i = _mono(s1, s2, point.tangent[1])
-        if square:
-            t1i, t2i = t1i ** 2, t2i ** 2
+        t1i = _mono(t1, t2, point.tangent[0])
+        t2i = _mono(t1, t2, point.tangent[1])
         w = one_like(t1)
         if bundle is not None:
             w = _mono(t1, t2, point.bundles[bundle])
-            if square:
-                w = w ** 2
         term = w / ((1 - t1i) * (1 - t2i))
         if extra is not None:
             term = term * extra(point, t1i, t2i)
@@ -496,7 +479,7 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> Toric
 
     # (c): four-term identity (the closed form of twice the weight-2
     # exterior bracket absorbs the symmetric-power-only term)
-    chiL1_sq = chi_surface(surface, L1, t1, t2, square=True)
+    chiL1_sq = chi_surface(surface, L1, t1 ** 2, t2 ** 2)
     T1 = pref1 * chiL1 * pref1 * chiL1 * Fraction(1, 2)
     T2 = TruncatedSeries.constant(-chiL1_sq * Fraction(1, 2), order)
     T3 = one_minus * one_minus * chiL1_sq * Fraction(1, 2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
@@ -152,9 +152,8 @@ class MacdonaldTable:
         return self._P_p[mu]
 
 
-def macdonald_P(mu: Partition, q, t, table: Optional[MacdonaldTable] = None) -> SymmetricFunction:
-    table = table or MacdonaldTable(q, t)
-    return table.P(mu)
+def macdonald_P(mu: Partition, q, t) -> SymmetricFunction:
+    return MacdonaldTable(q, t).P(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +170,18 @@ def specialize_eps(lam: Partition, u, q, t):
     return out
 
 
-def specialize_eps_via_p(lam: Partition, u, q, t, table: Optional[MacdonaldTable] = None):
-    """Apply eps(p_n) = (1-u^n)/(1-t^n) termwise to the p-expansion of P_lam."""
-    table = table or MacdonaldTable(q, t)
-    f = table.P_in_p(lam)
-    total = None
-    for kappa, coeff in f.terms.items():
+def specialize_eps_via_p(lam: Partition, u, table: MacdonaldTable):
+    """Apply eps(p_n) = (1-u^n)/(1-t^n) termwise to the p-expansion of P_lam,
+    with t the table's."""
+    (u,) = exact_scalars(u)
+    t = table.t
+    terms = []
+    for kappa, coeff in table.P_in_p(lam).terms.items():
         v = coeff
         for part in kappa:
             v = v * (1 - u ** part) / (1 - t ** part)
-        total = v if total is None else total + v
-    return Fraction(0) if total is None else total
+        terms.append(v)
+    return scalar_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,8 @@ def eigen_tildeE(mu: Partition, r: int, q, t):
     l = len(mu)
     head = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
                             one_like(q), l)
-    total = None
-    for n in range(0, r + 1):
-        jdeg = r - n
-        if jdeg < len(head):
-            v = head[jdeg] * (t ** (-n * l)) * euler_tail(n, t)
-            total = v if total is None else total + v
-    return total
+    return scalar_sum([head[r - n] * (t ** (-n * l)) * euler_tail(n, t)
+                       for n in range(r + 1) if r - n < len(head)])
 
 
 def eigen_E_r(mu: Partition, r: int, q, t):

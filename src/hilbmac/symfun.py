@@ -39,77 +39,11 @@ def _merge_product(a: Dict[Partition, object], b: Dict[Partition, object]) -> Di
     return d
 
 
-class FormalSum:
-    """Element of the free commutative algebra on graded generators.
-
-    Keys are partitions (multisets of generator degrees), values scalars.
-    Used for universal expansions: log/exp of generating series with formal
-    e_n or a_n coefficients.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Partition, object]):
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @staticmethod
-    def unit(scalar=Fraction(1)) -> "FormalSum":
-        return FormalSum({(): scalar})
-
-    @staticmethod
-    def gen(k: int, scalar=Fraction(1)) -> "FormalSum":
-        return FormalSum({(k,): scalar})
-
-    def __add__(self, other):
-        if isinstance(other, FormalSum):
-            d = dict(self.terms)
-            for k, v in other.terms.items():
-                d[k] = d.get(k, v * 0) + v
-            return FormalSum(d)
-        d = dict(self.terms)
-        d[()] = d.get((), other * 0) + other
-        return FormalSum(d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalSum({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, FormalSum):
-            return FormalSum(_merge_product(self.terms, other.terms))
-        return FormalSum({k: v * other for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, FormalSum):
-            return self.terms == other.terms
-        if not self.terms:
-            return not other
-        return set(self.terms) == {()} and self.terms[()] == other
-
-    __hash__ = None
-
-    def coeff(self, key: Partition):
-        return self.terms.get(key, Fraction(0))
-
-    def __repr__(self):
-        return "FormalSum(" + ", ".join(f"{k}: {v}" for k, v in sorted(self.terms.items())) + ")"
-
-
 @dataclass
 class SymmetricFunction:
-    """Basis-tagged sparse symmetric function."""
+    """Basis-tagged sparse symmetric function.  A scalar multiplies every term
+    and adds to the constant term (key ()), so in the p, e and h bases this is
+    the free algebra on the graded generators that alpha, beta, gamma expand in."""
     basis: str
     terms: Dict[Partition, object]
 
@@ -118,9 +52,8 @@ class SymmetricFunction:
             raise SymFunError(f"unknown basis {self.basis!r}")
         self.terms = {k: v for k, v in self.terms.items() if v}
 
-    @staticmethod
-    def zero(basis: str = "p") -> "SymmetricFunction":
-        return SymmetricFunction(basis, {})
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @staticmethod
     def generator(basis: str, n: int, scalar=Fraction(1)) -> "SymmetricFunction":
@@ -130,7 +63,9 @@ class SymmetricFunction:
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def __add__(self, other: "SymmetricFunction") -> "SymmetricFunction":
+    def __add__(self, other) -> "SymmetricFunction":
+        if not isinstance(other, SymmetricFunction):
+            other = SymmetricFunction(self.basis, {(): other})
         if self.basis != other.basis:
             raise SymFunError("mixed-basis addition; convert first")
         d = dict(self.terms)
@@ -138,13 +73,18 @@ class SymmetricFunction:
             d[k] = d.get(k, v * 0) + v
         return SymmetricFunction(self.basis, d)
 
-    def __sub__(self, other: "SymmetricFunction") -> "SymmetricFunction":
-        return self + other.scale(-1)
+    def __neg__(self) -> "SymmetricFunction":
+        return SymmetricFunction(self.basis, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other) -> "SymmetricFunction":
+        return self + (-other)
 
     def scale(self, c) -> "SymmetricFunction":
         return SymmetricFunction(self.basis, {k: v * c for k, v in self.terms.items()})
 
-    def __mul__(self, other: "SymmetricFunction") -> "SymmetricFunction":
+    def __mul__(self, other) -> "SymmetricFunction":
+        if not isinstance(other, SymmetricFunction):
+            return self.scale(other)
         if self.basis != other.basis:
             raise SymFunError("mixed-basis product; convert first")
         if self.basis not in ("p", "e", "h"):
@@ -268,16 +208,8 @@ def _m_to_p_matrix(n: int) -> Dict[Partition, Dict[Partition, Fraction]]:
 def to_p(f: SymmetricFunction) -> SymmetricFunction:
     if f.basis == "p":
         return f
-    out: Dict[Partition, object] = {}
     if f.basis == "m":
-        for mu, c in f.terms.items():
-            n = sum(mu)
-            if n > M_DEGREE_BOUND:
-                raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
-            for kappa, w in _m_to_p_matrix(n)[mu].items():
-                v = c * w
-                out[kappa] = out.get(kappa, v * 0) + v
-        return SymmetricFunction("p", out)
+        return _transition(f, _m_to_p_matrix, "p")
     return _expand_products(f, e_in_p if f.basis == "e" else h_in_p, "p")
 
 
@@ -294,16 +226,17 @@ def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFu
     return SymmetricFunction(basis, out)
 
 
-def _p_to_m(f: SymmetricFunction) -> SymmetricFunction:
+def _transition(f: SymmetricFunction, matrix, basis: str) -> SymmetricFunction:
+    """Apply the per-degree m <-> p transition matrix(n) to each term of f."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
         n = sum(lam)
         if n > M_DEGREE_BOUND:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
-        for mu, w in _p_to_m_matrix(n)[lam].items():
+        for mu, w in matrix(n)[lam].items():
             v = c * w
             out[mu] = out.get(mu, v * 0) + v
-    return SymmetricFunction("m", out)
+    return SymmetricFunction(basis, out)
 
 
 def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
@@ -321,7 +254,7 @@ def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
     if target == "p":
         return g
     if target == "m":
-        return _p_to_m(g)
+        return _transition(g, _p_to_m_matrix, "m")
     return _expand_products(g, lambda n: _p_in_generators(n, target), target)
 
 
@@ -370,9 +303,9 @@ def alpha_coefficients(n: int) -> Dict[Partition, Fraction]:
     """log(sum e_k z^k) = sum alpha_lam e_lam z^{|lam|}: rational alpha table."""
     if n < 1:
         raise SymFunError("n must be >= 1")
-    series = TruncatedSeries([FormalSum.unit()] +
-                             [FormalSum.gen(k) for k in range(1, n + 1)])
-    return {lam: c for fs in series.log().coeffs[1:] for lam, c in fs.terms.items()}
+    series = TruncatedSeries([SymmetricFunction("e", {(): Fraction(1)})] +
+                             [SymmetricFunction.generator("e", k) for k in range(1, n + 1)])
+    return {lam: c for g in series.log().coeffs[1:] for lam, c in g.terms.items()}
 
 
 def beta_gamma_coefficients(n: int, q=None) -> Tuple[Dict[Partition, object], Dict[Partition, object]]:
@@ -381,7 +314,8 @@ def beta_gamma_coefficients(n: int, q=None) -> Tuple[Dict[Partition, object], Di
         b_m = 1/(1-q^m) sum_{r=1..m} q^{m-r} a_r b_{m-r}
         c_m = -1/(1-q^m) sum_{r=1..m} a_r c_{m-r}
 
-    with deg a_r = r.  q defaults to the symbolic generator.
+    with deg a_r = r, the formal a_r being the generators p_r.  q defaults
+    to the symbolic generator.
     """
     (q,) = exact_scalars(q)
     if n < 1:
@@ -389,20 +323,20 @@ def beta_gamma_coefficients(n: int, q=None) -> Tuple[Dict[Partition, object], Di
     if q is None:
         q = RationalFunction.var("q")
     one = one_like(q)
-    b: List[FormalSum] = [FormalSum.unit(one)]
-    c: List[FormalSum] = [FormalSum.unit(one)]
+    b = [SymmetricFunction("p", {(): one})]
+    c = [SymmetricFunction("p", {(): one})]
     for m in range(1, n + 1):
-        sb = FormalSum({})
-        sc = FormalSum({})
+        sb = SymmetricFunction("p", {})
+        sc = SymmetricFunction("p", {})
         for r in range(1, m + 1):
-            a_r = FormalSum.gen(r, one)
+            a_r = SymmetricFunction.generator("p", r, one)
             sb = sb + a_r * b[m - r] * (q ** (m - r))
             sc = sc + a_r * c[m - r]
         scale_b = one / (1 - q ** m)
         b.append(sb * scale_b)
         c.append(sc * (-scale_b))
-    return ({lam: w for fs in b[1:] for lam, w in fs.terms.items()},
-            {lam: w for fs in c[1:] for lam, w in fs.terms.items()})
+    return ({lam: w for g in b[1:] for lam, w in g.terms.items()},
+            {lam: w for g in c[1:] for lam, w in g.terms.items()})
 
 
 def bc_product_check(n: int, q=None) -> bool:
@@ -411,11 +345,11 @@ def bc_product_check(n: int, q=None) -> bool:
         q = RationalFunction.var("q")
     one = one_like(q)
     beta, gamma = beta_gamma_coefficients(n, q)
-    b = [FormalSum.unit(one)] + [
-        FormalSum({lam: w for lam, w in beta.items() if sum(lam) == m})
-        for m in range(1, n + 1)]
-    c = [FormalSum.unit(one)] + [
-        FormalSum({lam: w for lam, w in gamma.items() if sum(lam) == m})
-        for m in range(1, n + 1)]
-    prod = TruncatedSeries(b) * TruncatedSeries(c)
-    return prod == TruncatedSeries([FormalSum.unit(one)] + [FormalSum({})] * n)
+
+    def series(table):
+        return TruncatedSeries([SymmetricFunction("p", {(): one})] + [
+            SymmetricFunction("p", {lam: w for lam, w in table.items() if sum(lam) == m})
+            for m in range(1, n + 1)])
+
+    prod = series(beta) * series(gamma)
+    return prod == TruncatedSeries.one(n, SymmetricFunction("p", {}))

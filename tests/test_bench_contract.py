@@ -1,20 +1,28 @@
-"""The names the benchmark under ``perfbench/`` traces and reads still resolve.
+"""The names the benchmark under ``perfbench/`` traces and reads still resolve,
+and one round of each workload runs and passes its checks.
 
 ``perfbench/spans.py`` wraps the functions and methods listed in its
 ``TARGETS`` table, and ``perfbench/run.py`` reads the size of the monomial
-key cache every round.  A rename in the library would otherwise show up only
-as a broken benchmark run.
+key cache every round.  The workloads call the library through its public
+names and call shapes.  A rename or a changed signature would otherwise show
+up only as a broken benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parent.parent
+SPANS_PATH = REPO / "perfbench" / "spans.py"
+WORKLOADS = ("macdonald_symbolic", "series_symbolic", "point_eval")
 
 
 def _load_spans():
@@ -47,3 +55,16 @@ def test_span_target_resolves(span):
 def test_mono_key_cache_has_a_size():
     from hilbmac.exactalg import poly
     assert len(poly._MONO_KEY_CACHE) >= 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_benchmark_round_passes(workload):
+    """--seconds 0 runs exactly one round; its last stdout line is the report."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "101", "--seconds", "0"],
+                         cwd=REPO, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 0

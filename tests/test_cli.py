@@ -28,9 +28,11 @@ def test_malformed_flags_exit_2():
 
 
 def test_out_of_range_options_exit_2(capsys):
-    for option in (["--order", "-1"], ["--trials", "0"], ["--mode", "wild"]):
+    for command, option in ((["correlate", "--word", "E1"], ["--order", "-1"]),
+                            (["verify", "main"], ["--trials", "0"]),
+                            (["correlate", "--word", "E1"], ["--mode", "wild"])):
         with pytest.raises(SystemExit) as exc:
-            dispatch(["correlate", "--word", "E1"] + option)
+            dispatch(command + option)
         assert exc.value.code == 2
         assert option[0] in capsys.readouterr().err
 
@@ -127,7 +129,7 @@ def test_symfun_subcommands(capsys):
 
 
 def test_chi_subcommand_schema(capsys):
-    code, out = run_cli(capsys, ["chi", "--surface", "C2", "--insert", "psi:2:1,0",
+    code, out = run_cli(capsys, ["chi", "--insert", "psi:2:1,0",
                                  "--twist", "0,0", "--order", "2",
                                  "--mode", "evaluate", "--seed", "9"])
     assert code == 0
@@ -168,6 +170,20 @@ def test_verify_all_json_is_one_document(capsys):
      '{"basis": "m", "terms": [{"partition": [0], "coeff": "1"}]}'],
     ["symfun", "convert", "--to", "m", "--input",
      '{"basis": "m", "terms": [{"partition": [2.0], "coeff": "1"}]}'],
+    ["symfun", "alpha", "--degree", "0"],
+    ["symfun", "betagamma", "--degree", "-2"],
+    ["toric-check", "--surface", "XX"],
+    ["chi", "--u", "foo"],
+    ["chi", "--u", "1/0"],
+    ["macdonald", "P", "--mu", "11"],
+    # options a subcommand would ignore are not offered
+    ["verify-all", "--only", "C13", "--order", "3"],
+    ["verify-all", "--only", "C13", "--mode", "symbolic"],
+    ["toric-check", "--mode", "evaluate", "--order", "1"],
+    ["symfun", "alpha", "--seed", "2"],
+    ["macdonald", "norm", "--mu", "2", "--trials", "4"],
+    ["chi", "--order", "1", "--trials", "4"],
+    ["correlate", "--word", "E1", "--order", "1", "--trials", "4"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -214,7 +230,8 @@ def test_cross_process_byte_determinism():
 
     # The child must import the same hilbmac as this process, whether it comes
     # from a source checkout on PYTHONPATH or from an install. The environment
-    # is built by hand so that no HILBMAC_* default override leaks in.
+    # is built by hand so that no HILBMAC_* default override leaks in, and it
+    # writes no bytecode into the checkout.
     package_root = str(Path(hilbmac.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
@@ -222,7 +239,7 @@ def test_cross_process_byte_determinism():
             "--order", "6", "--normalized", "--seed", "13"]
     runs = [subprocess.run(args, capture_output=True, text=True,
                            env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
-                                "PYTHONPATH": pythonpath})
+                                "PYTHONPATH": pythonpath, "PYTHONDONTWRITEBYTECODE": "1"})
             for seed in (0, 42)]
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[1].returncode == 0, runs[1].stderr

@@ -51,6 +51,15 @@ COMMANDS = {
     "correlate_Sigma3": ["correlate", "--word", "Sigma3", "--order", "2", "--normalized"],
     "toric_check_P2_lambda2": ["toric-check", "--surface", "P2", "--which", "lambda2",
                                "--order", "2"],
+    "symfun_alpha_6": ["symfun", "alpha", "--degree", "6"],
+    "symfun_betagamma_5": ["symfun", "betagamma", "--degree", "5"],
+    "macdonald_eigen_r4": ["macdonald", "eigen", "--mu", "4,2", "--r", "4"],
+    "toric_check_P1xP1_lambda2": ["toric-check", "--surface", "P1xP1", "--which", "lambda2",
+                                  "--order", "3"],
+    "symfun_convert_p_to_m": ["symfun", "convert", "--to", "m", "--input", json.dumps(
+        {"basis": "p", "terms": [{"partition": [3, 2, 1], "coeff": "5"}]})],
+    "symfun_convert_m_to_p": ["symfun", "convert", "--to", "p", "--input", json.dumps(
+        {"basis": "m", "terms": [{"partition": [3, 2, 1], "coeff": "5"}]})],
 }
 
 

@@ -37,7 +37,7 @@ def test_single_box_untwisted(pt):
 def test_single_box_with_plain_insertion(pt):
     t1, t2, u, v = pt["t1"], pt["t2"], pt["u"], pt["v"]
     A1, A = (2, -1), (0, 1)
-    ser = chi_C2_series([BundleInsertion("plain", 1, A1)], A, u, v, 1, t1, t2)
+    ser = chi_C2_series([BundleInsertion("psi", 1, A1)], A, u, v, 1, t1, t2)
     tA = t2
     expect = t1 ** 2 * t2 ** -1 * (1 - u * tA) * (1 - v / tA) / ((1 - t1) * (1 - t2))
     assert ser.coeffs[1] == expect
@@ -46,7 +46,7 @@ def test_single_box_with_plain_insertion(pt):
 def test_untwisted_series_matches_direct_sum(pt):
     """u = v = 0 reproduces the plain holomorphic-Lefschetz sums."""
     t1, t2 = pt["t1"], pt["t2"]
-    ins = [BundleInsertion("plain", 1, (1, 0)), BundleInsertion("psi", 2, (0, 1))]
+    ins = [BundleInsertion("psi", 1, (1, 0)), BundleInsertion("psi", 2, (0, 1))]
     ser = chi_C2_series(ins, (3, 3), Fraction(0), Fraction(0), 4, t1, t2)
     for n in range(5):
         direct = Fraction(0)
@@ -110,13 +110,19 @@ def test_central_bridge_cases(pt):
     cases = [
         ([BundleInsertion("psi", 1, (0, 0))], (0, 0)),
         ([BundleInsertion("psi", 2, (1, 0))], (0, 1)),
-        ([BundleInsertion("plain", 1, (1, 1))], (1, 0)),
+        ([BundleInsertion("psi", 1, (1, 1))], (1, 0)),
         ([BundleInsertion("psi", 1, (1, 0)), BundleInsertion("psi", 2, (0, 1))], (1, 1)),
     ]
     for ins, A in cases:
         lhs = chi_C2_series(ins, A, u, v, 4, t1, t2)
         rhs = chi_via_correlators(ins, A, u, v, 4, t1, t2)
         assert lhs == rhs, (ins, A)
+
+
+def test_plain_operation_is_gone():
+    """The bundle itself is psi^1; there is no separate operation for it."""
+    with pytest.raises(HilbertError):
+        BundleInsertion("plain", 1, (0, 0))
 
 
 def test_bridge_rejects_non_adams_insertions(pt):
@@ -131,7 +137,7 @@ def test_psi1_closed_form_times_normalization(pt):
     q, t = t2, 1 / t1
     cf = closed_form_series("Psi1", 3, {"q": q, "t": t, "u": u, "v": v})
     prod = cf * bracket_one_closed(u, v, q, t, 3)
-    direct = chi_C2_series([BundleInsertion("plain", 1, (0, 0))], (0, 0),
+    direct = chi_C2_series([BundleInsertion("psi", 1, (0, 0))], (0, 0),
                            u, v, 3, t1, t2)
     assert prod == direct
 

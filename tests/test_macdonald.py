@@ -39,7 +39,7 @@ def test_P_examples(table):
     P2 = table.P((2,))
     assert P2.terms[(2,)] == 1
     assert P2.terms[(1, 1)] == (1 - t) * (1 + q) / (1 - q * t)
-    assert macdonald_P((2,), q, t, table) == P2
+    assert macdonald_P((2,), q, t) == P2
 
 
 def test_degree_bound(table):
@@ -83,8 +83,14 @@ def test_specialization_examples(table):
     assert specialize_eps((1,), u, q, t) == (1 - u) / (1 - t)
     for lam in [(2,), (1, 1), (2, 1), (3, 1)]:
         direct = specialize_eps(lam, u, q, t)
-        via_p = specialize_eps_via_p(lam, u, q, t, table)
+        via_p = specialize_eps_via_p(lam, u, table)
         assert direct == via_p, lam
+
+
+def test_specialization_via_p_takes_t_from_the_table():
+    table = MacdonaldTable(5, 7)
+    for lam in partitions_upto(3):
+        assert specialize_eps_via_p(lam, u, table) == specialize_eps(lam, u, 5, 7), lam
 
 
 # ---------------------------------------------------------------------------

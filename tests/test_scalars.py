@@ -13,6 +13,7 @@ import pytest
 import hilbmac as hb
 from hilbmac.exactalg import RationalFunction, exact_scalars
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
+from hilbmac.macdonald import specialize_eps_via_p
 from hilbmac.symfun import SymmetricFunction
 
 
@@ -66,6 +67,7 @@ FLOAT_CALLS = {
     "macdonald_P": lambda: hb.macdonald_P((1,), F, 3),
     "psi_decomposition": lambda: hb.psi_decomposition(1, F, 3),
     "specialize_eps": lambda: hb.specialize_eps((1,), F, 2, 3),
+    "specialize_eps_via_p": lambda: specialize_eps_via_p((1,), F, hb.MacdonaldTable(2, 3)),
     "sym_of_cells": lambda: hb.sym_of_cells((1,), "e", 1, F, 3),
     "bracket_bruteforce": lambda: hb.bracket_bruteforce([], F, 2, 3, 5, 1),
     "base_bracket_z": lambda: hb.base_bracket_z(1, F),

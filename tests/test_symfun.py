@@ -6,7 +6,7 @@ import pytest
 
 from hilbmac.exactalg import RationalFunction, RationalSampler, generators
 from hilbmac.partitions import enumerate_partitions, partitions_upto
-from hilbmac.symfun import (FormalSum, SymFunError, SymmetricFunction,
+from hilbmac.symfun import (SymFunError, SymmetricFunction,
                             alpha_coefficients, basis_convert,
                             bc_product_check, beta_gamma_coefficients,
                             inner_product_hall,
@@ -225,8 +225,16 @@ def test_beta_gamma_fractional_q():
 # ---------------------------------------------------------------------------
 
 def test_formal_sum_basics():
-    a = FormalSum.gen(2) * FormalSum.gen(1) + FormalSum.gen(3)
-    assert a.coeff((2, 1)) == 1 and a.coeff((3,)) == 1
+    e = SymmetricFunction.generator
+    a = e("e", 2) * e("e", 1) + e("e", 3)
+    assert a.terms == {(2, 1): 1, (3,): 1}
     b = a * Fraction(1, 2)
-    assert b.coeff((2, 1)) == Fraction(1, 2)
-    assert (a - a) == FormalSum({})
+    assert b.terms[(2, 1)] == Fraction(1, 2)
+    assert (a - a) == SymmetricFunction("e", {})
+    assert (a + 3).terms == {(2, 1): 1, (3,): 1, (): 3}
+    assert (-a).terms[(3,)] == -1
+
+
+def test_empty_function_is_false():
+    assert not SymmetricFunction("e", {})
+    assert bool(SymmetricFunction("e", {(1,): Fraction(1)}))
