@@ -162,12 +162,16 @@ def cmd_symfun(args) -> int:
     # convert
     try:
         data = json.loads(args.input)
-        terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
-        bad = [list(k) for k in terms if not is_partition(k)]
-        if bad:
-            raise ValueError(f"not a partition: {bad[0]}")
+        terms = {}
+        for term in data["terms"]:
+            lam = tuple(term["partition"])
+            if not is_partition(lam):
+                raise ValueError(f"not a partition: {list(lam)}")
+            if lam in terms:
+                raise ValueError(f"repeated partition: {list(lam)}")
+            terms[lam] = Fraction(term["coeff"])
         g = basis_convert(SymmetricFunction(data["basis"], terms), args.to)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"cannot convert --input {args.input!r} to basis {args.to!r}: {exc!r}")
     payload = {"basis": g.basis, "terms": _terms_payload(g.terms)}

@@ -353,16 +353,17 @@ def vertex_correlator(word: Sequence[DiagonalOperator], u, v, q, t,
 CLOSED_FORM_NAMES = ("E1", "E2", "E1E1", "Psi1", "Psi2", "Psi1sq", "Lambda2")
 
 
-def closed_form_library(name: str) -> RationalFunction:
-    """Symbolic closed forms of the normalized one- and two-point brackets.
+def closed_form_library(name: str, q=None, t=None, u=None, v=None) -> RationalFunction:
+    """Closed forms of the normalized one- and two-point brackets.
 
-    All expressions are rational in Q over (q, t, u, v).  Lambda2 denotes
-    twice the normalized bracket of the weight-2 exterior operator.
+    All expressions are rational in Q over (q, t, u, v).  Each scalar left
+    at None is its symbolic generator; a Fraction or int scalar is put in
+    while the expression is built, so with all four given the result is
+    rational in Q alone.  Lambda2 denotes twice the normalized bracket of
+    the weight-2 exterior operator.
     """
-    q = RationalFunction.var("q")
-    t = RationalFunction.var("t")
-    u = RationalFunction.var("u")
-    v = RationalFunction.var("v")
+    q, t, u, v = (RationalFunction.var(n) if x is None else x
+                  for n, x in zip("qtuv", exact_scalars(q, t, u, v)))
     Q = RationalFunction.var("Q")
     ti = t ** -1
     one_minus = 1 - Q * (1 - u) * (1 - v) / (1 - u * Q)
@@ -394,14 +395,13 @@ def closed_form_library(name: str) -> RationalFunction:
 
 def closed_form_series(name: str, order: int,
                        bindings: Optional[Dict[str, Fraction]] = None) -> TruncatedSeries:
-    """Expand a library entry in Q; with full (q,t,u,v) bindings the
+    """Expand a library entry in Q.  bindings may give any of q, t, u and v,
+    which closed_form_library takes as scalars; with all four the
     coefficients come back as exact Fractions."""
     from .exactalg.series import expand_closed_form
-    f = closed_form_library(name)
-    if bindings:
-        f = f.subs(bindings)
-    series = expand_closed_form(f, order)
-    if bindings and all(k in bindings for k in ("q", "t", "u", "v")):
+    bindings = bindings or {}
+    series = expand_closed_form(closed_form_library(name, **bindings), order)
+    if len(bindings) == 4:
         return series.map(lambda c: c.as_fraction())
     return series
 

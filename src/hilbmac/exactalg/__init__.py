@@ -5,7 +5,7 @@ from .poly import ALPHABET, BASE_ALPHABET, ExponentOverflowError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, exact_scalars, generators, one_like,
                      rf, rf_coefficient, rf_sum, scalar_sum)
-from .sampling import RationalSampler, equal_by_evaluation
+from .sampling import RationalSampler
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
@@ -14,5 +14,5 @@ __all__ = [
     "rf_coefficient", "generators",
     "ExactAlgError", "DivisionByZero", "PoleError",
     "TruncatedSeries", "SeriesError", "expand_closed_form", "geometric",
-    "RationalSampler", "equal_by_evaluation",
+    "RationalSampler",
 ]

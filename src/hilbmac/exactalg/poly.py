@@ -1,18 +1,22 @@
 """Sparse multivariate Laurent polynomials over a fixed, globally ordered alphabet.
 
 Monomials are tuples of (variable_index, exponent) pairs, sorted by index,
-with nonzero exponents; exponents may be negative (Laurent).  Coefficients
-are arbitrary-precision Python ints.  The alphabet is frozen at import time,
-so canonical forms are stable across a run.
+with nonzero exponents; exponents may be negative (Laurent).  Only this
+module builds or reads them: other modules pass them to its functions.
+Coefficients are arbitrary-precision Python ints.  The alphabet is frozen at
+import time, so term orders are stable across a run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 Monomial = Tuple[Tuple[int, int], ...]
+
+#: the unit monomial, 1
+MONO_ONE: Monomial = ()
 
 #: exponents are kept far below this bound; exceeding it indicates a runaway
 #: computation rather than a legitimate value.
@@ -23,6 +27,14 @@ BASE_ALPHABET = ("q", "t", "u", "v", "t1", "t2", "w1", "w2", "x", "y", "Q")
 
 class ExponentOverflowError(ArithmeticError):
     """A Laurent exponent left the supported machine-integer range."""
+
+
+class ExactAlgError(ArithmeticError):
+    pass
+
+
+class PoleError(ExactAlgError):
+    """Evaluation point lies on a pole; caller should retry elsewhere."""
 
 
 class Alphabet:
@@ -68,6 +80,18 @@ def mono_inv(a: Monomial) -> Monomial:
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return mono_mul(a, mono_inv(b))
+
+
+def mono_eval(a: Monomial, point: Dict[int, Fraction]) -> Fraction:
+    """Value of the monomial at a point that maps variable index to value."""
+    val = Fraction(1)
+    for i, e in a:
+        if i not in point:
+            raise ExactAlgError(f"unbound variable {ALPHABET.name(i)}")
+        if point[i] == 0 and e < 0:
+            raise PoleError("zero base with negative exponent")
+        val *= point[i] ** e
+    return val
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -129,7 +153,7 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({(): int(c)} if c else {})
+        return LaurentPoly({MONO_ONE: int(c)} if c else {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
@@ -142,12 +166,10 @@ class LaurentPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
     def const_value(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms.get((), 0)
+        return self.terms.get(MONO_ONE, 0)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -203,21 +225,11 @@ class LaurentPoly:
         primitive part's first term in the canonical order positive.
         """
         if self.is_zero():
-            return 0, (), LaurentPoly({})
-        mins: Dict[int, int] = {}
-        first = True
-        for m in self.terms:
-            dm = dict(m)
-            if first:
-                mins = dict(dm)
-                first = False
-            else:
-                for i in list(mins):
-                    mins[i] = min(mins[i], dm.get(i, 0))
-                for i in dm:
-                    if i not in mins:
-                        mins[i] = min(0, dm[i])
-        mono = tuple(sorted((i, e) for i, e in mins.items() if e))
+            return 0, MONO_ONE, LaurentPoly({})
+        exps = [dict(m) for m in self.terms]
+        variables = sorted({i for d in exps for i in d})
+        mins = [(i, min(d.get(i, 0) for d in exps)) for i in variables]
+        mono = tuple((i, e) for i, e in mins if e)
         inv = mono_inv(mono)
         shifted = {mono_mul(m, inv): c for m, c in self.terms.items()}
         g = 0
@@ -277,21 +289,20 @@ class LaurentPoly:
         return LaurentPoly(quot) if not rem else None
 
     # -- evaluation --------------------------------------------------------
-    def eval(self, bindings: Dict[int, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = Fraction(c)
-            for i, e in m:
-                term *= bindings[i] ** e
-            total += term
-        return total
+    def eval(self, point: Dict[int, Fraction]) -> Fraction:
+        return sum((c * mono_eval(m, point) for m, c in self.terms.items()), Fraction(0))
 
-    def variables(self) -> Tuple[int, ...]:
-        seen = set()
-        for m in self.terms:
-            for i, _ in m:
-                seen.add(i)
-        return tuple(sorted(seen))
+    def group_by(self, names: Sequence[str]) -> Dict[Tuple[int, ...], "LaurentPoly"]:
+        """Terms grouped by their exponents of the named variables: each tuple
+        of exponents, in the order of names, maps to the polynomial in the
+        other variables that multiplies it."""
+        wanted = [ALPHABET.index(n) for n in names]
+        groups: Dict[Tuple[int, ...], Dict[Monomial, int]] = {}
+        for m, c in self.terms.items():
+            dm = dict(m)
+            rest = tuple((i, e) for i, e in m if i not in wanted)
+            groups.setdefault(tuple(dm.get(i, 0) for i in wanted), {})[rest] = c
+        return {k: LaurentPoly(d) for k, d in groups.items()}
 
     # -- comparison / rendering ---------------------------------------------
     def key(self):

@@ -1,4 +1,4 @@
-"""Normalized rational functions: quotients of sparse integer Laurent polynomials.
+"""Rational functions: quotients of sparse integer Laurent polynomials.
 
 Values are kept in partially factored form
     (nc/dc) * monomial * prod(num factors) / prod(den factors)
@@ -6,7 +6,8 @@ with each factor a primitive polynomial (integer content 1, no monomial
 content, canonically positive leading coefficient).  There is no full
 multivariate gcd: fractions reduce by content, by cancellation of identical
 factors, and by exact trial division of freshly expanded numerators against
-tracked denominator factors.  Full expansion happens only at comparison and
+tracked denominator factors.  So a value is not reduced: equal values may
+have different factors.  Full expansion happens only at comparison and
 rendering boundaries.
 """
 
@@ -18,47 +19,33 @@ import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import (ALPHABET, LaurentPoly, Monomial, mono_inv, mono_mul,
-                   poly_pow)
-
-
-class ExactAlgError(ArithmeticError):
-    pass
+from .poly import (ALPHABET, MONO_ONE, ExactAlgError, LaurentPoly, Monomial,
+                   PoleError, mono_eval, mono_inv, mono_mul, poly_pow)
 
 
 class DivisionByZero(ExactAlgError):
     """Division of rational functions by the zero value."""
 
 
-class PoleError(ExactAlgError):
-    """Evaluation point lies on a pole; caller should retry elsewhere."""
-
-
 FactorList = Tuple[Tuple[LaurentPoly, int], ...]
 
 
-def _factor_mul(a: FactorList, b: FactorList) -> FactorList:
-    d: Dict[LaurentPoly, int] = dict(a)
-    for p, k in b:
-        d[p] = d.get(p, 0) + k
-    return tuple(sorted(((p, k) for p, k in d.items() if k), key=lambda t: t[0].key()))
+def _exponents(signed, start=()) -> Dict[LaurentPoly, int]:
+    """Map from primitive factor to signed exponent: the start map plus each
+    (factor list, sign) pair's exponents times its sign."""
+    exps: Dict[LaurentPoly, int] = dict(start)
+    for factors, sign in signed:
+        for p, k in factors:
+            exps[p] = exps.get(p, 0) + sign * k
+    return exps
 
 
-def _factor_cancel(num: FactorList, den: FactorList) -> Tuple[FactorList, FactorList]:
-    dn: Dict[LaurentPoly, int] = dict(num)
-    dd: Dict[LaurentPoly, int] = {}
-    for p, k in den:
-        if p in dn:
-            c = min(dn[p], k)
-            dn[p] -= c
-            k -= c
-            if not dn[p]:
-                del dn[p]
-        if k:
-            dd[p] = dd.get(p, 0) + k
-    out_n = tuple(sorted(((p, k) for p, k in dn.items() if k), key=lambda t: t[0].key()))
-    out_d = tuple(sorted(dd.items(), key=lambda t: t[0].key()))
-    return out_n, out_d
+def _split(exps: Dict[LaurentPoly, int]) -> Tuple[FactorList, FactorList]:
+    """Numerator and denominator factor lists of a signed exponent map, each
+    in the frozen key() order."""
+    items = sorted(exps.items(), key=lambda t: t[0].key())
+    return (tuple((p, k) for p, k in items if k > 0),
+            tuple((p, -k) for p, k in items if k < 0))
 
 
 def _expand(factors: FactorList) -> LaurentPoly:
@@ -81,7 +68,7 @@ class RationalFunction:
         if dc == 0:
             raise DivisionByZero("zero denominator")
         if nc == 0:
-            dc, mono, nfac, dfac = 1, (), (), ()
+            dc, mono, nfac, dfac = 1, MONO_ONE, (), ()
         else:
             g = math.gcd(nc, dc)
             if dc < 0:
@@ -98,26 +85,20 @@ class RationalFunction:
     # -- constructors --------------------------------------------------------
     @staticmethod
     def from_int(n: int) -> "RationalFunction":
-        return RationalFunction(int(n), 1, (), (), ())
+        return RationalFunction(int(n), 1, MONO_ONE, (), ())
 
     @staticmethod
     def from_fraction(f: Fraction) -> "RationalFunction":
         f = Fraction(f)
-        return RationalFunction(f.numerator, f.denominator, (), (), ())
+        return RationalFunction(f.numerator, f.denominator, MONO_ONE, (), ())
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "RationalFunction":
-        if exp == 0:
-            return RationalFunction.from_int(1)
-        return RationalFunction(1, 1, ((ALPHABET.index(name), exp),), (), ())
+        return RationalFunction.from_poly(LaurentPoly.var(name, exp))
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunction":
-        c, mono, prim = p.primitive()
-        if c == 0:
-            return RationalFunction(0, 1, (), (), ())
-        nf = () if prim.is_const() else ((prim, 1),)
-        return RationalFunction(c, 1, mono, nf, ())
+        return _reduce_over(p, 1, ())
 
     # -- coercion --------------------------------------------------------------
     @staticmethod
@@ -137,11 +118,8 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return self.nc != 0
 
-    def is_rational(self) -> bool:
-        return not self.mono and not self.nfac and not self.dfac
-
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if (self.mono, self.nfac, self.dfac) != (MONO_ONE, (), ()):
             raise ExactAlgError(f"not a constant: {self}")
         return Fraction(self.nc, self.dc)
 
@@ -151,10 +129,9 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.nc == 0 or other.nc == 0:
-            return RationalFunction(0, 1, (), (), ())
-        nfac = _factor_mul(self.nfac, other.nfac)
-        dfac = _factor_mul(self.dfac, other.dfac)
-        nfac, dfac = _factor_cancel(nfac, dfac)
+            return RationalFunction.from_int(0)
+        nfac, dfac = _split(_exponents(((self.nfac, 1), (other.nfac, 1),
+                                        (self.dfac, -1), (other.dfac, -1))))
         return RationalFunction(self.nc * other.nc, self.dc * other.dc,
                                 mono_mul(self.mono, other.mono), nfac, dfac)
 
@@ -244,18 +221,11 @@ class RationalFunction:
     # -- evaluation ----------------------------------------------------------------
     def eval(self, bindings: Dict[str, Fraction]) -> Fraction:
         """Exact evaluation at rational points; raises PoleError on vanishing
-        denominator factors."""
+        denominator factors and ExactAlgError on an unbound variable."""
         idx = {ALPHABET.index(k): Fraction(v) for k, v in bindings.items()}
-        val = Fraction(self.nc, self.dc)
         if self.nc == 0:
-            return val
-        for i, e in self.mono:
-            if i not in idx:
-                raise ExactAlgError(f"unbound variable {ALPHABET.name(i)}")
-            base = idx[i]
-            if base == 0 and e < 0:
-                raise PoleError("zero base with negative exponent")
-            val *= base ** e
+            return Fraction(0)
+        val = Fraction(self.nc, self.dc) * mono_eval(self.mono, idx)
         for p, k in self.nfac:
             val *= p.eval(idx) ** k
         for p, k in self.dfac:
@@ -265,49 +235,13 @@ class RationalFunction:
             val /= pv ** k
         return val
 
-    def subs(self, bindings: Dict[str, object]) -> "RationalFunction":
-        """Partial substitution; values may be Fractions, ints or
-        RationalFunctions.  Unbound variables stay symbolic."""
-        rbind: Dict[int, RationalFunction] = {}
-        for k, v in bindings.items():
-            rv = self._coerce(v)
-            if rv is NotImplemented:
-                raise TypeError(f"cannot substitute {type(v)} for {k}")
-            rbind[ALPHABET.index(k)] = rv
-        if not rbind:
-            return self
-
-        def sub_poly(p: LaurentPoly) -> RationalFunction:
-            if not any(i in rbind for m in p.terms for i, _ in m):
-                return RationalFunction.from_poly(p)
-            total = RationalFunction.from_int(0)
-            for m, c in p.terms.items():
-                term = RationalFunction.from_int(c)
-                for i, e in m:
-                    term = term * rbind.get(i, RationalFunction.var(ALPHABET.name(i))) ** e
-                total = total + term
-            return total
-
-        out = RationalFunction(self.nc, self.dc, (), (), ())
-        for i, e in self.mono:
-            base = rbind.get(i, RationalFunction.var(ALPHABET.name(i)))
-            out = out * base ** e
-        for p, k in self.nfac:
-            out = out * sub_poly(p) ** k
-        for p, k in self.dfac:
-            out = out / sub_poly(p) ** k
-        return out
-
-    def variables(self) -> Tuple[str, ...]:
-        seen = set(i for i, _ in self.mono)
-        for p, _ in self.nfac + self.dfac:
-            seen.update(p.variables())
-        return tuple(ALPHABET.name(i) for i in sorted(seen))
-
     # -- rendering -----------------------------------------------------------------
     def canonical_str(self) -> str:
-        """Canonical rendering: fully expanded numerator and denominator with
-        monomials in the frozen order, e.g. ``(1 - u - v + u*v)/(1 - q - t^-1 + q*t^-1)``."""
+        """Fully expanded numerator and denominator with monomials in the
+        frozen order, e.g. ``(1 - u - v + u*v)/(1 - q - t^-1 + q*t^-1)``.
+
+        The value is expanded but not reduced, so equal values may print
+        differently; the same computation always prints the same string."""
         num, den = self.expanded()
         ns, ds = str(num), str(den)
         if ds == "1":
@@ -326,29 +260,29 @@ class RationalFunction:
 
 
 def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction:
-    """Build num/(dc * prod den) reduced by content and trial division."""
+    """Build num/(dc * prod den) reduced by content and trial division; den is
+    in key() order, and the remaining denominator keeps that order."""
     if num.is_zero():
-        return RationalFunction(0, 1, (), (), ())
+        return RationalFunction.from_int(0)
     c, mono, prim = num.primitive()
-    remaining: Dict[LaurentPoly, int] = dict(den)
-    for p in sorted(remaining, key=lambda t: t.key()):
-        while remaining[p]:
+    dfac = []
+    for p, k in den:
+        while k:
             if prim == p:
                 prim = LaurentPoly.const(1)
-                remaining[p] -= 1
-                continue
-            q = prim.divide_exact(p)
-            if q is None:
-                break
-            gq, mq, prim = q.primitive()
-            c *= gq
-            mono = mono_mul(mono, mq)
-            remaining[p] -= 1
-    dfac = tuple(sorted(((p, k) for p, k in remaining.items() if k), key=lambda t: t[0].key()))
-    nfac = () if prim.is_const() else ((prim, 1),)
+            else:
+                q = prim.divide_exact(p)
+                if q is None:
+                    break
+                gq, mq, prim = q.primitive()
+                c *= gq
+                mono = mono_mul(mono, mq)
+            k -= 1
+        if k:
+            dfac.append((p, k))
     if prim.is_const():
-        c *= prim.const_value()
-    return RationalFunction(c, dc, mono, nfac, dfac)
+        return RationalFunction(c * prim.const_value(), dc, mono, (), tuple(dfac))
+    return RationalFunction(c, dc, mono, ((prim, 1),), tuple(dfac))
 
 
 def rf(x) -> RationalFunction:
@@ -369,7 +303,7 @@ def rf_sum(values) -> RationalFunction:
     vals = [rf(v) for v in values]
     vals = [v for v in vals if v.nc != 0]
     if not vals:
-        return RationalFunction(0, 1, (), (), ())
+        return RationalFunction.from_int(0)
     if len(vals) == 1:
         return vals[0]
     den: Dict[LaurentPoly, int] = {}
@@ -382,13 +316,9 @@ def rf_sum(values) -> RationalFunction:
         dc = dc * v.dc // math.gcd(dc, v.dc)
     num = LaurentPoly({})
     for v in vals:
-        own = dict(v.dfac)
-        extra = [(p, den[p] - own.get(p, 0)) for p in den]
-        part = _expand(_factor_mul(v.nfac, tuple((p, k) for p, k in extra if k)))
-        part = part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
-        num = num + part
-    den_list = tuple(sorted(((p, k) for p, k in den.items() if k), key=lambda t: t[0].key()))
-    return _reduce_over(num, dc, den_list)
+        part = _expand(_split(_exponents(((v.nfac, 1), (v.dfac, -1)), den))[0])
+        num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
+    return _reduce_over(num, dc, _split(den)[0])
 
 
 def scalar_sum(values):
@@ -430,13 +360,8 @@ def rf_coefficient(f: RationalFunction, exponents: Dict[str, int]) -> RationalFu
     denominator (the coefficient would not be a polynomial section).
     """
     num, den = f.expanded()
-    wanted = {ALPHABET.index(name): k for name, k in exponents.items()}
-    if any(i in wanted for i in den.variables()):
+    names = tuple(exponents)
+    if set(den.group_by(names)) != {(0,) * len(names)}:
         raise ExactAlgError("denominator involves a coefficient-extraction variable")
-    picked: Dict[Monomial, int] = {}
-    for m, c in num.terms.items():
-        dm = dict(m)
-        if all(dm.get(i, 0) == k for i, k in wanted.items()):
-            rest = tuple((i, e) for i, e in m if i not in wanted)
-            picked[rest] = picked.get(rest, 0) + c
-    return RationalFunction.from_poly(LaurentPoly(picked)) / RationalFunction.from_poly(den)
+    picked = num.group_by(names).get(tuple(exponents.values()), LaurentPoly({}))
+    return RationalFunction.from_poly(picked) / RationalFunction.from_poly(den)

@@ -1,18 +1,15 @@
-"""Seeded random rational points and evaluation-mode identity checking.
+"""Seeded random rational points for evaluation-mode checks.
 
-Identity checking between rational functions is probabilistic in the
-Schwartz-Zippel style: equality is declared only after a configurable
-number of agreeing evaluations at distinct random rational points (all
-numerators and denominators bounded), with pole hits retried elsewhere.
+Evaluation-mode identity checks are probabilistic in the Schwartz-Zippel
+style: they compare values at distinct random rational points, all
+numerators and denominators bounded.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, Optional
-
-from .ratfun import PoleError, RationalFunction
+from typing import Dict, Iterable
 
 MAX_MAGNITUDE = 10 ** 6
 
@@ -47,28 +44,3 @@ class RationalSampler:
                     break
         return out
 
-
-def equal_by_evaluation(f: RationalFunction, g: RationalFunction,
-                        sampler: RationalSampler, trials: int = 3,
-                        names: Optional[Iterable[str]] = None) -> bool:
-    """True iff f and g agree at `trials` random pole-free points.
-
-    One-sided error: a True verdict is probabilistic, False is certain.
-    """
-    if names is None:
-        names = sorted(set(f.variables()) | set(g.variables()))
-    names = list(names)
-    agreed = 0
-    attempts = 0
-    while agreed < trials:
-        attempts += 1
-        if attempts > 50 * trials:
-            raise PoleError("persistent poles while sampling")
-        pt = sampler.point(names)
-        try:
-            if f.eval(pt) != g.eval(pt):
-                return False
-        except PoleError:
-            continue
-        agreed += 1
-    return True

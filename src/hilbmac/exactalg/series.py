@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
-from .poly import ALPHABET, LaurentPoly
+from .poly import LaurentPoly
 from .ratfun import RationalFunction, one_like
 
 
@@ -186,17 +186,8 @@ def expand_closed_form(f: RationalFunction, order: int) -> TruncatedSeries:
     error since the result is a power series.
     """
     num, den = f.expanded()
-    i_var = ALPHABET.index("Q")
-
-    def split(poly):
-        by_pow = {}
-        for m, c in poly.terms.items():
-            k = dict(m).get(i_var, 0)
-            rest = tuple((i, e) for i, e in m if i != i_var)
-            by_pow.setdefault(k, {})[rest] = c
-        return by_pow
-
-    nd, dd = split(num), split(den)
+    nd = {k: p for (k,), p in num.group_by(["Q"]).items()}
+    dd = {k: p for (k,), p in den.group_by(["Q"]).items()}
     if not dd:
         raise SeriesError("zero denominator")
     dmin = min(dd)
@@ -205,10 +196,7 @@ def expand_closed_form(f: RationalFunction, order: int) -> TruncatedSeries:
         raise SeriesError("negative valuation in Q: expression is not a power series")
 
     def coeff_rf(table, k):
-        d = table.get(k)
-        if not d:
-            return RationalFunction.from_int(0)
-        return RationalFunction.from_poly(LaurentPoly(d))
+        return RationalFunction.from_poly(table.get(k, LaurentPoly({})))
 
     shift = dmin
     a = TruncatedSeries([coeff_rf(nd, k + shift) for k in range(order + 1)])

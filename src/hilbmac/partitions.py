@@ -38,7 +38,7 @@ class CellStat(NamedTuple):
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    return all(isinstance(p, int) and p >= 1 for p in parts) and \
+    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and \
         all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 

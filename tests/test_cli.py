@@ -170,6 +170,13 @@ def test_verify_all_json_is_one_document(capsys):
      '{"basis": "m", "terms": [{"partition": [0], "coeff": "1"}]}'],
     ["symfun", "convert", "--to", "m", "--input",
      '{"basis": "m", "terms": [{"partition": [2.0], "coeff": "1"}]}'],
+    ["symfun", "convert", "--input",
+     '{"basis": "p", "terms": [{"partition": [2], "coeff": "1/0"}]}'],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "p", "terms": [{"partition": [2], "coeff": "1"}, '
+     '{"partition": [2], "coeff": "-1"}]}'],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "p", "terms": [{"partition": [true, 1], "coeff": "1"}]}'],
     ["symfun", "alpha", "--degree", "0"],
     ["symfun", "betagamma", "--degree", "-2"],
     ["toric-check", "--surface", "XX"],

@@ -210,6 +210,14 @@ def test_library_against_bruteforce(point):
         assert bf == closed_form_series(name, 5, point), name
 
 
+@pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+def test_library_scalars_agree_with_symbolic_evaluation(name, point):
+    at_point = closed_form_series(name, 4).map(lambda c: c.eval(point))
+    assert closed_form_series(name, 4, point) == at_point
+    partial = expand_closed_form(closed_form_library(name, q=point["q"], t=point["t"]), 4)
+    assert partial.map(lambda c: c.eval({"u": point["u"], "v": point["v"]})) == at_point
+
+
 # ---------------------------------------------------------------------------
 # connected correlators and the formal-QFT layer
 # ---------------------------------------------------------------------------
