@@ -15,9 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hilbmac.correlators import (bracket_bruteforce, closed_form_library,
-                                 closed_form_series, lambda_op, psi_op,
-                                 tilde_e_op)
+from hilbmac.correlators import (CLOSED_FORMS, bracket_bruteforce,
+                                 closed_form_library, closed_form_series,
+                                 operator_word)
 from hilbmac.exactalg import RationalSampler, expand_closed_form
 
 
@@ -32,23 +32,15 @@ def main() -> int:
     pt = sampler.point(["q", "t", "u", "v"])
     q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
 
-    words = {
-        "E1": ([tilde_e_op(1, q, t)], 1),
-        "E2": ([tilde_e_op(2, q, t)], 1),
-        "E1E1": ([tilde_e_op(1, q, t), tilde_e_op(1, q, t)], 1),
-        "Psi1": ([psi_op(1, q, t)], 1),
-        "Psi2": ([psi_op(2, q, t)], 1),
-        "Psi1sq": ([psi_op(1, q, t), psi_op(1, q, t)], 1),
-        "Lambda2": ([lambda_op(2, q, t)], 2),
-    }
     report = {"order": args.order,
               "point": {k: str(x) for k, x in sorted(pt.items())},
               "entries": []}
     all_ok = True
-    for name, (word, factor) in sorted(words.items()):
+    for name, (spec, multiple) in sorted(CLOSED_FORMS.items()):
         symbolic = expand_closed_form(closed_form_library(name), args.order)
         series = closed_form_series(name, args.order, pt)
-        brute = bracket_bruteforce(word, u, v, q, t, args.order, primed=True) * factor
+        brute = bracket_bruteforce(operator_word(spec, q, t), u, v, q, t, args.order,
+                                   primed=True) * multiple
         ok = brute == series
         all_ok = all_ok and ok
         report["entries"].append({

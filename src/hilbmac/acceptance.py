@@ -8,24 +8,26 @@ Orders are pinned; they are part of the contract, not tuning knobs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .correlators import (bracket_bruteforce, base_bracket_series,
+from .correlators import (CLOSED_FORMS, bracket_bruteforce, base_bracket_series,
                           base_bracket_z, closed_form_series,
                           connected_correlators, disconnected_from_connected,
-                          lambda_op, psi_op, tilde_e_op, vertex_correlator)
-from .exactalg.ratfun import RationalFunction
+                          operator_word, tilde_e_op, vertex_correlator)
+from .exactalg.ratfun import RationalFunction, generators
 from .exactalg.sampling import RationalSampler
-from .exactalg.series import TruncatedSeries, expand_closed_form
+from .exactalg.series import TruncatedSeries, expand_closed_form, first_difference
 from .hilbert import (BundleInsertion, chi_C2_series, chi_via_correlators,
                       load_surface, toric_correlator_checks,
                       verify_main_identity)
 from .macdonald import (MacdonaldTable, apply_E, b_norm, eigen_E,
                         specialize_eps, specialize_eps_via_p, sym_of_cells)
-from .partitions import (enumerate_partitions, goettsche_count_check,
+from .partitions import (dominates, enumerate_partitions, goettsche_count_check,
                          nekrasov_okounkov_check, partitions_upto)
 from .symfun import (alpha_coefficients, bc_product_check,
                      beta_gamma_coefficients, inner_product_qt)
@@ -39,15 +41,33 @@ class CriterionResult:
     detail: str = ""
 
 
+#: the gate, in order: (identifier, criterion taking (seed, trials))
+CRITERIA: List[Tuple[str, Callable[..., CriterionResult]]] = []
+
+
+def criterion(ident: str, name: str):
+    """Register a check as the gate criterion ident.  The check takes (seed,
+    trials) and returns (ok, detail); the registered criterion returns them
+    as a CriterionResult."""
+    def register(check: Callable[[int, int], Tuple[bool, str]]):
+        @functools.wraps(check)
+        def run(seed: int = 0, trials: int = 3) -> CriterionResult:
+            ok, detail = check(seed, trials)
+            return CriterionResult(ident, name, ok, detail)
+        CRITERIA.append((ident, run))
+        return run
+    return register
+
+
 def _mismatch(where: str, n, lhs, rhs) -> str:
     return f"{where}: order {n}: {lhs} != {rhs}"
 
 
 def _series_eq(a: TruncatedSeries, b: TruncatedSeries, where: str) -> Tuple[bool, str]:
-    for n in range(min(a.order, b.order) + 1):
-        if not a.coeffs[n] == b.coeffs[n]:
-            return False, _mismatch(where, n, a.coeffs[n], b.coeffs[n])
-    return True, ""
+    n = first_difference(a, b)
+    if n is None:
+        return True, ""
+    return False, _mismatch(where, n, a.coeffs[n], b.coeffs[n])
 
 
 def _points(seed: int, trials: int, names=("q", "t", "u", "v")) -> List[Dict[str, Fraction]]:
@@ -55,63 +75,59 @@ def _points(seed: int, trials: int, names=("q", "t", "u", "v")) -> List[Dict[str
     return [sampler.point(names) for _ in range(trials)]
 
 
-# --- C01 -------------------------------------------------------------------
-
-def c01_base_brackets(seed: int = 0, trials: int = 3) -> CriterionResult:
-    u, v = RationalFunction.var("u"), RationalFunction.var("v")
+@criterion("C01", "base brackets")
+def c01_base_brackets(seed, trials):
+    u, v = generators("u", "v")
     for k in range(-6, 7):
         closed = expand_closed_form(base_bracket_z(k), 8)
         direct = base_bracket_series(k, u, v, 8)
         ok, msg = _series_eq(closed, direct, f"z^{k}")
         if not ok:
-            return CriterionResult("C01", "base brackets", False, msg)
-    return CriterionResult("C01", "base brackets", True)
+            return ok, msg
+    return True, ""
 
 
-# --- C02..C04: one- and two-point closed forms -------------------------------
+# --- C02..C04, C06: closed forms against the brute-force sum -----------------
 
-def _closed_vs_bruteforce(ident, label, make_word, name, order, seed, trials,
-                          factor=1) -> CriterionResult:
-    for pt in _points(seed, trials):
-        q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
-        bf = bracket_bruteforce(make_word(q, t), u, v, q, t, order, primed=True)
-        if factor != 1:
-            bf = bf * factor
-        cf = closed_form_series(name, order, pt)
-        ok, msg = _series_eq(bf, cf, f"{label} at {pt}")
-        if not ok:
-            return CriterionResult(ident, label, False, msg)
-    return CriterionResult(ident, label, True)
+def _closed_vs_bruteforce(names, order: int, seed: int, trials: int) -> Tuple[bool, str]:
+    """Each named library entry against its word's brute-force normalized
+    bracket times the entry's multiple, at seeded points."""
+    for name in names:
+        spec, multiple = CLOSED_FORMS[name]
+        for pt in _points(seed, trials):
+            q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
+            bf = bracket_bruteforce(operator_word(spec, q, t), u, v, q, t, order, primed=True)
+            cf = closed_form_series(name, order, pt)
+            ok, msg = _series_eq(bf * multiple, cf, f"{name} at {pt}")
+            if not ok:
+                return ok, msg
+    return True, ""
 
 
-def c02_e1_bracket(seed: int = 0, trials: int = 3) -> CriterionResult:
-    res = _closed_vs_bruteforce("C02", "one-point weight-1 bracket",
-                                lambda q, t: [tilde_e_op(1, q, t)], "E1", 6, seed, trials)
-    if not res.ok:
-        return res
+@criterion("C02", "one-point weight-1 bracket")
+def c02_e1_bracket(seed, trials):
+    ok, msg = _closed_vs_bruteforce(("E1",), 6, seed, trials)
+    if not ok:
+        return ok, msg
     # symbolic at Q^4
-    q, t = RationalFunction.var("q"), RationalFunction.var("t")
-    u, v = RationalFunction.var("u"), RationalFunction.var("v")
+    q, t, u, v = generators("q", "t", "u", "v")
     bf = bracket_bruteforce([tilde_e_op(1, q, t)], u, v, q, t, 4, primed=True)
     cf = closed_form_series("E1", 4)
-    ok, msg = _series_eq(bf, cf, "symbolic")
-    return CriterionResult("C02", res.name, ok, msg)
+    return _series_eq(bf, cf, "symbolic")
 
 
-def c03_e2_bracket(seed: int = 0, trials: int = 3) -> CriterionResult:
-    return _closed_vs_bruteforce("C03", "one-point weight-2 bracket",
-                                 lambda q, t: [tilde_e_op(2, q, t)], "E2", 6, seed, trials)
+@criterion("C03", "one-point weight-2 bracket")
+def c03_e2_bracket(seed, trials):
+    return _closed_vs_bruteforce(("E2",), 6, seed, trials)
 
 
-def c04_e1e1_bracket(seed: int = 0, trials: int = 3) -> CriterionResult:
-    return _closed_vs_bruteforce("C04", "two-point weight-1 bracket",
-                                 lambda q, t: [tilde_e_op(1, q, t), tilde_e_op(1, q, t)],
-                                 "E1E1", 6, seed, trials)
+@criterion("C04", "two-point weight-1 bracket")
+def c04_e1e1_bracket(seed, trials):
+    return _closed_vs_bruteforce(("E1E1",), 6, seed, trials)
 
 
-# --- C05: engine vs oracle ---------------------------------------------------
-
-def c05_vertex_vs_bruteforce(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C05", "vertex engine vs brute force")
+def c05_vertex_vs_bruteforce(seed, trials):
     words = [(1,), (2,), (3,), (1, 1), (1, 2)]
     for pt in _points(seed, trials):
         q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
@@ -121,78 +137,55 @@ def c05_vertex_vs_bruteforce(seed: int = 0, trials: int = 3) -> CriterionResult:
             vx = vertex_correlator(word, u, v, q, t, 5)
             ok, msg = _series_eq(bf, vx, f"word {ws} at {pt}")
             if not ok:
-                return CriterionResult("C05", "vertex engine vs brute force", False, msg)
-    return CriterionResult("C05", "vertex engine vs brute force", True)
+                return ok, msg
+    return True, ""
 
 
-# --- C06: Adams/exterior one- and two-point forms ----------------------------
-
-def c06_psi_closed_forms(seed: int = 0, trials: int = 3) -> CriterionResult:
-    cases = [
-        ("Psi1", lambda q, t: [psi_op(1, q, t)], 1),
-        ("Psi2", lambda q, t: [psi_op(2, q, t)], 1),
-        ("Psi1sq", lambda q, t: [psi_op(1, q, t), psi_op(1, q, t)], 1),
-        ("Lambda2", lambda q, t: [lambda_op(2, q, t)], 2),
-    ]
-    for name, mk, factor in cases:
-        res = _closed_vs_bruteforce("C06", "power-operation closed forms",
-                                    mk, name, 5, seed, trials, factor=factor)
-        if not res.ok:
-            return res
-    return CriterionResult("C06", "power-operation closed forms", True)
+@criterion("C06", "power-operation closed forms")
+def c06_psi_closed_forms(seed, trials):
+    return _closed_vs_bruteforce(("Psi1", "Psi2", "Psi1sq", "Lambda2"), 5, seed, trials)
 
 
-# --- C07: Macdonald suite, exact symbolic ------------------------------------
-
-def c07_macdonald_suite(seed: int = 0, trials: int = 3) -> CriterionResult:
-    from .partitions import dominates
-    q, t = RationalFunction.var("q"), RationalFunction.var("t")
-    u = RationalFunction.var("u")
+@criterion("C07", "Macdonald suite")
+def c07_macdonald_suite(seed, trials):
+    q, t, u = generators("q", "t", "u")
     table = MacdonaldTable(q, t, degree_bound=6)
     for n in range(0, 7):
         parts = enumerate_partitions(n)
         for lam in parts:
             P = table.P(lam)
             if not P.terms.get(lam) == 1:
-                return CriterionResult("C07", "Macdonald suite", False,
-                                       f"unit leading coefficient fails at {lam}")
+                return False, f"unit leading coefficient fails at {lam}"
             for mu in P.terms:
                 if mu != lam and not dominates(lam, mu):
-                    return CriterionResult("C07", "Macdonald suite", False,
-                                           f"triangularity fails: {mu} in P_{lam}")
+                    return False, f"triangularity fails: {mu} in P_{lam}"
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
                 ip = inner_product_qt(table.P_in_p(lam), table.P_in_p(mu), q, t)
                 if lam == mu:
                     if not ip * b_norm(lam, q, t) == 1:
-                        return CriterionResult("C07", "Macdonald suite", False,
-                                               f"norm fails at {lam}")
+                        return False, f"norm fails at {lam}"
                 elif ip:
-                    return CriterionResult("C07", "Macdonald suite", False,
-                                           f"orthogonality fails at {lam}, {mu}")
+                    return False, f"orthogonality fails at {lam}, {mu}"
         for lam in parts:
             lhs = apply_E(table.P_in_p(lam), q, t)
             rhs = table.P_in_p(lam).scale(eigen_E(lam, q, t))
             if not lhs == rhs:
-                return CriterionResult("C07", "Macdonald suite", False,
-                                       f"eigenrelation fails at {lam}")
+                return False, f"eigenrelation fails at {lam}"
     for lam in partitions_upto(5):
         if not specialize_eps(lam, u, q, t) == specialize_eps_via_p(lam, u, table):
-            return CriterionResult("C07", "Macdonald suite", False,
-                                   f"specialization two-path fails at {lam}")
-    return CriterionResult("C07", "Macdonald suite", True)
+            return False, f"specialization two-path fails at {lam}"
+    return True, ""
 
 
-# --- C08: universal coefficient tables ----------------------------------------
-
-def c08_alpha_bc_tables(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C08", "alpha and b/c tables")
+def c08_alpha_bc_tables(seed, trials):
     al = alpha_coefficients(3)
     expected = {(1,): Fraction(1), (2,): Fraction(1), (1, 1): Fraction(-1, 2),
                 (3,): Fraction(1), (2, 1): Fraction(-1), (1, 1, 1): Fraction(1, 3)}
     for k, v in expected.items():
         if al[k] != v:
-            return CriterionResult("C08", "alpha and b/c tables", False,
-                                   f"alpha{k} = {al[k]} != {v}")
+            return False, f"alpha{k} = {al[k]} != {v}"
     q = RationalFunction.var("q")
     beta, gamma = beta_gamma_coefficients(4, q)
     # displayed b_1..b_4
@@ -211,8 +204,7 @@ def c08_alpha_bc_tables(seed: int = 0, trials: int = 3) -> CriterionResult:
     }
     for k, v in b_expect.items():
         if not beta[k] == v:
-            return CriterionResult("C08", "alpha and b/c tables", False,
-                                   f"beta{k} = {beta[k]} != {v}")
+            return False, f"beta{k} = {beta[k]} != {v}"
     # displayed c_1..c_4 magnitudes; the composite-term signs follow the
     # (-1)^{length} pattern forced by the recursion and the inverse-product
     # identity (the printed all-minus variants contradict both)
@@ -231,52 +223,41 @@ def c08_alpha_bc_tables(seed: int = 0, trials: int = 3) -> CriterionResult:
     }
     for k, v in c_expect.items():
         if not gamma[k] == v:
-            return CriterionResult("C08", "alpha and b/c tables", False,
-                                   f"gamma{k} = {gamma[k]} != {v}")
+            return False, f"gamma{k} = {gamma[k]} != {v}"
     if not bc_product_check(8):
-        return CriterionResult("C08", "alpha and b/c tables", False,
-                               "inverse-product identity fails at order 8")
-    return CriterionResult("C08", "alpha and b/c tables", True,
-                           "composite c-term signs follow the recursion")
+        return False, "inverse-product identity fails at order 8"
+    return True, "composite c-term signs follow the recursion"
 
 
-# --- C09: cell-multiset two-path ----------------------------------------------
-
-def c09_sym_of_cells(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C09", "cell-multiset two-path")
+def c09_sym_of_cells(seed, trials):
     for pt in _points(seed, trials, names=("q", "t")):
         q, t = pt["q"], pt["t"]
         for lam in partitions_upto(6):
-            for basis in ("e", "h", "p"):
+            for operation in ("lambda", "sigma", "psi"):
                 for k in (1, 2, 3):
-                    res = sym_of_cells(lam, basis, k, q, t)
-                    if not res.agree:
-                        return CriterionResult(
-                            "C09", "cell-multiset two-path", False,
-                            f"{basis}_{k} at {lam}: {res.value} != {res.formula_value}")
-    return CriterionResult("C09", "cell-multiset two-path", True)
+                    direct, formula = sym_of_cells(lam, operation, k, q, t)
+                    if not direct == formula:
+                        return False, f"{operation}^{k} at {lam}: {direct} != {formula}"
+    return True, ""
 
 
-# --- C10: the exponential identity --------------------------------------------
-
-def c10_main_identity(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C10", "exponential identity")
+def c10_main_identity(seed, trials):
     for pt in _points(seed, trials, names=("t1", "t2", "u", "v")):
         for A in [(0, 0), (1, 0), (2, -1)]:
             rep = verify_main_identity(A, 6, pt["u"], pt["v"], pt["t1"], pt["t2"])
             if not rep.ok:
-                return CriterionResult("C10", "exponential identity", False,
-                                       _mismatch(f"A={A} at {pt}", *rep.first_mismatch))
-    t1, t2 = RationalFunction.var("t1"), RationalFunction.var("t2")
-    u, v = RationalFunction.var("u"), RationalFunction.var("v")
+                return False, _mismatch(f"A={A} at {pt}", *rep.first_mismatch)
+    t1, t2, u, v = generators("t1", "t2", "u", "v")
     rep = verify_main_identity((0, 0), 3, u, v, t1, t2)
     if not rep.ok:
-        return CriterionResult("C10", "exponential identity", False,
-                               _mismatch("symbolic A=(0,0)", *rep.first_mismatch))
-    return CriterionResult("C10", "exponential identity", True)
+        return False, _mismatch("symbolic A=(0,0)", *rep.first_mismatch)
+    return True, ""
 
 
-# --- C11: the central theorem --------------------------------------------------
-
-def c11_central_theorem(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C11", "central theorem")
+def c11_central_theorem(seed, trials):
     weights = [(0, 0), (1, 0), (0, 1)]
     rng = random.Random(seed + 1)
     for pt in _points(seed, trials, names=("t1", "t2", "u", "v")):
@@ -296,44 +277,37 @@ def c11_central_theorem(seed: int = 0, trials: int = 3) -> CriterionResult:
             rhs = chi_via_correlators(ins, A, u, v, 5, t1, t2)
             ok, msg = _series_eq(lhs, rhs, f"ins={ins} A={A}")
             if not ok:
-                return CriterionResult("C11", "central theorem", False, msg)
-    return CriterionResult("C11", "central theorem", True)
+                return ok, msg
+    return True, ""
 
 
-# --- C12: toric checks -----------------------------------------------------------
-
-def c12_toric_checks(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C12", "toric surface checks")
+def c12_toric_checks(seed, trials):
     for pt in _points(seed, trials, names=("t1", "t2", "u", "v")):
         for name in ("P2", "P1xP1"):
             surf = load_surface(name)
             rep = toric_correlator_checks(surf, 3, pt["u"], pt["v"], pt["t1"], pt["t2"])
             if not rep.ok:
                 bad = ", ".join(k for k, s in rep.details.items() if s != "ok")
-                return CriterionResult("C12", "toric surface checks", False,
-                                       f"{name} at {pt}: {bad}")
-    return CriterionResult("C12", "toric surface checks", True)
+                return False, f"{name} at {pt}: {bad}"
+    return True, ""
 
 
-# --- C13: classical q-series -----------------------------------------------------
-
-def c13_classical_qseries(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C13", "classical q-series checks")
+def c13_classical_qseries(seed, trials):
     for m in (0, 1, 2, Fraction(1, 2)):
         if not nekrasov_okounkov_check(m, 6):
-            return CriterionResult("C13", "classical q-series checks", False,
-                                   f"hook-length identity fails at m={m}")
+            return False, f"hook-length identity fails at m={m}"
     if not goettsche_count_check(20):
-        return CriterionResult("C13", "classical q-series checks", False,
-                               "partition counts disagree with the Euler product")
-    return CriterionResult("C13", "classical q-series checks", True)
+        return False, "partition counts disagree with the Euler product"
+    return True, ""
 
 
-# --- C14: connected-correlator inversion ------------------------------------------
-
-def c14_connected_inversion(seed: int = 0, trials: int = 3) -> CriterionResult:
+@criterion("C14", "connected-correlator inversion")
+def c14_connected_inversion(seed, trials):
     rng = random.Random(seed)
     labels = ("w", "x", "y", "z")
     raw: Dict[Tuple, object] = {}
-    import itertools
     for r in range(1, 5):
         for combo in itertools.combinations(labels, r):
             raw[combo] = Fraction(rng.randint(1, 60), rng.randint(1, 60))
@@ -342,38 +316,17 @@ def c14_connected_inversion(seed: int = 0, trials: int = 3) -> CriterionResult:
     for a, b in itertools.combinations(labels, 2):
         expect = raw[(a, b)] - raw[(a,)] * raw[(b,)]
         if conn[(a, b)] != expect:
-            return CriterionResult("C14", "connected-correlator inversion", False,
-                                   f"two-point at ({a},{b})")
+            return False, f"two-point at ({a},{b})"
     back = disconnected_from_connected(conn)
     for w in raw:
         if back[w] != raw[w]:
-            return CriterionResult("C14", "connected-correlator inversion", False,
-                                   f"roundtrip at {w}")
+            return False, f"roundtrip at {w}"
     fwd = disconnected_from_connected({w: Fraction(rng.randint(1, 9)) for w in raw})
     conn2 = connected_correlators(fwd)
     for w in raw:
         if len(w) == 1 and conn2[w] != fwd[w]:
-            return CriterionResult("C14", "connected-correlator inversion", False,
-                                   f"one-point at {w}")
-    return CriterionResult("C14", "connected-correlator inversion", True)
-
-
-CRITERIA: List[Tuple[str, Callable[..., CriterionResult]]] = [
-    ("C01", c01_base_brackets),
-    ("C02", c02_e1_bracket),
-    ("C03", c03_e2_bracket),
-    ("C04", c04_e1e1_bracket),
-    ("C05", c05_vertex_vs_bruteforce),
-    ("C06", c06_psi_closed_forms),
-    ("C07", c07_macdonald_suite),
-    ("C08", c08_alpha_bc_tables),
-    ("C09", c09_sym_of_cells),
-    ("C10", c10_main_identity),
-    ("C11", c11_central_theorem),
-    ("C12", c12_toric_checks),
-    ("C13", c13_classical_qseries),
-    ("C14", c14_connected_inversion),
-]
+            return False, f"one-point at {w}"
+    return True, ""
 
 
 def run_all(seed: int = 1, trials: int = 3,

@@ -19,15 +19,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import acceptance
-from .correlators import (bracket_bruteforce, closed_form_series,
-                          identity_op, lambda_op, psi_op, sigma_op,
-                          tilde_e_op, vertex_correlator)
+from .correlators import (CLOSED_FORMS, OPERATORS, bracket_bruteforce,
+                          closed_form_series, operator_word, vertex_correlator)
 from .exactalg.ratfun import RationalFunction
 from .exactalg.sampling import RationalSampler
-from .exactalg.series import TruncatedSeries
+from .exactalg.series import TruncatedSeries, first_difference
 from .hilbert import (BundleInsertion, HilbertError, chi_C2_series, load_surface,
                       toric_correlator_checks, verify_main_identity)
 from .macdonald import (MacdonaldTable, b_norm, eigen_E_r, eigen_tildeE,
@@ -112,13 +111,12 @@ def parse_partition(text: str):
     return mu
 
 
-OPERATORS = {"E": tilde_e_op, "Psi": psi_op, "Lambda": lambda_op, "Sigma": sigma_op}
-
-
-def parse_word(text: str, q, t):
-    ops = []
+def parse_word(text: str) -> List[Tuple[str, int]]:
+    """A comma-separated operator word as (operator, weight) pairs; the
+    identity word is E0."""
     if text in ("1", "identity", ""):
-        return [identity_op(q, t)]
+        return [("E", 0)]
+    pairs = []
     for tok in text.split(","):
         tok = tok.strip()
         kind = tok.rstrip("0123456789")
@@ -131,8 +129,8 @@ def parse_word(text: str, q, t):
         m = int(num)
         if m < 1 and kind != "E":
             raise argparse.ArgumentTypeError(f"operator {tok!r} needs a weight >= 1")
-        ops.append(OPERATORS[kind](m, q, t))
-    return ops
+        pairs.append((kind, m))
+    return pairs
 
 
 def parse_insert(text: str) -> BundleInsertion:
@@ -169,7 +167,10 @@ def cmd_symfun(args) -> int:
                 raise ValueError(f"not a partition: {list(lam)}")
             if lam in terms:
                 raise ValueError(f"repeated partition: {list(lam)}")
-            terms[lam] = Fraction(term["coeff"])
+            coeff = term["coeff"]
+            if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
+                raise ValueError(f"coefficient must be a string or an integer: {coeff!r}")
+            terms[lam] = Fraction(coeff)
         g = basis_convert(SymmetricFunction(data["basis"], terms), args.to)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
@@ -185,8 +186,7 @@ def cmd_macdonald(args) -> int:
     if args.what == "P":
         if sum(mu) > M_DEGREE_BOUND:
             raise argparse.ArgumentTypeError(f"|mu| = {sum(mu)} exceeds {M_DEGREE_BOUND}")
-        table = MacdonaldTable(q, t, degree_bound=max(8, sum(mu)))
-        P = table.P(mu)
+        P = MacdonaldTable(q, t).P(mu)
         payload = {"basis": "m", "mu": list(mu), "terms": _terms_payload(P.terms)}
     elif args.what == "norm":
         payload = {"mu": list(mu), "b_norm": fmt_scalar(b_norm(mu, q, t))}
@@ -204,36 +204,26 @@ def cmd_macdonald(args) -> int:
 
 def cmd_correlate(args) -> int:
     mode = resolve_mode(args)
-    verified = []
     pt, bindings = _scalars(args, mode, ["q", "t", "u", "v"])
     q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
-    word = parse_word(args.word, q, t)
+    spec = parse_word(args.word)
+    word = operator_word(spec, q, t)
     series = bracket_bruteforce(word, u, v, q, t, args.order, primed=args.normalized)
-    if args.normalized or all(op.label.startswith("E") or op.label == "1" for op in word):
-        vx = vertex_correlator(word, u, v, q, t, args.order, primed=args.normalized)
-        if vx == series:
-            verified.append("vertex-engine")
-        else:
-            payload = {"error": "vertex engine disagrees with brute force",
-                       "word": args.word}
-            emit(payload, args)
+    if not vertex_correlator(word, u, v, q, t, args.order, primed=args.normalized) == series:
+        emit({"error": "vertex engine disagrees with brute force", "word": args.word}, args)
+        return 1
+    verified = ["vertex-engine"]
+    for name, (form_spec, multiple) in CLOSED_FORMS.items():
+        if not args.normalized or list(form_spec) != spec:
+            continue
+        cf = closed_form_series(name, args.order, None if mode == "symbolic" else pt)
+        bad = first_difference(cf, series * multiple)
+        if bad is not None:
+            emit({"error": "closed form disagrees", "order": bad,
+                  "bruteforce": fmt_scalar(series.coeffs[bad] * multiple),
+                  "closed_form": fmt_scalar(cf.coeffs[bad])}, args)
             return 1
-    lib_name = {"E1": "E1", "E2": "E2", "E1,E1": "E1E1", "Psi1": "Psi1",
-                "Psi2": "Psi2", "Psi1,Psi1": "Psi1sq"}.get(args.word)
-    if lib_name and args.normalized:
-        cf = closed_form_series(lib_name, args.order,
-                                None if mode == "symbolic" else pt)
-        if cf == series:
-            verified.append(f"closed-form:{lib_name}")
-        else:
-            first_bad = next(n for n in range(args.order + 1)
-                             if not cf.coeffs[n] == series.coeffs[n])
-            payload = {"error": "closed form disagrees",
-                       "order": first_bad,
-                       "bruteforce": fmt_scalar(series.coeffs[first_bad]),
-                       "closed_form": fmt_scalar(cf.coeffs[first_bad])}
-            emit(payload, args)
-            return 1
+        verified.append(f"closed-form:{name}")
     payload = {"word": args.word, "order": args.order, "mode": mode,
                "normalized": bool(args.normalized),
                "series": _series_payload(series),

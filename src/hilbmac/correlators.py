@@ -19,10 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
-from .macdonald import (cell_multiset, complete_of, eigen_tildeE,
-                        elementary_of, lambda_decomposition, power_of,
-                        psi_decomposition, sigma_decomposition)
+from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE
 from .partitions import Partition, cells, iter_partitions
+from .symfun import SymmetricFunction
 
 Word = Tuple["DiagonalOperator", ...]
 
@@ -61,27 +60,39 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t), expansion=(((r,), one_like(q)),))
 
 
-def _cell_op(label: str, decomposition, cell_function, m: int, q, t) -> DiagonalOperator:
-    """The operator with eigenvalue cell_function(cell multiset of mu, m),
-    expanded in the stabilized family by decomposition(m, q, t)."""
+def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
+    """The operator Psi^m, Lambda^m or Sigma^m of the power operation psi,
+    lambda or sigma: its eigenvalue at mu is the operation's symmetric
+    function of the cell multiset of mu, and its expansion in the stabilized
+    family is the operation's decomposition (macdonald.POWER_OPERATIONS)."""
     q, t = exact_scalars(q, t)
+    cell_function, decomposition = POWER_OPERATIONS[operation]
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
     return DiagonalOperator(
-        f"{label}{m}", lambda mu: cell_function(cell_multiset(mu, q, t), m),
+        f"{operation.capitalize()}{m}", lambda mu: cell_function(cell_multiset(mu, q, t), m),
         expansion=expansion)
 
 
 def psi_op(m: int, q, t) -> DiagonalOperator:
-    return _cell_op("Psi", psi_decomposition, power_of, m, q, t)
+    return power_op("psi", m, q, t)
 
 
 def lambda_op(m: int, q, t) -> DiagonalOperator:
-    return _cell_op("Lambda", lambda_decomposition, elementary_of, m, q, t)
+    return power_op("lambda", m, q, t)
 
 
 def sigma_op(m: int, q, t) -> DiagonalOperator:
-    return _cell_op("Sigma", sigma_decomposition, complete_of, m, q, t)
+    return power_op("sigma", m, q, t)
+
+
+#: operator name in a word -> its constructor (weight, q, t)
+OPERATORS = {"E": tilde_e_op, "Psi": psi_op, "Lambda": lambda_op, "Sigma": sigma_op}
+
+
+def operator_word(spec: Sequence[Tuple[str, int]], q, t) -> List[DiagonalOperator]:
+    """The operators of a word given as (operator name, weight) pairs."""
+    return [OPERATORS[name](m, q, t) for name, m in spec]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,17 @@ def vertex_correlator(word: Sequence[DiagonalOperator], u, v, q, t,
 # closed-form library
 # ---------------------------------------------------------------------------
 
-CLOSED_FORM_NAMES = ("E1", "E2", "E1E1", "Psi1", "Psi2", "Psi1sq", "Lambda2")
+#: library entry -> (its operator word as (operator, weight) pairs, the
+#: multiple of the word's normalized bracket that the entry is)
+CLOSED_FORMS = {
+    "E1": ((("E", 1),), 1),
+    "E2": ((("E", 2),), 1),
+    "E1E1": ((("E", 1), ("E", 1)), 1),
+    "Psi1": ((("Psi", 1),), 1),
+    "Psi2": ((("Psi", 2),), 1),
+    "Psi1sq": ((("Psi", 1), ("Psi", 1)), 1),
+    "Lambda2": ((("Lambda", 2),), 2),
+}
 
 
 def closed_form_library(name: str, q=None, t=None, u=None, v=None) -> RationalFunction:
@@ -390,7 +411,7 @@ def closed_form_library(name: str, q=None, t=None, u=None, v=None) -> RationalFu
         return psi1 ** 2 - c2 + c2 * one_minus ** 2 \
             + (2 + 2 * u * q * ti * Q) * c2 * x0
     raise CorrelatorError(f"unknown closed form {name!r}; "
-                          f"known: {', '.join(CLOSED_FORM_NAMES)}")
+                          f"known: {', '.join(CLOSED_FORMS)}")
 
 
 def closed_form_series(name: str, order: int,
@@ -468,18 +489,6 @@ class FqftResult:
     G: Dict[Tuple, object]
 
 
-def _poly_mul_trunc(a: Dict[Tuple, object], b: Dict[Tuple, object], D: int):
-    out: Dict[Tuple, object] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            if len(ka) + len(kb) > D:
-                continue
-            k = tuple(sorted(ka + kb))
-            v = va * vb
-            out[k] = out.get(k, v * 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
 def _multiplicity_factorials(key: Tuple) -> Fraction:
     """prod over the labels of a sorted word of (multiplicity)!: the
     multinomial factor between a correlator and its Z coefficient."""
@@ -505,19 +514,13 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
         key = tuple(sorted(word))
         v = val * (1 / _multiplicity_factorials(key))
         Z[key] = Z.get(key, v * 0) + v
-    # F = log Z = sum (-1)^{k-1} (Z-1)^k / k
-    zminus = {k: v for k, v in Z.items() if k != ()}
-    F: Dict[Tuple, object] = {}
-    power: Dict[Tuple, object] = {(): Fraction(1)}
-    for k in range(1, D + 1):
-        power = _poly_mul_trunc(power, zminus, D)
-        if not power:
-            break
-        c = Fraction((-1) ** (k - 1), k)
-        for key, v in power.items():
-            w = v * c
-            F[key] = F.get(key, w * 0) + w
-    F = {k: v for k, v in F.items() if v}
+    # F = log Z as a series graded by word length; a sorted word reversed
+    # is a p-basis key, and p-basis products merge keys as words multiply
+    grades: List[Dict[Tuple, object]] = [{} for _ in range(D + 1)]
+    for key, v in Z.items():
+        grades[len(key)][key[::-1]] = v
+    log = TruncatedSeries([SymmetricFunction("p", g) for g in grades]).log()
+    F = {key[::-1]: v for g in log.coeffs for key, v in g.terms.items()}
     G = {key: v * (len(key) - 1) for key, v in F.items()}
     return FqftResult(Z=Z, F=F, G={k: v for k, v in G.items() if v})
 

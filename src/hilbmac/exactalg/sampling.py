@@ -7,11 +7,20 @@ numerators and denominators bounded.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable
 
 MAX_MAGNITUDE = 10 ** 6
+
+
+def _dependent(x: Fraction, y: Fraction) -> bool:
+    """Whether x^i = y^j for some 0 < i <= 12 and integer j (x, y > 0,
+    y != 1): the candidate j/i is the fraction closest to the log ratio, and
+    one exact comparison confirms it."""
+    r = Fraction(math.log(x) / math.log(y)).limit_denominator(12)
+    return x ** r.denominator == y ** r.numerator
 
 
 class RationalSampler:
@@ -33,13 +42,15 @@ class RationalSampler:
                 return f
 
     def point(self, names: Iterable[str]) -> Dict[str, Fraction]:
-        out = {}
-        used = set()
+        """One value per name.  A value multiplicatively dependent on an
+        earlier one (equal to it, say) is drawn again: a monomial
+        x^i y^-j = 1 in two coordinates would put the point on a pole of the
+        brackets' cell weights 1 - q^a t^b."""
+        out: Dict[str, Fraction] = {}
         for n in names:
             while True:
                 f = self.fraction()
-                if f not in used:
-                    used.add(f)
+                if not any(_dependent(f, g) for g in out.values()):
                     out[n] = f
                     break
         return out

@@ -9,7 +9,7 @@ to the smaller order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .poly import LaurentPoly
 from .ratfun import RationalFunction, one_like
@@ -120,8 +120,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = self._align(other)
-        return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+        return first_difference(self, other) is None
 
     __hash__ = None
 
@@ -157,6 +156,12 @@ class TruncatedSeries:
 
     def __repr__(self):
         return "Series[" + ", ".join(str(c) for c in self.coeffs) + "]"
+
+
+def first_difference(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:
+    """The lowest power, up to the smaller order, where a and b differ; None
+    if they agree there."""
+    return next((n for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if not x == y), None)
 
 
 def _divide(a, b):

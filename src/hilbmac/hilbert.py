@@ -21,12 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .correlators import (bracket_one_closed, partition_series, psi_op,
+from .correlators import (bracket_one_closed, partition_series, power_op,
                           vertex_correlator)
 from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, rf,
                               scalar_sum)
-from .exactalg.series import TruncatedSeries, geometric
-from .macdonald import complete_of, elementary_of
+from .exactalg.series import TruncatedSeries, first_difference, geometric
+from .macdonald import POWER_OPERATIONS
 from .partitions import Partition, cells, iter_partitions
 
 Weight = Tuple[int, int]
@@ -46,7 +46,7 @@ class BundleInsertion:
     A: Weight
 
     def __post_init__(self):
-        if self.operation not in ("psi", "lambda", "sigma"):
+        if self.operation not in POWER_OPERATIONS:
             raise HilbertError(f"unknown operation {self.operation!r}")
         if self.m < 1:
             raise HilbertError("m must be >= 1")
@@ -114,19 +114,13 @@ def bundle_weights(lam: Partition, A: Weight, t1, t2) -> List:
 
 
 def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
-    """Character of the power operation applied to the fiber at I_lam.
-
-    Adams operations scale exponents m-fold; exterior and symmetric powers
-    are the elementary/complete symmetric functions of the finite weight
-    multiset (the generating-series relations between the three families are
-    a test, not the implementation).
+    """Character of the power operation applied to the fiber at I_lam: the
+    operation's power-sum, elementary or complete symmetric function of the
+    finite weight multiset (the generating-series relations between the three
+    families are a test, not the implementation).
     """
-    ws = bundle_weights(lam, ins.A, t1, t2)
-    if ins.operation == "psi":
-        return scalar_sum([w ** ins.m for w in ws])
-    if ins.operation == "lambda":
-        return elementary_of(ws, ins.m)
-    return complete_of(ws, ins.m)
+    cell_function = POWER_OPERATIONS[ins.operation][0]
+    return cell_function(bundle_weights(lam, ins.A, t1, t2), ins.m)
 
 
 def twist_factor(lam: Partition, A: Weight, u, v, t1, t2):
@@ -179,10 +173,10 @@ def verify_main_identity(A: Weight, order: int, u, v, t1, t2) -> VerifyReport:
     u, v, t1, t2 = exact_scalars(u, v, t1, t2)
     lhs = chi_C2_series([], A, u, v, order, t1, t2)
     rhs = main_identity_rhs(A, u, v, order, t1, t2)
-    for n in range(order + 1):
-        if not lhs.coeffs[n] == rhs.coeffs[n]:
-            return VerifyReport(False, (n, lhs.coeffs[n], rhs.coeffs[n]))
-    return VerifyReport(True)
+    n = first_difference(lhs, rhs)
+    if n is None:
+        return VerifyReport(True)
+    return VerifyReport(False, (n, lhs.coeffs[n], rhs.coeffs[n]))
 
 
 def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
@@ -191,13 +185,13 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
 
     Under q = t2, t = t1^{-1} and the twisted parameters (u t^A, v t^{-A}),
     the series is the monomial prefactor prod t1^{m_j a_j} t2^{m_j b_j} times
-    the unnormalized bracket of the corresponding Adams-operator word.
-    Agreement with chi_C2_series is the library's central theorem check.
+    the unnormalized bracket of the word of the insertions' operators
+    Psi^m, Lambda^m, Sigma^m: the fiber weights are t1^a t2^b times the cell
+    multiset, and each of p_m, e_m, h_m of that shift is t1^{ma} t2^{mb}
+    times its value on the cells.  Agreement with chi_C2_series is the
+    library's central theorem check.
     """
     u, v, t1, t2 = exact_scalars(u, v, t1, t2)
-    for ins in insertions:
-        if ins.operation != "psi":
-            raise HilbertError("the correlator bridge takes Adams-type insertions")
     q = t2
     t = 1 / t1
     tA = _mono(t1, t2, twist_A)
@@ -206,7 +200,7 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
     word = []
     pref = one_like(t1)
     for ins in insertions:
-        word.append(psi_op(ins.m, q, t))
+        word.append(power_op(ins.operation, ins.m, q, t))
         pref = pref * t1 ** (ins.m * ins.A[0]) * t2 ** (ins.m * ins.A[1])
     raw = vertex_correlator(word, u2, v2, q, t, order, primed=False)
     return raw * pref
@@ -320,11 +314,11 @@ def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction,
 class ToricInsertion:
     """Generating-series insertion of one bundle with a marker variable."""
     bundle: str
-    kind: str      # exterior | symmetric
+    operation: str      # lambda | sigma
 
     def __post_init__(self):
-        if self.kind not in ("exterior", "symmetric"):
-            raise HilbertError(f"unknown insertion kind {self.kind!r}")
+        if self.operation not in ("lambda", "sigma"):
+            raise HilbertError(f"unknown insertion operation {self.operation!r}")
 
 
 MarkerKey = Tuple[int, ...]
@@ -356,8 +350,8 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
                     raise HilbertError(f"missing bundle weight {ins.bundle!r} at a fixed point")
                 wB = _mono(t1, t2, point.bundles[ins.bundle])
                 ws = [wB * w for w in cell_ws]
-                fn = elementary_of if ins.kind == "exterior" else complete_of
-                per_bundle.append([fn(ws, kk) for kk in range(marker_cap + 1)])
+                cell_function = POWER_OPERATIONS[ins.operation][0]
+                per_bundle.append([cell_function(ws, kk) for kk in range(marker_cap + 1)])
             for key in _marker_keys(len(insertions), marker_cap):
                 factor = base
                 for j, kj in enumerate(key):
@@ -449,8 +443,8 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> Toric
     qpref = Q * (1 - TruncatedSeries.gen(order, zero)) * (1 - u) * (1 - v) \
         * (one - Q * (u * v)) * geo_uQ * geo_uQ
 
-    graded = toric_chi_series(surface, [ToricInsertion(L1, "exterior"),
-                                        ToricInsertion(L2, "exterior")],
+    graded = toric_chi_series(surface, [ToricInsertion(L1, "lambda"),
+                                        ToricInsertion(L2, "lambda")],
                               None, u, v, order, t1, t2, marker_cap=2)
     base = graded[(0, 0)]
     r_x1 = graded[(1, 0)] / base

@@ -9,17 +9,14 @@ evaluation mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .partitions import Partition, cells, enumerate_partitions
-from .symfun import (SymmetricFunction, alpha_coefficients,
+from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, basis_convert, merge_parts, to_p)
-
-DEFAULT_DEGREE_BOUND = 8
 
 
 class MacdonaldError(ValueError):
@@ -99,7 +96,7 @@ class MacdonaldTable:
     the test suite checks directly against <.,.>_{q,t}.
     """
 
-    def __init__(self, q, t, degree_bound: int = DEFAULT_DEGREE_BOUND):
+    def __init__(self, q, t, degree_bound: int = M_DEGREE_BOUND):
         q, t = exact_scalars(q, t)
         self.q = q
         self.t = t
@@ -295,16 +292,6 @@ def eigen_E_r(mu: Partition, r: int, q, t):
 # symmetric functions of the cell multiset: direct and universal-formula paths
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwoPathValue:
-    value: object          # direct over cells
-    formula_value: object  # through the stabilized-family decomposition
-
-    @property
-    def agree(self) -> bool:
-        return self.value == self.formula_value
-
-
 def _e_tail_shifted(r: int, t):
     """e_r(1, t^{-1}, t^{-2}, ...) = e_r(t^{-1},...) + e_{r-1}(t^{-1},...)."""
     out = euler_tail(r, t)
@@ -313,33 +300,26 @@ def _e_tail_shifted(r: int, t):
     return out
 
 
-def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
-    """k-th elementary/complete/power symmetric function of the cell multiset,
-    computed directly and through the decomposition in the stabilized family
-    that the Lambda/Sigma/Psi operators hand to the vertex engine, each
-    E~-word evaluated by eigen_tildeE."""
+def sym_of_cells(lam: Partition, operation: str, k: int, q, t) -> Tuple[object, object]:
+    """The symmetric function of the power operation (psi: p_k, lambda: e_k,
+    sigma: h_k) of the cell multiset, as the pair (direct over the cells,
+    through the decomposition in the stabilized family that the operator
+    hands to the vertex engine, each E~-word evaluated by eigen_tildeE)."""
     q, t = exact_scalars(q, t)
-    if k < 0:
-        raise MacdonaldError("k must be >= 0")
-    values = cell_multiset(lam, q, t)
-    if basis == "e":
-        direct, decomposition = elementary_of(values, k), lambda_decomposition
-    elif basis == "h":
-        direct, decomposition = complete_of(values, k), sigma_decomposition
-    elif basis == "p":
-        if k == 0:
-            raise MacdonaldError("p_0 of the cell multiset is not defined")
-        direct, decomposition = power_of(values, k), psi_decomposition
-    else:
-        raise MacdonaldError(f"unknown basis {basis!r}")
+    if operation not in POWER_OPERATIONS:
+        raise MacdonaldError(f"unknown operation {operation!r}")
+    if k < 0 or (k == 0 and operation == "psi"):
+        raise MacdonaldError(f"{operation}^{k} of the cell multiset is not defined")
+    cell_function, decomposition = POWER_OPERATIONS[operation]
+    direct = cell_function(cell_multiset(lam, q, t), k)
     if k == 0:
-        return TwoPathValue(direct, one_like(q))
+        return direct, one_like(q)
     terms, formula = decomposition(k, q, t)
     for c, mu in terms:
         for part in mu:
             c = c * eigen_tildeE(lam, part, q, t)
         formula = formula + c
-    return TwoPathValue(direct, formula)
+    return direct, formula
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +327,7 @@ def sym_of_cells(lam: Partition, basis: str, k: int, q, t) -> TwoPathValue:
 # ---------------------------------------------------------------------------
 
 def psi_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], object]:
-    """Adams-type operator as a weighted polynomial in the stabilized family:
+    """Adams operator as a weighted polynomial in the stabilized family:
 
         Psi^m = (-1)^m m t^m/(1-q^m) sum_{|lam|=m} alpha_lam E~^lam
                 + 1/((1-q^m)(1-t^{-m})).
@@ -393,3 +373,10 @@ def _power_decomposition(m: int, q, t, symmetric: bool):
                 acc[mu] = acc.get(mu, c * 0) + c
     const = acc.pop((), Fraction(0))
     return [(c, mu) for mu, c in sorted(acc.items())], const
+
+
+#: power operation -> (its symmetric function of a finite multiset, its
+#: operator's decomposition in the stabilized family)
+POWER_OPERATIONS = {"psi": (power_of, psi_decomposition),
+                    "lambda": (elementary_of, lambda_decomposition),
+                    "sigma": (complete_of, sigma_decomposition)}

@@ -57,14 +57,14 @@ def test_C09_cell_multiset_two_path():
 
 
 def test_C09_guards_the_decomposition_the_engine_uses(monkeypatch):
-    from hilbmac import macdonald
-    decompose = macdonald.lambda_decomposition
+    from hilbmac.macdonald import POWER_OPERATIONS
+    cell_function, decompose = POWER_OPERATIONS["lambda"]
 
     def off_by_one(m, q, t):
         terms, const = decompose(m, q, t)
         return terms, const + 1
 
-    monkeypatch.setattr(macdonald, "lambda_decomposition", off_by_one)
+    monkeypatch.setitem(POWER_OPERATIONS, "lambda", (cell_function, off_by_one))
     assert not acceptance.c09_sym_of_cells(seed=1, trials=3).ok
 
 

@@ -65,6 +65,24 @@ def test_correlate_evaluate_mode_reports_bindings(capsys):
     assert "closed-form:E1E1" in data["verified_against"]
 
 
+def test_unnormalized_power_operator_word_is_checked_by_the_engine(capsys):
+    code, out = run_cli(capsys, ["correlate", "--word", "Psi2", "--order", "2"])
+    assert code == 0
+    assert json.loads(out)["verified_against"] == ["vertex-engine"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--only", "C02,C12", "--seed", "69"],
+    ["correlate", "--word", "E1", "--order", "6", "--mode", "evaluate", "--seed", "69",
+     "--normalized"],
+])
+def test_seed_that_drew_a_pole_point_passes(capsys, argv):
+    """RationalSampler(69, magnitude=40) once drew q = 1/2 and t = 2, a pole
+    of the brute-force cell weights."""
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+
+
 def test_determinism_byte_identical(capsys):
     args = ["correlate", "--word", "Psi1", "--order", "6", "--normalized",
             "--seed", "3"]
@@ -191,6 +209,11 @@ def test_verify_all_json_is_one_document(capsys):
     ["macdonald", "norm", "--mu", "2", "--trials", "4"],
     ["chi", "--order", "1", "--trials", "4"],
     ["correlate", "--word", "E1", "--order", "1", "--trials", "4"],
+    # a coefficient is a JSON string or integer, never a bool or a float
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "p", "terms": [{"partition": [2], "coeff": true}]}'],
+    ["symfun", "convert", "--to", "m", "--input",
+     '{"basis": "p", "terms": [{"partition": [2], "coeff": 0.1}]}'],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import hilbmac
 from hilbmac import correlators
-from hilbmac.correlators import (CLOSED_FORM_NAMES, CorrelatorError,
+from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  DiagonalOperator, base_bracket_series,
                                  base_bracket_z, bracket_bruteforce,
                                  bracket_one_closed, closed_form_library,
@@ -180,7 +181,7 @@ def test_lambda_sigma_words(point):
 # ---------------------------------------------------------------------------
 
 def test_library_names_and_errors():
-    for name in CLOSED_FORM_NAMES:
+    for name in CLOSED_FORMS:
         closed_form_library(name)
     with pytest.raises(CorrelatorError):
         closed_form_library("Psi7")
@@ -210,7 +211,7 @@ def test_library_against_bruteforce(point):
         assert bf == closed_form_series(name, 5, point), name
 
 
-@pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
 def test_library_scalars_agree_with_symbolic_evaluation(name, point):
     at_point = closed_form_series(name, 4).map(lambda c: c.eval(point))
     assert closed_form_series(name, 4, point) == at_point
@@ -282,6 +283,25 @@ def test_fqft_entropy_and_roundtrip():
     # G = sum (deg - 1) F-coefficient; degree-1 terms drop out
     assert ("a",) not in res.G
     assert res.G[("a", "b")] == res.F[("a", "b")]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "rational_function"])
+def test_free_energy_generates_connected_correlators(kind):
+    """F = log Z against the set-partition inversion: the coefficient of a
+    sorted word w in F times prod (multiplicity)! is the connected correlator
+    of w, for words with repeated labels."""
+    rng = random.Random(5)
+    table = {}
+    for r in range(1, 4):
+        for w in itertools.combinations_with_replacement(("a", "b", "c"), r):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            table[w] = c if kind == "fraction" else c * qs ** rng.randint(0, 2) + ts
+    F = fqft_layer(table, 3).F
+    for w, conn in connected_correlators(table).items():
+        mult = 1
+        for label in set(w):
+            mult *= math.factorial(w.count(label))
+        assert F.get(w, 0) * mult == conn, w
 
 
 def test_oracle_equivalence_all_short_words(point):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -222,6 +223,36 @@ def test_sampler_determinism_and_bounds():
                for f in a.values())
     with pytest.raises(ValueError):
         RationalSampler(1, magnitude=10 ** 7)
+
+
+PRIMES_TO_40 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _prime_exponents(f: Fraction):
+    """The exponent of each prime up to 40 in f (numerator minus denominator)."""
+    out = []
+    for p in PRIMES_TO_40:
+        e, n, d = 0, f.numerator, f.denominator
+        while n % p == 0:
+            n, e = n // p, e + 1
+        while d % p == 0:
+            d, e = d // p, e - 1
+        out.append(e)
+    return out
+
+
+def test_sampled_points_have_no_multiplicatively_dependent_pair():
+    """x^i = y^j for some (i, j) != (0, 0) exactly when the prime-exponent
+    vectors of x and y are parallel.  No two coordinates of a gate point may
+    be so related, or the point can sit on a pole 1 - q^a t^b = 0."""
+    for seed in range(1000):
+        sampler = RationalSampler(seed, magnitude=40)
+        for _ in range(3):
+            values = list(sampler.point(["q", "t", "u", "v"]).values())
+            for x, y in itertools.combinations(values, 2):
+                ex, ey = _prime_exponents(x), _prime_exponents(y)
+                assert any(ex[a] * ey[b] != ex[b] * ey[a]
+                           for a, b in itertools.combinations(range(len(ex)), 2)), (seed, x, y)
 
 
 def test_exponent_overflow_guard():

@@ -112,6 +112,9 @@ def test_central_bridge_cases(pt):
         ([BundleInsertion("psi", 2, (1, 0))], (0, 1)),
         ([BundleInsertion("psi", 1, (1, 1))], (1, 0)),
         ([BundleInsertion("psi", 1, (1, 0)), BundleInsertion("psi", 2, (0, 1))], (1, 1)),
+        ([BundleInsertion("lambda", 2, (0, 0))], (0, 0)),
+        ([BundleInsertion("sigma", 2, (1, 0))], (1, 0)),
+        ([BundleInsertion("lambda", 1, (1, 0)), BundleInsertion("sigma", 2, (0, 0))], (1, 0)),
     ]
     for ins, A in cases:
         lhs = chi_C2_series(ins, A, u, v, 4, t1, t2)
@@ -123,13 +126,6 @@ def test_plain_operation_is_gone():
     """The bundle itself is psi^1; there is no separate operation for it."""
     with pytest.raises(HilbertError):
         BundleInsertion("plain", 1, (0, 0))
-
-
-def test_bridge_rejects_non_adams_insertions(pt):
-    t1, t2, u, v = pt["t1"], pt["t2"], pt["u"], pt["v"]
-    with pytest.raises(HilbertError):
-        chi_via_correlators([BundleInsertion("lambda", 2, (0, 0))],
-                            (0, 0), u, v, 3, t1, t2)
 
 
 def test_psi1_closed_form_times_normalization(pt):
@@ -231,7 +227,7 @@ def test_toric_multiplicativity(pt):
 def test_exterior_insertion_markers(pt):
     t1, t2, u, v = pt["t1"], pt["t2"], pt["u"], pt["v"]
     P2 = load_surface("P2")
-    graded = toric_chi_series(P2, [ToricInsertion("L1", "exterior")],
+    graded = toric_chi_series(P2, [ToricInsertion("L1", "lambda")],
                               None, u, v, 2, t1, t2, marker_cap=2)
     assert set(graded) == {(0,), (1,), (2,)}
     # Q^0: only the empty partition tuple; exterior powers of rank 0 vanish
@@ -242,9 +238,9 @@ def test_exterior_insertion_markers(pt):
 def test_symmetric_insertion_differs_from_exterior(pt):
     t1, t2, u, v = pt["t1"], pt["t2"], pt["u"], pt["v"]
     C2 = load_surface("C2")
-    ext = toric_chi_series(C2, [ToricInsertion("L1", "exterior")],
+    ext = toric_chi_series(C2, [ToricInsertion("L1", "lambda")],
                            None, u, v, 2, t1, t2, marker_cap=2)
-    sym = toric_chi_series(C2, [ToricInsertion("L1", "symmetric")],
+    sym = toric_chi_series(C2, [ToricInsertion("L1", "sigma")],
                            None, u, v, 2, t1, t2, marker_cap=2)
     assert ext[(1,)] == sym[(1,)]          # e_1 = h_1
     assert not (ext[(2,)] == sym[(2,)])    # e_2 != h_2 on rank >= 2 fibers
@@ -255,7 +251,7 @@ def test_missing_bundle_error(pt):
     bare = surface_from_dict("bare", {"fixed_points": [
         {"tangent": [[1, 0], [0, 1]], "bundles": {}}]})
     with pytest.raises(HilbertError):
-        toric_chi_series(bare, [ToricInsertion("L1", "exterior")],
+        toric_chi_series(bare, [ToricInsertion("L1", "lambda")],
                          None, u, v, 2, t1, t2)
 
 
@@ -304,7 +300,7 @@ def test_single_chart_lambda1_reduces_to_closed_form(pt):
     t1, t2, u, v = pt["t1"], pt["t2"], pt["u"], pt["v"]
     chart = surface_from_dict("chart", {"fixed_points": [
         {"tangent": [[1, 0], [0, 1]], "bundles": {"L1": [1, 1]}}]})
-    graded = toric_chi_series(chart, [ToricInsertion("L1", "exterior")],
+    graded = toric_chi_series(chart, [ToricInsertion("L1", "lambda")],
                               None, u, v, 3, t1, t2, marker_cap=1)
     ratio = graded[(1,)] / graded[(0,)]
     q, t = t2, 1 / t1

@@ -277,25 +277,25 @@ def test_finite_coefficient_against_direct_expansion():
 # ---------------------------------------------------------------------------
 
 def test_sym_of_cells_examples():
-    assert sym_of_cells((), "e", 1, q, t).value == 0
-    assert sym_of_cells((1,), "p", 1, q, t).value == 1
-    r = sym_of_cells((2, 1), "p", 1, q, t)
-    assert r.value == 1 + q + t ** -1
-    assert r.agree
+    assert sym_of_cells((), "lambda", 1, q, t)[0] == 0
+    assert sym_of_cells((1,), "psi", 1, q, t)[0] == 1
+    direct, formula = sym_of_cells((2, 1), "psi", 1, q, t)
+    assert direct == 1 + q + t ** -1
+    assert direct == formula
 
 
 def test_sym_of_cells_two_path_symbolic_small():
     for lam in partitions_upto(3):
-        for basis in ("e", "h", "p"):
-            res = sym_of_cells(lam, basis, 2, q, t)
-            assert res.agree, (lam, basis)
+        for operation in ("lambda", "sigma", "psi"):
+            direct, formula = sym_of_cells(lam, operation, 2, q, t)
+            assert direct == formula, (lam, operation)
 
 
 def test_sym_of_cells_rejects_bad_input():
     with pytest.raises(MacdonaldError):
         sym_of_cells((1,), "x", 1, q, t)
     with pytest.raises(MacdonaldError):
-        sym_of_cells((1,), "p", 0, q, t)
+        sym_of_cells((1,), "psi", 0, q, t)
 
 
 def test_psi_decomposition_displays():

@@ -68,7 +68,7 @@ FLOAT_CALLS = {
     "psi_decomposition": lambda: hb.psi_decomposition(1, F, 3),
     "specialize_eps": lambda: hb.specialize_eps((1,), F, 2, 3),
     "specialize_eps_via_p": lambda: specialize_eps_via_p((1,), F, hb.MacdonaldTable(2, 3)),
-    "sym_of_cells": lambda: hb.sym_of_cells((1,), "e", 1, F, 3),
+    "sym_of_cells": lambda: hb.sym_of_cells((1,), "lambda", 1, F, 3),
     "bracket_bruteforce": lambda: hb.bracket_bruteforce([], F, 2, 3, 5, 1),
     "base_bracket_z": lambda: hb.base_bracket_z(1, F),
     "tilde_e_op": lambda: hb.tilde_e_op(1, F, 3),
@@ -80,7 +80,7 @@ FLOAT_CALLS = {
     "chi_via_correlators": lambda: hb.chi_via_correlators([], (0, 0), F, 2, 1, 3, 5),
     "coh_intersection_series": lambda: hb.coh_intersection_series([], 1, F, 3),
     "toric_chi_series": lambda: hb.toric_chi_series(
-        SURFACE, [ToricInsertion("L1", "exterior")], None, F, 2, 1, 3, 5),
+        SURFACE, [ToricInsertion("L1", "lambda")], None, F, 2, 1, 3, 5),
     "toric_correlator_checks": lambda: hb.toric_correlator_checks(SURFACE, 1, F, 2, 3, 5),
     "verify_main_identity": lambda: hb.verify_main_identity((0, 0), 1, F, 2, 3, 5),
     "inner_product_qt": lambda: hb.inner_product_qt(P1, P1, F, 3),
