@@ -3,7 +3,8 @@
 Subcommands mirror the library layers: symmetric-function tables, Macdonald
 data, correlator series, Hilbert-scheme series, single identity checks, and
 the full verification suite.  Exit status: 0 success/verified, 1 verification
-failure (with a minimal counterexample), 2 usage error.
+failure (with a minimal counterexample), 2 usage error, 141 (128 + SIGPIPE)
+when the reader of standard output closes it early.
 
 Options are read from the command line only; the environment does not change
 their defaults, and each default is written once.  A subcommand offers only
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -436,7 +438,17 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        try:
+            status = dispatch()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: exit without a traceback, and
+        # point stdout at devnull so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -215,12 +215,8 @@ def base_bracket_series(k: int, u, v, order: int) -> TruncatedSeries:
 
 def _check_grading(state: Dict[Tuple[int, ...], List], order: int) -> bool:
     """Q-grading bound: a positive exponent k in any variable forces Q-valuation >= k."""
-    for expv, ser in state.items():
-        val = next((i for i, c in enumerate(ser) if c), order + 1)
-        for e in expv:
-            if e > 0 and val < e:
-                return False
-    return True
+    return all(max(expv, default=0) <= next((i for i, c in enumerate(ser) if c), order + 1)
+               for expv, ser in state.items())
 
 
 def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> TruncatedSeries:
@@ -231,8 +227,14 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     indices; extraction runs z_R down to z_1.  All series expansions follow
     the fixed conventions; composition cross-factors couple each earlier-block
     variable (negative powers) with each later-block variable (positive
-    powers).  Termination rests on the Q-grading invariant, checked at every
-    extraction boundary; a violation raises CorrelatorError.
+    powers).  Extraction is a contraction: the state maps the exponents of
+    the variables not yet extracted, z_i last, to a Q-series, and each factor
+    of z_i yields per state entry, with z_i-exponent e, only the terms that
+    survive the constant term in z_i: fq[n] z_i^n Q^n (n <= N), then per
+    lower partner z_j coeff[m] z_j^m z_i^-m (m <= min(N, e)), then the single
+    v-factor term fv[e] z_i^-e, after which z_i is dropped.  Termination
+    rests on the Q-grading invariant, checked at every extraction boundary;
+    a violation raises CorrelatorError.
     """
     weights = [w for w in weights if w]
     R = sum(weights)
@@ -245,42 +247,35 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     if R == 0:
         return TruncatedSeries.constant(prefactor, order)
 
-    blocks: List[List[int]] = []
-    hi = R
-    for w in weights:
-        blocks.append(list(range(hi - w + 1, hi + 1)))
-        hi -= w
-    pair_partners: Dict[int, List[Tuple[int, str]]] = {i: [] for i in range(1, R + 1)}
-    for b in blocks:
-        for lo_pos in range(len(b)):
-            for hi_pos in range(lo_pos + 1, len(b)):
-                pair_partners[b[hi_pos]].append((b[lo_pos], "block"))
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            for hi_var in blocks[bi]:
-                for lo_var in blocks[bj]:
-                    pair_partners[hi_var].append((lo_var, "cross"))
-
     N = order
     fq, fv = _depth_one_factors(u, v, N, N)
     g_coeff = [one] + [(t ** -1 - 1) * t ** (-(m - 1)) for m in range(1, N + 1)]
     # exp(-sum (1-q^n)(1-t^-n)/n x^n) = 1 - sum (1-q)(1-t^-1) h_{m-1}(q, t^-1) x^m
-    x_coeff = [one]
-    for m in range(1, N + 1):
-        h = scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
-        x_coeff.append(-(1 - q) * (1 - t ** -1) * h)
+    x_coeff = [one] + [-(1 - q) * (1 - t ** -1)
+                       * scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
+                       for m in range(1, N + 1)]
 
-    def mul_terms(state, terms):
+    blocks = [range(R - end + 1, R - end + w + 1)
+              for w, end in zip(weights, itertools.accumulate(weights))]
+    # variable -> its lower partners with the pair factor's coefficients: the
+    # earlier variables of its block, then every variable of the later blocks
+    partners: Dict[int, List[Tuple[int, List]]] = {}
+    for bi, b in enumerate(blocks):
+        later = [j for lo_block in blocks[bi + 1:] for j in lo_block]
+        for pos, i in enumerate(b):
+            partners[i] = [(j, g_coeff) for j in b[:pos]] + [(j, x_coeff) for j in later]
+
+    def contract(state, factor):
+        """The state times a factor, where factor(exponents) yields the
+        surviving (exponents, Q-shift, coefficient) terms of one entry."""
         new: Dict[Tuple[int, ...], List] = {}
         for expv, ser in state.items():
-            for dv, dq, c in terms:
+            for ne, dq, c in factor(expv):
                 if not c:
                     continue
-                ne = tuple(e + d for e, d in zip(expv, dv)) if dv else expv
-                tgt = new.get(ne)
-                if tgt is None:
-                    tgt = [zero] * (N + 1)
-                    new[ne] = tgt
+                if ne not in new:
+                    new[ne] = [zero] * (N + 1)
+                tgt = new[ne]
                 for n in range(N + 1 - dq):
                     if ser[n]:
                         tgt[n + dq] = tgt[n + dq] + ser[n] * c
@@ -290,36 +285,16 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     for i in range(R, 0, -1):
         if not _check_grading(state, N):
             raise CorrelatorError("Q-grading invariant violated entering extraction")
-        ii = i - 1
-        # positive powers of z_i, Q-graded
-        terms = []
-        for n in range(0, N + 1):
-            dv = [0] * R
-            dv[ii] = n
-            terms.append((tuple(dv), n, fq[n]))
-        state = mul_terms(state, terms)
-        # pair factors: z_i carries the negative powers
-        for j, kind in pair_partners[i]:
-            coeff = g_coeff if kind == "block" else x_coeff
-            terms = []
-            for m in range(0, N + 1):
-                dv = [0] * R
-                dv[ii] = -m
-                dv[j - 1] = m
-                terms.append((tuple(dv), 0, coeff[m]))
-            state = mul_terms(state, terms)
-            state = {k: s for k, s in state.items() if k[ii] >= 0}
-        # negative powers from the v-factor
-        terms = []
-        for m in range(0, N + 1):
-            dv = [0] * R
-            dv[ii] = -m
-            terms.append((tuple(dv), 0, fv[m]))
-        state = mul_terms(state, terms)
-        state = {k: s for k, s in state.items() if k[ii] == 0}
+        state = contract(state, lambda e: [(e[:-1] + (e[-1] + n,), n, fq[n])
+                                           for n in range(N + 1)])
+        for j, coeff in partners[i]:
+            state = contract(state, lambda e: [
+                (e[:j - 1] + (e[j - 1] + m,) + e[j:-1] + (e[-1] - m,), 0, coeff[m])
+                for m in range(min(N, e[-1]) + 1)])
+        state = contract(state, lambda e: [(e[:-1], 0, fv[e[-1]])] if e[-1] <= N else [])
     if not _check_grading(state, N):
         raise CorrelatorError("Q-grading invariant violated after extraction")
-    result = state.get((0,) * R)
+    result = state.get(())
     if result is None:
         return TruncatedSeries.constant(zero, order)
     return TruncatedSeries(result) * prefactor

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Iterator
 
 MAX_MAGNITUDE = 10 ** 6
 
@@ -24,11 +24,13 @@ def _dependent(x: Fraction, y: Fraction) -> bool:
 
 
 class RationalSampler:
-    """Deterministic stream of random rational evaluation points."""
+    """Deterministic stream of random rational evaluation points.
+    Numerators and denominators are drawn from [2, magnitude], so below 3
+    every draw would be 1."""
 
     def __init__(self, seed: int, magnitude: int = 1000):
-        if magnitude > MAX_MAGNITUDE:
-            raise ValueError(f"magnitude above {MAX_MAGNITUDE}")
+        if not 3 <= magnitude <= MAX_MAGNITUDE:
+            raise ValueError(f"magnitude outside [3, {MAX_MAGNITUDE}]")
         self.rng = random.Random(seed)
         self.magnitude = magnitude
 
@@ -45,13 +47,21 @@ class RationalSampler:
         """One value per name.  A value multiplicatively dependent on an
         earlier one (equal to it, say) is drawn again: a monomial
         x^i y^-j = 1 in two coordinates would put the point on a pole of the
-        brackets' cell weights 1 - q^a t^b."""
+        brackets' cell weights 1 - q^a t^b.  Raises ValueError when no value
+        within the magnitude is independent of the earlier ones."""
         out: Dict[str, Fraction] = {}
         for n in names:
-            while True:
+            f = self.fraction()
+            while any(_dependent(f, g) for g in out.values()):
+                if all(any(_dependent(c, g) for g in out.values()) for c in self._values()):
+                    raise ValueError(f"no value up to magnitude {self.magnitude} is "
+                                     f"independent of {', '.join(map(str, out.values()))}")
                 f = self.fraction()
-                if not any(_dependent(f, g) for g in out.values()):
-                    out[n] = f
-                    break
+            out[n] = f
         return out
+
+    def _values(self) -> Iterator[Fraction]:
+        """Every value fraction() can draw."""
+        return (Fraction(n, d) for n in range(2, self.magnitude + 1)
+                for d in range(2, self.magnitude + 1) if n != d)
 

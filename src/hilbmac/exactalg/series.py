@@ -53,9 +53,6 @@ class TruncatedSeries:
     def zero_coeff(self):
         return self.coeffs[0] * 0
 
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self

@@ -280,25 +280,28 @@ def _one_minus_exp_over_eps(c, jet_order: int) -> TruncatedSeries:
                             for k in range(jet_order + 1)])
 
 
-def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction,
-                           k_max: int = 3, jet_order: int = 4) -> VerifyReport:
+JET_K_MAX = 3   # ktheory_coh_jet_report compares the ch_k slices k <= JET_K_MAX
+JET_ORDER = 4   # and truncates its jets in eps at this order
+
+
+def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction) -> VerifyReport:
     """Check that substituting t_i = exp(eps w_i) into the K-theoretic
     localization terms reproduces, at leading order in eps, the cohomological
     localization sums: per partition the tangent factor times eps^{2n} is a
     unit jet whose constant term is the equivariant-Euler-class reciprocal,
     and the ch_k slice of the single insertion matches the degree-k factor.
     """
-    one = TruncatedSeries.constant(Fraction(1), jet_order)
+    one = TruncatedSeries.constant(Fraction(1), JET_ORDER)
     for n in range(order + 1):
-        for k in range(k_max + 1):
-            total_jet = TruncatedSeries.constant(Fraction(0), jet_order)
+        for k in range(JET_K_MAX + 1):
+            total_jet = TruncatedSeries.constant(Fraction(0), JET_ORDER)
             for mu in iter_partitions(n):
                 jet = one
                 for c in cells(mu):
                     l1 = -c.leg * w1 + (c.arm + 1) * w2        # 1 - t1^{-l} t2^{a+1}
                     l2 = (c.leg + 1) * w1 - c.arm * w2         # 1 - t1^{l+1} t2^{-a}
-                    jet = jet / _one_minus_exp_over_eps(l1, jet_order)
-                    jet = jet / _one_minus_exp_over_eps(l2, jet_order)
+                    jet = jet / _one_minus_exp_over_eps(l1, JET_ORDER)
+                    jet = jet / _one_minus_exp_over_eps(l2, JET_ORDER)
                 total_jet = total_jet + jet * coh_insertion_factor(k, A1, mu, w1, w2)
             coh = coh_intersection_series([(k, A1)], n, w1, w2).coeffs[n]
             if not total_jet.coeffs[0] == coh:

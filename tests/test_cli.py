@@ -282,3 +282,30 @@ def test_verify_all_unknown_criterion_rejected(capsys):
         dispatch(["verify-all", "--only", "C99"])
     assert exc.value.code == 2
     assert "unknown criterion" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hilbmac
+
+    package_root = str(Path(hilbmac.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    # the read end is closed before the child starts, so its first write to
+    # standard output fails with a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "hilbmac", "verify-all", "--only", "C13",
+                              "--format", "plain"],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 141, run.stderr
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) <= 1

@@ -225,6 +225,17 @@ def test_sampler_determinism_and_bounds():
         RationalSampler(1, magnitude=10 ** 7)
 
 
+def test_sampler_rejects_magnitudes_it_cannot_draw_from():
+    # magnitude 2 can only draw 2/2 = 1
+    with pytest.raises(ValueError, match="magnitude outside"):
+        RationalSampler(0, magnitude=2)
+    # magnitude 3 draws only 2/3 and 3/2, which are dependent
+    sampler = RationalSampler(0, magnitude=3)
+    assert sampler.fraction() in (Fraction(2, 3), Fraction(3, 2))
+    with pytest.raises(ValueError, match="independent"):
+        sampler.point(["q", "t", "u", "v", "t1", "t2"])
+
+
 PRIMES_TO_40 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -1,4 +1,5 @@
-"""CLI output compared byte for byte against a golden corpus.
+"""CLI output and vertex-engine series compared byte for byte against a
+golden corpus.
 
 Each file under ``golden/`` was captured before the refactor that merged
 the code paths its command runs.  Coefficient strings are not canonical
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from hilbmac.cli import dispatch
+from hilbmac.correlators import operator_word, vertex_correlator
+from hilbmac.exactalg import generators
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -67,3 +70,29 @@ COMMANDS = {
 def test_golden_cli_output(capsys, name):
     assert dispatch(COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+#: symbolic vertex-engine series: label -> (operator word as (name, weight)
+#: pairs, Q-order, primed).  The correlate goldens print the brute-force
+#: series, so only these pin the engine's printed form.
+E_WORDS = {(2,): 4, (1, 1): 4, (3,): 4, (2, 2): 3, (1, 2): 4, (2, 1): 4, (1, 1, 1): 3}
+VERTEX_CASES = {
+    **{f"E{ws} order {order}": ([("E", w) for w in ws], order, True)
+       for ws, order in E_WORDS.items()},
+    **{f"{op.lower()}2 unprimed order 3": ([(op, 2)], 3, False)
+       for op in ("Psi", "Lambda", "Sigma")},
+}
+
+
+def vertex_golden_lines():
+    """label -> printed series, one line each of vertex_engine_series.txt."""
+    lines = (GOLDEN / "vertex_engine_series.txt").read_text().splitlines()
+    return dict(line.split(": ", 1) for line in lines)
+
+
+@pytest.mark.parametrize("label", list(VERTEX_CASES))
+def test_golden_vertex_engine_series(label):
+    spec, order, primed = VERTEX_CASES[label]
+    q, t, u, v = generators("q", "t", "u", "v")
+    series = vertex_correlator(operator_word(spec, q, t), u, v, q, t, order, primed=primed)
+    assert str(series) == vertex_golden_lines()[label]

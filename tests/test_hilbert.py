@@ -170,7 +170,7 @@ def test_coh_chern_twist_single_box():
 
 
 def test_ktheory_cohomology_jet_comparison(pt):
-    rep = ktheory_coh_jet_report((1, 0), 3, pt["w1"], pt["w2"], k_max=3, jet_order=4)
+    rep = ktheory_coh_jet_report((1, 0), 3, pt["w1"], pt["w2"])
     assert rep.ok, rep.first_mismatch
 
 
