@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,18 +21,19 @@ from .correlators import (CLOSED_FORMS, bracket_bruteforce, base_bracket_series,
                           base_bracket_z, closed_form_series,
                           connected_correlators, disconnected_from_connected,
                           operator_word, tilde_e_op, vertex_correlator)
-from .exactalg.ratfun import RationalFunction, generators
+from .exactalg.ratfun import ExactAlgError, RationalFunction, generators, one_like
 from .exactalg.sampling import RationalSampler
 from .exactalg.series import TruncatedSeries, expand_closed_form, first_difference
 from .hilbert import (BundleInsertion, chi_C2_series, chi_via_correlators,
                       load_surface, toric_correlator_checks,
                       verify_main_identity)
 from .macdonald import (MacdonaldTable, apply_E, b_norm, eigen_E,
-                        specialize_eps, specialize_eps_via_p, sym_of_cells)
+                        integral_factors, specialize_eps, specialize_eps_via_p,
+                        sym_of_cells)
 from .partitions import (dominates, enumerate_partitions, goettsche_count_check,
-                         nekrasov_okounkov_check, partitions_upto)
-from .symfun import (alpha_coefficients, bc_product_check,
-                     beta_gamma_coefficients, inner_product_qt)
+                         nekrasov_okounkov_check, partitions_upto, z_factor)
+from .symfun import (SymmetricFunction, alpha_coefficients, bc_product_check,
+                     beta_gamma_coefficients, to_p)
 
 
 @dataclass
@@ -146,6 +149,67 @@ def c06_psi_closed_forms(seed, trials):
     return _closed_vs_bruteforce(("Psi1", "Psi2", "Psi1sq", "Lambda2"), 5, seed, trials)
 
 
+def gram_failure(table: MacdonaldTable, n: int) -> Optional[str]:
+    """Orthogonality and norms of the table's integral forms at degree n, as
+    one integer identity per pair lam >= mu (in the frozen order):
+
+        sum_rho z_rho D prod(1 - q^rho_i)/prod(1 - t^rho_i) J_lam[rho] J_mu[rho]
+            = delta_{lam mu} D c_lam c'_lam,
+
+    J[rho] the p-coefficients and D = prod_k (1 - t^k)^floor(n/k), so every
+    weight is a polynomial.  With N the common denominator of the m -> p
+    matrix, N^2 (lhs - rhs) is an integer polynomial; both sides are
+    evaluated at q = 2^K, t = 2^{KB} (Kronecker substitution), where B
+    exceeds its q-degree and 2^K its l1 coefficient bound, so equal values
+    prove equal polynomials.  Returns the first failure, or None.  Needs a
+    table over Laurent polynomials in q and t (generators q, t)."""
+    q, t = table.q, table.t
+    parts = enumerate_partitions(n)
+    J = {lam: table.J(lam).terms for lam in parts}
+    M = {kappa: to_p(SymmetricFunction("m", {kappa: Fraction(1)})).terms for kappa in parts}
+    N = math.lcm(*(c.denominator for row in M.values() for c in row.values()))
+    NM = {kappa: {rho: int(c * N) for rho, c in row.items()} for kappa, row in M.items()}
+    D = [(k, n // k) for k in range(1, n + 1)]
+
+    def product(factors):
+        return functools.reduce(operator.mul, factors, one_like(q))
+    W = {rho: product([1 - q ** part for part in rho] +
+                      [(1 - t ** k) ** (e - rho.count(k)) for k, e in D]).as_poly()
+         for rho in parts}
+    rhs = {}
+    for lam in parts:
+        c, c_prime = map(product, integral_factors(lam, q, t))
+        if not c / c_prime == b_norm(lam, q, t):
+            return f"c/c' differs from b_norm at {lam}"
+        rhs[lam] = product([c, c_prime] + [(1 - t ** k) ** e for k, e in D]).as_poly()
+    # q-degree and l1 bounds of N^2 (lhs - rhs)
+    width = 1 + max([n + 2 * max(x.degree("q") for row in J.values() for x in row.values())] +
+                    [r.degree("q") for r in rhs.values()])
+    a = {lam: {rho: sum(J[lam][kappa].norm1() * abs(NM[kappa].get(rho, 0)) for kappa in J[lam])
+               for rho in parts} for lam in parts}
+    bound = max(sum(z_factor(rho) * W[rho].norm1() * a[lam][rho] * a[mu][rho] for rho in parts) +
+                (N * N * rhs[lam].norm1() if lam == mu else 0)
+                for i, lam in enumerate(parts) for mu in parts[i:])
+    slot = bound.bit_length() + 1
+    shifts = {"q": slot, "t": slot * width}
+    try:
+        X = {lam: {rho: sum(x.kronecker(shifts) * NM[kappa].get(rho, 0) for kappa, x in J[lam].items())
+                   for rho in parts} for lam in parts}
+    except ExactAlgError as exc:
+        return f"J has a coefficient that is not a polynomial in q, t at degree {n}: {exc}"
+    weight = {rho: z_factor(rho) * W[rho].kronecker(shifts) for rho in parts}
+    for i, lam in enumerate(parts):
+        weighted = {rho: weight[rho] * X[lam][rho] for rho in parts}
+        for mu in parts[i:]:
+            lhs = sum(weighted[rho] * X[mu][rho] for rho in parts)
+            if lam == mu:
+                if lhs != N * N * rhs[lam].kronecker(shifts):
+                    return f"norm fails at {lam}"
+            elif lhs:
+                return f"orthogonality fails at {lam}, {mu}"
+    return None
+
+
 @criterion("C07", "Macdonald suite")
 def c07_macdonald_suite(seed, trials):
     q, t, u = generators("q", "t", "u")
@@ -159,14 +223,9 @@ def c07_macdonald_suite(seed, trials):
             for mu in P.terms:
                 if mu != lam and not dominates(lam, mu):
                     return False, f"triangularity fails: {mu} in P_{lam}"
-        for i, lam in enumerate(parts):
-            for mu in parts[i:]:
-                ip = inner_product_qt(table.P_in_p(lam), table.P_in_p(mu), q, t)
-                if lam == mu:
-                    if not ip * b_norm(lam, q, t) == 1:
-                        return False, f"norm fails at {lam}"
-                elif ip:
-                    return False, f"orthogonality fails at {lam}, {mu}"
+        failure = gram_failure(table, n)
+        if failure:
+            return False, failure
         for lam in parts:
             lhs = apply_E(table.P_in_p(lam), q, t)
             rhs = table.P_in_p(lam).scale(eigen_E(lam, q, t))

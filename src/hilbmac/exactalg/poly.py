@@ -165,6 +165,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
@@ -214,6 +217,23 @@ class LaurentPoly:
         if not mono:
             return self
         return LaurentPoly({mono_mul(m, mono): c for m, c in self.terms.items()})
+
+    def __truediv__(self, other) -> "LaurentPoly":
+        """Exact quotient in the Laurent polynomial ring; raises ExactAlgError
+        when other does not divide self.  Integer and monomial contents are
+        divided out first, so divide_exact sees primitive operands."""
+        if isinstance(other, int):
+            other = LaurentPoly.const(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero():
+            return self
+        c, mono, prim = self.primitive()
+        oc, omono, oprim = other.primitive()
+        quot = prim.divide_exact(oprim)
+        if quot is None or c % oc:
+            raise ExactAlgError(f"{other} does not divide {self}")
+        return quot.mono_shift(mono_div(mono, omono)).scale(c // oc)
 
     # -- normal form -------------------------------------------------------
     def primitive(self) -> Tuple[int, Monomial, "LaurentPoly"]:
@@ -289,6 +309,30 @@ class LaurentPoly:
         return LaurentPoly(quot) if not rem else None
 
     # -- evaluation --------------------------------------------------------
+    def norm1(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(abs(c) for c in self.terms.values())
+
+    def degree(self, name: str) -> int:
+        """Largest exponent of the named variable (0 where it is absent)."""
+        i = ALPHABET.index(name)
+        return max((dict(m).get(i, 0) for m in self.terms), default=0)
+
+    def kronecker(self, shifts: Dict[str, int]) -> int:
+        """Value at name = 2^shift for each named variable: the Kronecker
+        substitution, one integer.  Raises ExactAlgError on a negative
+        exponent or on a variable that is not named."""
+        idx = {ALPHABET.index(n): s for n, s in shifts.items()}
+        out = 0
+        for m, c in self.terms.items():
+            shift = 0
+            for i, e in m:
+                if i not in idx or e < 0:
+                    raise ExactAlgError(f"cannot pack {mono_str(m)} with {sorted(shifts)}")
+                shift += idx[i] * e
+            out += c << shift
+        return out
+
     def eval(self, point: Dict[int, Fraction]) -> Fraction:
         return sum((c * mono_eval(m, point) for m, c in self.terms.items()), Fraction(0))
 

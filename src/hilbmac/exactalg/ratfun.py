@@ -123,6 +123,12 @@ class RationalFunction:
             raise ExactAlgError(f"not a constant: {self}")
         return Fraction(self.nc, self.dc)
 
+    def as_poly(self) -> LaurentPoly:
+        """The value as a Laurent polynomial; raises ExactAlgError when the
+        denominator does not divide the numerator."""
+        num, den = self.expanded()
+        return num / den
+
     # -- core arithmetic ----------------------------------------------------------
     def __mul__(self, other):
         other = self._coerce(other)
@@ -283,6 +289,19 @@ def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction
     if prim.is_const():
         return RationalFunction(c * prim.const_value(), dc, mono, (), tuple(dfac))
     return RationalFunction(c, dc, mono, ((prim, 1),), tuple(dfac))
+
+
+def poly_over(num: LaurentPoly, factors) -> RationalFunction:
+    """num / prod(factors), reduced by trial division of num over the
+    factors' primitive parts after their integer and monomial contents are
+    divided out."""
+    dc, mono, den = 1, MONO_ONE, {}
+    for f in factors:
+        g, m, prim = f.primitive()
+        dc *= g
+        mono = mono_mul(mono, m)
+        den[prim] = den.get(prim, 0) + 1
+    return _reduce_over(num.mono_shift(mono_inv(mono)), dc, _split(den)[0])
 
 
 def rf(x) -> RationalFunction:

@@ -1,6 +1,6 @@
-"""Macdonald polynomials P_mu(x;q,t), the stable degree-1 operator, eigenvalue
-families for the stabilized higher operators, and the symmetric functions of
-the cell multiset {t^{-l'(s)} q^{a'(s)}}.
+"""Macdonald polynomials P_mu(x;q,t) and their integral forms J_mu, the stable
+degree-1 operator, eigenvalue families for the stabilized higher operators,
+and the symmetric functions of the cell multiset {t^{-l'(s)} q^{a'(s)}}.
 
 Everything is parametrized by scalars (q, t) that may be symbolic
 RationalFunctions or exact Fractions, so the same code runs in symbolic and
@@ -9,10 +9,13 @@ evaluation mode.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
+from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
+                              one_like, poly_over, scalar_sum)
 from .exactalg.series import TruncatedSeries
 from .partitions import Partition, cells, enumerate_partitions
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
@@ -26,6 +29,16 @@ class MacdonaldError(ValueError):
 # ---------------------------------------------------------------------------
 # cell products and norms
 # ---------------------------------------------------------------------------
+
+def integral_factors(lam: Partition, q, t) -> Tuple[List, List]:
+    """The cell factors of c_lam = prod (1 - q^a t^{l+1}), which turns P_lam
+    into the integral form J_lam, and of c'_lam = prod (1 - q^{a+1} t^l).
+    c_lam / c'_lam is b_lam, which b_norm computes on its own so that the
+    acceptance gate can compare the two."""
+    cs = cells(lam)
+    return ([1 - q ** c.arm * t ** (c.leg + 1) for c in cs],
+            [1 - q ** (c.arm + 1) * t ** c.leg for c in cs])
+
 
 def b_norm(lam: Partition, q, t):
     """b_lam = prod over cells (1 - q^a t^{l+1})/(1 - q^{a+1} t^l)."""
@@ -80,20 +93,42 @@ def complete_of(values: Sequence, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Macdonald polynomials by Gram-Schmidt in the monomial basis
+# Macdonald polynomials through their integral forms
 # ---------------------------------------------------------------------------
 
+def _laurent_unit(x) -> bool:
+    """Whether x is a RationalFunction equal to a signed Laurent monomial."""
+    if not isinstance(x, RationalFunction):
+        return False
+    try:
+        return x.as_poly().norm1() == 1
+    except ExactAlgError:
+        return False
+
+
 class MacdonaldTable:
-    """Fill-once cache of P_mu expansions for fixed scalars (q, t).
+    """Fill-once cache of the integral forms J_mu = c_mu P_mu and of P_mu for
+    fixed scalars (q, t), c_mu = prod over cells (1 - q^a t^{l+1}).
 
     P_lam = m_lam + sum over strictly dominated mu of u_{lam mu} m_mu is the
     eigenvector of the stable degree-1 operator with eigenvalue
     (q-1)/t sum_s t^{-l'} q^{a'}.  The operator's monomial-basis matrix is
-    dominance-triangular with the eigenvalues on the diagonal, so each
-    coefficient comes from one back-substitution step and one division by a
-    difference of eigenvalues (distinct for distinct partitions).  The result
-    satisfies the defining triangularity and orthogonality conditions, which
-    the test suite checks directly against <.,.>_{q,t}.
+    dominance-triangular with the eigenvalues on the diagonal, so a column
+    starts at J[mu][mu] = c_mu and each later coefficient is one
+    back-substitution step divided by a difference of eigenvalues (distinct
+    for distinct partitions).  One loop serves every scalar ring:
+
+    - when q and t are signed Laurent monomials (the generators, q^-1, t^-1)
+      the loop runs over LaurentPoly, where J's m-coefficients live
+      (Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., VI §8), and
+      every division is exact: a remainder raises MacdonaldError, with no
+      fallback.  P = J / c_mu is then reduced by trial division over the
+      binomial factors of c_mu;
+    - otherwise (Fractions, other rational functions) it runs with field
+      division and P = J / c_mu directly.
+
+    The tests check the result against <.,.>_{q,t} and against the
+    Haglund-Haiman-Loehr formula for J.
     """
 
     def __init__(self, q, t, degree_bound: int = M_DEGREE_BOUND):
@@ -101,10 +136,29 @@ class MacdonaldTable:
         self.q = q
         self.t = t
         self.degree_bound = degree_bound
+        self._laurent = _laurent_unit(q) and _laurent_unit(t)
         one = one_like(q)
+        self._J: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): self._ring(one)})}
         self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
-        self._P_p: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("p", {(): one})}
+        self._P_p: Dict[Partition, SymmetricFunction] = {}
         self._degrees_done = {0}
+
+    def _ring(self, x):
+        """x in the ring J is filled over."""
+        if not self._laurent:
+            return x
+        try:
+            return x.as_poly()
+        except ExactAlgError as exc:
+            raise MacdonaldError(f"not a Laurent polynomial: {x}") from exc
+
+    def _over(self, x, factors, product):
+        """x / c, c = product of the factors, as a scalar of the table."""
+        if self._laurent:
+            return poly_over(x, factors)
+        if not product:
+            raise MacdonaldError(f"c vanishes at q = {self.q}, t = {self.t}")
+        return x / product
 
     def _fill_degree(self, n: int):
         if n in self._degrees_done:
@@ -120,22 +174,35 @@ class MacdonaldTable:
         for nu in order:
             img = apply_E(SymmetricFunction("m", {nu: one}), q, t)
             for kappa, c in basis_convert(img, "m").terms.items():
-                if c:
-                    A[kappa][nu] = c
-        ev = {lam: eigen_E(lam, q, t) for lam in order}
+                A[kappa][nu] = self._ring(c)
+        ev = {lam: self._ring(eigen_E(lam, q, t)) for lam in order}
         for mu in order:
-            coeffs: Dict[Partition, object] = {mu: one}
+            factors = [self._ring(f) for f in integral_factors(mu, q, t)[0]]
+            c_mu = functools.reduce(operator.mul, factors)
+            J: Dict[Partition, object] = {mu: c_mu}
             for kappa in order[pos[mu] + 1:]:
-                pieces = [A[kappa][nu] * coeffs[nu] for nu in coeffs if nu in A[kappa]]
+                pieces = [A[kappa][nu] * J[nu] for nu in J if nu in A[kappa]]
                 if not pieces:
                     continue
                 s = scalar_sum(pieces)
                 if not s:
                     continue
-                coeffs[kappa] = s / (ev[mu] - ev[kappa])
-            self._P[mu] = SymmetricFunction("m", coeffs)
-            self._P_p[mu] = to_p(self._P[mu])
+                try:
+                    J[kappa] = s / (ev[mu] - ev[kappa])
+                except (ExactAlgError, ZeroDivisionError) as exc:
+                    raise MacdonaldError(f"J_{mu}: the m_{kappa} step does not divide "
+                                         f"by its eigenvalue difference") from exc
+            self._J[mu] = SymmetricFunction("m", J)
+            self._P[mu] = SymmetricFunction("m", {kappa: self._over(c, factors, c_mu)
+                                                  for kappa, c in J.items()})
         self._degrees_done.add(n)
+
+    def J(self, mu: Partition) -> SymmetricFunction:
+        """J_mu in the monomial basis, with coefficients in the fill's ring
+        (LaurentPoly when q and t are signed Laurent monomials)."""
+        mu = tuple(mu)
+        self._fill_degree(sum(mu))
+        return self._J[mu]
 
     def P(self, mu: Partition) -> SymmetricFunction:
         """P_mu in the monomial basis."""
@@ -144,8 +211,10 @@ class MacdonaldTable:
         return self._P[mu]
 
     def P_in_p(self, mu: Partition) -> SymmetricFunction:
+        """P_mu in the power-sum basis, converted on first request."""
         mu = tuple(mu)
-        self._fill_degree(sum(mu))
+        if mu not in self._P_p:
+            self._P_p[mu] = to_p(self.P(mu))
         return self._P_p[mu]
 
 

@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Finite-n Macdonald operators evaluated at concrete points, the finite-n
-eigenvalue family, and the Gauss binomial.  They are written from their
-definitions, independently of the stable-limit code they check.
+eigenvalue family, the Gauss binomial, and the Haglund-Haiman-Loehr formula
+for the integral forms J_mu.  They are written from their definitions,
+independently of the stable-limit code they check.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -85,4 +87,60 @@ def eval_p_basis(f: SymmetricFunction, xs: Sequence[Fraction]) -> Fraction:
         for part in kappa:
             v = v * sum(x ** part for x in xs)
         total += v if isinstance(v, Fraction) else v.as_fraction()
+    return total
+
+
+def hhl_integral_form(mu: Partition, kappa: Partition, q, t):
+    """The m_kappa coefficient of J_mu(x; q, t) by the Haglund-Haiman-Loehr
+    sum over nonattacking fillings (JAMS 18 (2005), section 8), with no
+    division:
+
+        sum_sigma q^maj t^coinv prod_{sigma(u) = sigma(s(u))} (1 - q^{leg u + 1} t^{arm u + 1})
+                                 prod_{sigma(u) != sigma(s(u))} (1 - t),
+
+    s(u) the cell below u (none in the bottom row), over fillings with
+    content kappa.  HHL's diagram is French with columns of heights mu_1,
+    mu_2, ..., so their leg is this library's arm and their arm its leg.
+    Cells are (r, c), r = 0 the bottom row; two cells attack when they share
+    a row, or lie in adjacent rows with the upper one strictly to the right.
+    Reading order is by rows from the top, left to right; maj sums leg + 1
+    over the descents sigma(u) > sigma(s(u)), and
+    coinv = sum of arms - (inversions - sum of the descents' arms), an
+    inversion being an attacking pair in reading order with the earlier cell
+    larger.  The conventions were fixed against the Macdonald table at
+    |mu| <= 3."""
+    height = dict(enumerate(mu))
+    cells = [(r, c) for c, h in enumerate(mu) for r in range(h)]
+
+    def leg(r, c):
+        return height[c] - 1 - r
+
+    def arm(r, c):
+        return sum(1 for c2 in range(c + 1, len(mu)) if height[c2] > r)
+
+    def attack(u, v):
+        (r1, c1), (r2, c2) = sorted((u, v))
+        return r1 == r2 or (r2 == r1 + 1 and c2 > c1)
+
+    reading = sorted(cells, key=lambda u: (-u[0], u[1]))
+    content = [i for i, k in enumerate(kappa, start=1) for _ in range(k)]
+    total = q * 0
+    for values in set(itertools.permutations(content)):
+        sigma = dict(zip(cells, values))
+        if any(sigma[u] == sigma[v] for u, v in itertools.combinations(cells, 2) if attack(u, v)):
+            continue
+        weight, maj, descent_arms = one_like(q), 0, 0
+        for r, c in cells:
+            below = sigma.get((r - 1, c))
+            if below == sigma[(r, c)]:
+                weight = weight * (1 - q ** (leg(r, c) + 1) * t ** (arm(r, c) + 1))
+            else:
+                weight = weight * (1 - t)
+            if below is not None and sigma[(r, c)] > below:
+                maj += leg(r, c) + 1
+                descent_arms += arm(r, c)
+        inversions = sum(1 for i, u in enumerate(reading) for v in reading[i + 1:]
+                         if attack(u, v) and sigma[u] > sigma[v])
+        coinv = sum(arm(*u) for u in cells) - (inversions - descent_arms)
+        total = total + weight * q ** maj * t ** coinv
     return total

@@ -4,6 +4,9 @@ Each test prints one PASS/FAIL line; run with `pytest -s tests/test_acceptance.p
 to see them, or use `hilbmac verify-all`.
 """
 
+import functools
+import operator
+
 from hilbmac import acceptance
 
 SEED = 1
@@ -46,6 +49,63 @@ def test_C06_power_operation_closed_forms():
 
 def test_C07_macdonald_suite_symbolic():
     _run(acceptance.c07_macdonald_suite)
+
+
+def test_C07_rejects_a_perturbed_integral_form(monkeypatch):
+    """q*t^2 added to one degree-6 coefficient of J must break the packed
+    Gram identity: the slots are wide enough to keep it apart."""
+    from hilbmac.exactalg import LaurentPoly
+    from hilbmac.macdonald import MacdonaldTable
+    from hilbmac.symfun import SymmetricFunction
+    original = MacdonaldTable.J
+
+    def perturbed(self, mu):
+        J = original(self, mu)
+        if tuple(mu) != (3, 2, 1):
+            return J
+        terms = dict(J.terms)
+        terms[(2, 2, 1, 1)] = terms[(2, 2, 1, 1)] + LaurentPoly.var("q") * LaurentPoly.var("t", 2)
+        return SymmetricFunction("m", terms)
+
+    monkeypatch.setattr(MacdonaldTable, "J", perturbed)
+    result = acceptance.c07_macdonald_suite(seed=SEED, trials=TRIALS)
+    assert not result.ok and result.detail == "norm fails at (3, 2, 1)", result.detail
+
+
+def test_C07_packing_slots_keep_the_identity_apart(monkeypatch):
+    """The Kronecker slots gram_failure picks separate every term of
+    lhs - rhs, computed here as rational functions at degree 4 with q*t^2
+    added to one coefficient of J: its cleared numerator has coefficients
+    below 2^(slot - 1) and q-degrees below the width, so a zero packed value
+    could only come from a zero polynomial."""
+    from hilbmac.exactalg import LaurentPoly, RationalFunction, generators
+    from hilbmac.macdonald import MacdonaldTable, integral_factors
+    from hilbmac.partitions import enumerate_partitions
+    from hilbmac.symfun import SymmetricFunction, inner_product_qt, to_p
+    q, t = generators("q", "t")
+    table = MacdonaldTable(q, t, degree_bound=4)
+    J = {lam: dict(table.J(lam).terms) for lam in enumerate_partitions(4)}
+    J[(2, 1, 1)][(1, 1, 1, 1)] += LaurentPoly.var("q") * LaurentPoly.var("t", 2)
+    monkeypatch.setattr(MacdonaldTable, "J", lambda self, mu: SymmetricFunction("m", J[tuple(mu)]))
+    shifts = []
+    pack = LaurentPoly.kronecker
+    monkeypatch.setattr(LaurentPoly, "kronecker", lambda p, s: shifts.append(s) or pack(p, s))
+    assert acceptance.gram_failure(table, 4) == "norm fails at (2, 1, 1)"
+    slot, width = shifts[0]["q"], shifts[0]["t"] // shifts[0]["q"]
+    D = (1 - t) ** 4 * (1 - t ** 2) ** 2 * (1 - t ** 3) * (1 - t ** 4)
+    parts = enumerate_partitions(4)
+    for i, lam in enumerate(parts):
+        for mu in parts[i:]:
+            a, b = (to_p(SymmetricFunction("m", {k: RationalFunction.from_poly(c) for k, c in J[x].items()}))
+                    for x in (lam, mu))
+            diff = D * inner_product_qt(a, b, q, t)
+            if lam == mu:
+                c, c_prime = integral_factors(lam, q, t)
+                diff = diff - D * functools.reduce(operator.mul, c + c_prime)
+            num, den = diff.expanded()
+            assert den.is_const()
+            assert max(map(abs, num.terms.values()), default=0) < 2 ** (slot - 1), (lam, mu)
+            assert num.degree("q") < width, (lam, mu)
 
 
 def test_C08_alpha_and_bc_tables():

@@ -10,6 +10,7 @@ from hilbmac.exactalg import (DivisionByZero, ExactAlgError, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
+from hilbmac.exactalg.ratfun import poly_over
 
 q, t, u, v = generators("q", "t", "u", "v")
 Q = RationalFunction.var("Q")
@@ -110,6 +111,39 @@ def test_canonical_string_format():
     g = f / ((1 - q) * (1 - t))
     assert g.canonical_str() == "(1 - u - v + u*v)/(1 - q - t + q*t)"
     assert (t ** -1).canonical_str() == "t^-1"
+
+
+def test_exact_laurent_division():
+    """Quotients carry the integer and monomial contents, Laurent exponents
+    included; a remainder raises."""
+    a = (-6 * (q ** -2) * t * (1 - q * t) * (1 + t ** 3)).as_poly()
+    b = (2 * (q ** -1) * (1 - q * t)).as_poly()
+    assert a / b == (-3 * (q ** -1) * t * (1 + t ** 3)).as_poly()
+    assert a / -1 == -a
+    with pytest.raises(ExactAlgError):
+        a / (1 - t).as_poly()
+    with pytest.raises(ExactAlgError):
+        b / LaurentPoly.const(4)
+    with pytest.raises(ExactAlgError):
+        ((1 - q) / (1 + q)).as_poly()
+
+
+def test_poly_over_reduces_over_binomials_with_contents():
+    num = (q ** -3 * (1 - q) * (1 - q * t) * (1 + u)).as_poly()
+    factors = [(1 - q ** -1).as_poly(), (2 - 2 * q * t).as_poly(), (1 - t).as_poly()]
+    got = poly_over(num, factors)
+    assert got == RationalFunction.from_poly(num) / ((1 - q ** -1) * (2 - 2 * q * t) * (1 - t))
+    assert str(got) == "(-q^-2 - q^-2*u)/(2 - 2*t)"
+
+
+def test_kronecker_substitution():
+    p = (3 - 2 * q * t ** 2 + q ** 2).as_poly()
+    assert p.kronecker({"q": 4, "t": 12}) == 3 - 2 * 2 ** (4 + 24) + 2 ** 8
+    assert (p.norm1(), p.degree("q"), p.degree("t"), p.degree("u")) == (6, 2, 2, 0)
+    with pytest.raises(ExactAlgError):
+        (q ** -1).as_poly().kronecker({"q": 4, "t": 12})
+    with pytest.raises(ExactAlgError):
+        u.as_poly().kronecker({"q": 4, "t": 12})
 
 
 def test_schwartz_zippel_consistency():

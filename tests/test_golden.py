@@ -1,10 +1,13 @@
 """CLI output and vertex-engine series compared byte for byte against a
 golden corpus.
 
-Each file under ``golden/`` was captured before the refactor that merged
-the code paths its command runs.  Coefficient strings are not canonical
-(equal values can print differently), so any change in the order of the
-arithmetic shows here.
+The goldens pin printed values and their reduction: a changed value, or a
+value reduced further or less far before it prints, shows here.  They do
+not pin the order of the arithmetic.  Sums are put over a factored common
+denominator before they print, so reordered terms usually print the same
+bytes, and a test that must catch reordering has to compare something else.
+A file is re-captured only when its output changes on purpose, with the
+reason in CHANGES.md.
 """
 
 import json

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilbmac.exactalg import (RationalFunction, RationalSampler, generators,
-                              scalar_sum)
+from hilbmac import macdonald
+from hilbmac.exactalg import (LaurentPoly, RationalFunction, RationalSampler,
+                              generators, scalar_sum)
 from hilbmac.macdonald import (MacdonaldError, MacdonaldTable,
                                apply_E, b_norm, cell_multiset,
                                complete_of, eigen_E, eigen_E_r, eigen_tildeE,
-                               elementary_of, euler_tail,
+                               elementary_of, euler_tail, integral_factors,
                                lambda_decomposition, macdonald_P,
                                power_of, psi_decomposition,
                                sigma_decomposition, specialize_eps,
@@ -18,7 +19,7 @@ from hilbmac.partitions import enumerate_partitions, partitions_upto
 from hilbmac.symfun import SymmetricFunction, inner_product_qt
 from oracles import (En_apply_power_sum, dn1_apply_power_sum,
                      eigen_E_r_finite, eval_p_basis, finite_coefficient_c,
-                     q_binomial)
+                     hhl_integral_form, q_binomial)
 
 q, t = generators("q", "t")
 u = RationalFunction.var("u")
@@ -63,6 +64,40 @@ def test_orthogonality_and_norms_degree_4(table):
                     assert ip * b_norm(lam, q, t) == 1
                 else:
                     assert ip.is_zero()
+
+
+def test_J_matches_haglund_haiman_loehr(table):
+    """The table's integral forms equal the HHL sum over nonattacking
+    fillings coefficient by coefficient, |mu| <= 4."""
+    for mu in partitions_upto(4):
+        J = table.J(mu).terms
+        for kappa in enumerate_partitions(sum(mu)):
+            hhl = hhl_integral_form(mu, kappa, q, t)
+            assert (hhl.as_poly() == J[kappa]) if kappa in J else hhl.is_zero(), (mu, kappa)
+
+
+def test_J_is_integral_and_P_is_J_over_c(table):
+    """Every m-coefficient of J_mu is an integer Laurent polynomial and
+    P_mu * c_mu == J_mu, |mu| <= 5."""
+    for mu in partitions_upto(5):
+        J, P = table.J(mu).terms, table.P(mu).terms
+        assert set(J) == set(P), mu
+        c = RationalFunction.from_int(1)
+        for factor in integral_factors(mu, q, t)[0]:
+            c = c * factor
+        for kappa, coeff in J.items():
+            assert isinstance(coeff, LaurentPoly), (mu, kappa)
+            assert P[kappa] * c == RationalFunction.from_poly(coeff), (mu, kappa)
+
+
+def test_wrong_eigenvalue_makes_the_fill_raise(monkeypatch):
+    """A division that leaves a remainder raises; the fill never falls back
+    to rational arithmetic."""
+    right = macdonald.eigen_E
+    monkeypatch.setattr(macdonald, "eigen_E",
+                        lambda lam, q, t: right(lam, q, t) + (q if lam == (2, 1) else 0))
+    with pytest.raises(MacdonaldError):
+        MacdonaldTable(q, t).P((3,))
 
 
 def test_qt_inversion_symmetry(table):
