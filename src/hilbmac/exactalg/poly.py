@@ -1,28 +1,71 @@
 """Sparse multivariate Laurent polynomials over a fixed, globally ordered alphabet.
 
-Monomials are tuples of (variable_index, exponent) pairs, sorted by index,
-with nonzero exponents; exponents may be negative (Laurent).  Only this
-module builds or reads them: other modules pass them to its functions.
-Coefficients are arbitrary-precision Python ints.  The alphabet is frozen at
-import time, so term orders are stable across a run.
+A monomial is one Python int.  The alphabet is frozen at import time with N
+names, and each name owns a signed (balanced-digit) field of FIELD_BITS = 65
+bits; the signed total degree sits above the N fields:
+
+    packed = degree * 2**(FIELD_BITS*N) + sum_k (-e_k) * 2**(FIELD_BITS*(N-1-k))
+
+Variable 0 holds the highest field, and the field stores the negated
+exponent.  So the unit monomial is 0, a product is an integer sum, an
+inverse is a negation, and divisibility is one mask test.  Exponents stay
+within EXPONENT_LIMIT = 2**62, so the sum of two of them (at most 2**63 in
+absolute value) never spills into a neighbouring field; the overflow check
+runs once per result monomial.  Only this module builds or reads monomials:
+other modules pass them to its functions.
+
+Two orders serve two jobs:
+  - integer comparison of the packed ints is graded by signed degree, then
+    larger exponents of earlier variables rank lower.  On the nonnegative
+    cone, where division runs, it is a monomial order and agrees with
+    mono_key; divide_exact and leading() use it.
+  - mono_key (absolute degree, then (index, -exponent) lexicographically)
+    orders the printed terms, the factor lists through key(), and the sign
+    of primitive(); it is decoded from the int and cached.
+
+Coefficients are arbitrary-precision Python ints.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
-
-Monomial = Tuple[Tuple[int, int], ...]
-
-#: the unit monomial, 1
-MONO_ONE: Monomial = ()
+from typing import Dict, List, Sequence, Tuple
 
 #: exponents are kept far below this bound; exceeding it indicates a runaway
 #: computation rather than a legitimate value.
 EXPONENT_LIMIT = 2 ** 62
 
 BASE_ALPHABET = ("q", "t", "u", "v", "t1", "t2", "w1", "w2", "x", "y", "Q")
+
+#: the unit monomial, 1
+MONO_ONE = 0
+
+FIELD_BITS = 65
+_N = len(BASE_ALPHABET)
+_DEGREE_SHIFT = FIELD_BITS * _N
+_SHIFT = tuple(FIELD_BITS * (_N - 1 - k) for k in range(_N))
+#: the packed monomial of variable k to the first power
+_VAR = tuple((1 << _DEGREE_SHIFT) - (1 << s) for s in _SHIFT)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_HALF = 1 << (FIELD_BITS - 1)
+
+
+def _each_field(x: int) -> int:
+    """x placed in every exponent field."""
+    return sum(x << s for s in _SHIFT)
+
+
+#: every field's sign bit; a difference with none set has all fields >= 0
+_SIGNS = _each_field(_HALF)
+#: plus _LIMIT_BIAS, the field of an exponent in (-LIMIT, LIMIT] becomes an
+#: unsigned digit below 2**63, with no _SPILL bit and no borrow
+_LIMIT_BIAS = _each_field(EXPONENT_LIMIT)
+_SPILL = _each_field(_FIELD_MASK ^ (2 * EXPONENT_LIMIT - 1))
+#: plus _OFFSET, every in-range field becomes an unsigned digit below _HALF
+_OFFSET = _each_field(2 * EXPONENT_LIMIT)
+_FIELDS = _each_field(_FIELD_MASK)
 
 
 class ExponentOverflowError(ArithmeticError):
@@ -57,35 +100,59 @@ class Alphabet:
 ALPHABET = Alphabet()
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        ne = d.get(i, 0) + e
-        if ne:
-            if abs(ne) > EXPONENT_LIMIT:
-                raise ExponentOverflowError(f"exponent {ne} exceeds limit for var {ALPHABET.name(i)}")
-            d[i] = ne
-        else:
-            d.pop(i)
-    return tuple(sorted(d.items()))
+def _exponent(m: int, k: int) -> int:
+    """Exponent of variable k in m: its field, rounded past the balanced
+    fields below it."""
+    s = _SHIFT[k]
+    x = (m + (1 << s >> 1)) >> s
+    return _HALF - ((x + _HALF) & _FIELD_MASK)
 
 
-def mono_inv(a: Monomial) -> Monomial:
-    return tuple((i, -e) for i, e in a)
+def _decode(m: int) -> List[Tuple[int, int]]:
+    """(index, exponent) pairs of the nonzero exponents of m, by index."""
+    out = []
+    for k in range(_N - 1, -1, -1):
+        f = ((m + _HALF) & _FIELD_MASK) - _HALF
+        m = (m - f) >> FIELD_BITS
+        if f:
+            out.append((k, -f))
+    out.reverse()
+    return out
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return mono_mul(a, mono_inv(b))
+def _pack(pairs) -> int:
+    return sum(e * _VAR[k] for k, e in pairs)
 
 
-def mono_eval(a: Monomial, point: Dict[int, Fraction]) -> Fraction:
+def _check(monos) -> None:
+    """Raise ExponentOverflowError if an exponent of the monomials exceeds
+    EXPONENT_LIMIT in absolute value.  One mask test over all of them; the
+    exact rule is applied only when the test flags a field."""
+    spill = 0
+    for m in monos:
+        spill |= m + _LIMIT_BIAS
+    if spill & _SPILL:
+        for m in monos:
+            for k, e in _decode(m):
+                if abs(e) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError(
+                        f"exponent {e} exceeds limit for var {ALPHABET.name(k)}")
+
+
+def mono_mul(a: int, b: int) -> int:
+    m = a + b
+    _check((m,))
+    return m
+
+
+def mono_inv(a: int) -> int:
+    return -a
+
+
+def mono_eval(a: int, point: Dict[int, Fraction]) -> Fraction:
     """Value of the monomial at a point that maps variable index to value."""
     val = Fraction(1)
-    for i, e in a:
+    for i, e in _decode(a):
         if i not in point:
             raise ExactAlgError(f"unbound variable {ALPHABET.name(i)}")
         if point[i] == 0 and e < 0:
@@ -94,50 +161,34 @@ def mono_eval(a: Monomial, point: Dict[int, Fraction]) -> Fraction:
     return val
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
+def mono_divides(a: int, b: int) -> bool:
     """True if monomial a divides b with nonnegative quotient exponents."""
-    db = dict(b)
-    for i, e in a:
-        if db.get(i, 0) < e:
-            return False
-    return True
+    return not (a - b) & _SIGNS
 
 
-_MONO_KEY_CACHE: Dict[Monomial, tuple] = {}
+_MONO_KEY_CACHE: Dict[int, tuple] = {}
 
 
-def mono_key(a: Monomial):
-    """Canonical term-order key: total absolute degree, then per-variable
-    (index, -exponent) lexicographically.  Graded and multiplicative on the
-    nonnegative cone, so it doubles as the division order."""
+def mono_key(a: int):
+    """Print order key: total absolute degree, then per-variable
+    (index, -exponent) lexicographically.  Orders printed terms, key() and
+    primitive()'s sign; division uses the integer order instead."""
     k = _MONO_KEY_CACHE.get(a)
     if k is None:
-        k = (sum(abs(e) for _, e in a), tuple((i, -e) for i, e in a))
+        pairs = _decode(a)
+        k = (sum(abs(e) for _, e in pairs), tuple((i, -e) for i, e in pairs))
         if len(_MONO_KEY_CACHE) < 1_000_000:
             _MONO_KEY_CACHE[a] = k
     return k
 
 
-class _MaxFirst:
-    """Heap wrapper ordering monomials largest-key first."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, mono: Monomial):
-        self.key = mono_key(mono)
-        self.mono = mono
-
-    def __lt__(self, other: "_MaxFirst") -> bool:
-        return self.key > other.key
-
-
-def mono_str(a: Monomial) -> str:
+def mono_str(a: int) -> str:
     if not a:
         return "1"
     parts = []
-    for i, e in a:
+    for i, ne in mono_key(a)[1]:
         n = ALPHABET.name(i)
-        parts.append(n if e == 1 else f"{n}^{e}")
+        parts.append(n if ne == -1 else f"{n}^{-ne}")
     return "*".join(parts)
 
 
@@ -146,8 +197,10 @@ class LaurentPoly:
 
     __slots__ = ("terms", "_key")
 
-    def __init__(self, terms: Dict[Monomial, int]):
-        self.terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, terms: Dict[int, int]):
+        """Takes ownership of terms, a fresh dict; zero coefficients are
+        dropped."""
+        self.terms = {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
         self._key = None
 
     # -- constructors ------------------------------------------------------
@@ -157,9 +210,9 @@ class LaurentPoly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        if exp == 0:
-            return LaurentPoly.const(1)
-        return LaurentPoly({((ALPHABET.index(name), exp),): 1})
+        if abs(exp) > EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"exponent {exp} exceeds limit for var {name}")
+        return LaurentPoly({exp * _VAR[ALPHABET.index(name)]: 1})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -197,15 +250,13 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        d: Dict[Monomial, int] = {}
+        d: Dict[int, int] = {}
+        get = d.get
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                nc = d.get(m, 0) + ca * cb
-                if nc:
-                    d[m] = nc
-                else:
-                    d.pop(m, None)
+                m = ma + mb
+                d[m] = get(m, 0) + ca * cb
+        _check(d)
         return LaurentPoly(d)
 
     def scale(self, c: int) -> "LaurentPoly":
@@ -213,10 +264,12 @@ class LaurentPoly:
             return LaurentPoly({})
         return LaurentPoly({m: c * v for m, v in self.terms.items()})
 
-    def mono_shift(self, mono: Monomial) -> "LaurentPoly":
+    def mono_shift(self, mono: int) -> "LaurentPoly":
         if not mono:
             return self
-        return LaurentPoly({mono_mul(m, mono): c for m, c in self.terms.items()})
+        shifted = {m + mono: c for m, c in self.terms.items()}
+        _check(shifted)
+        return LaurentPoly(shifted)
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact quotient in the Laurent polynomial ring; raises ExactAlgError
@@ -233,10 +286,10 @@ class LaurentPoly:
         quot = prim.divide_exact(oprim)
         if quot is None or c % oc:
             raise ExactAlgError(f"{other} does not divide {self}")
-        return quot.mono_shift(mono_div(mono, omono)).scale(c // oc)
+        return quot.mono_shift(mono_mul(mono, -omono)).scale(c // oc)
 
     # -- normal form -------------------------------------------------------
-    def primitive(self) -> Tuple[int, Monomial, "LaurentPoly"]:
+    def primitive(self) -> Tuple[int, int, "LaurentPoly"]:
         """Decompose as content * monomial * primitive polynomial.
 
         Monomial content is the per-variable minimum exponent, so the
@@ -246,23 +299,28 @@ class LaurentPoly:
         """
         if self.is_zero():
             return 0, MONO_ONE, LaurentPoly({})
-        exps = [dict(m) for m in self.terms]
-        variables = sorted({i for d in exps for i in d})
-        mins = [(i, min(d.get(i, 0) for d in exps)) for i in variables]
-        mono = tuple((i, e) for i, e in mins if e)
-        inv = mono_inv(mono)
-        shifted = {mono_mul(m, inv): c for m, c in self.terms.items()}
-        g = 0
-        for c in shifted.values():
-            g = math.gcd(g, c)
+        # Field-wise maximum of the negated exponents, all fields at once:
+        # offset fields are unsigned digits below their sign bit, which
+        # survives (top | sign) - field exactly where top >= field.
+        top = 0
+        for m in self.terms:
+            f = (m + _OFFSET) & _FIELDS
+            ge = ((top | _SIGNS) - f) & _SIGNS
+            top = f ^ ((top ^ f) & (ge - (ge >> (FIELD_BITS - 1))))
+        mono = _pack(_decode(top - _OFFSET))
+        shifted = self.terms
+        if mono:
+            shifted = {m - mono: c for m, c in shifted.items()}
+            _check(shifted)
+        g = math.gcd(*shifted.values())
         if shifted[min(shifted, key=mono_key)] < 0:
             g = -g
         prim = LaurentPoly({m: c // g for m, c in shifted.items()})
         return g, mono, prim
 
-    def leading(self) -> Tuple[Monomial, int]:
-        """Maximal term in the graded canonical order (division leading term)."""
-        m = max(self.terms, key=mono_key)
+    def leading(self) -> Tuple[int, int]:
+        """Maximal term in the integer order (division leading term)."""
+        m = max(self.terms)
         return m, self.terms[m]
 
     def divide_exact(self, divisor: "LaurentPoly"):
@@ -271,10 +329,8 @@ class LaurentPoly:
         Both operands must have nonnegative exponents (primitive factors do).
         The remainder's leading term strictly decreases in the graded order,
         so the loop terminates at zero (divisible) or a failed step (not).
-        Remainder maxima come from a lazy max-heap rather than a scan.
+        Remainder maxima come from a lazy heap of negated monomials.
         """
-        import heapq
-
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -282,28 +338,30 @@ class LaurentPoly:
         dlm, dlc = divisor.leading()
         dtail = [(m, c) for m, c in divisor.terms.items() if m != dlm]
         rem = dict(self.terms)
-        heap = [_MaxFirst(m) for m in rem]
+        heap = [-m for m in rem]
         heapq.heapify(heap)
-        quot: Dict[Monomial, int] = {}
+        quot: Dict[int, int] = {}
         while heap:
-            rlm = heapq.heappop(heap).mono
+            rlm = -heapq.heappop(heap)
             rlc = rem.get(rlm, 0)
             if not rlc:
                 continue  # stale entry
             if not mono_divides(dlm, rlm) or rlc % dlc:
                 return None
-            qm = mono_div(rlm, dlm)
+            qm = rlm - dlm
+            if (qm + _LIMIT_BIAS) & _SPILL:
+                _check((qm,))
             qc = rlc // dlc
             quot[qm] = qc
             del rem[rlm]
             for m, c in dtail:
-                mm = mono_mul(m, qm)
+                mm = m + qm
                 old = rem.get(mm, 0)
                 nc = old - qc * c
                 if nc:
                     rem[mm] = nc
                     if not old:
-                        heapq.heappush(heap, _MaxFirst(mm))
+                        heapq.heappush(heap, -mm)
                 else:
                     rem.pop(mm, None)
         return LaurentPoly(quot) if not rem else None
@@ -316,7 +374,7 @@ class LaurentPoly:
     def degree(self, name: str) -> int:
         """Largest exponent of the named variable (0 where it is absent)."""
         i = ALPHABET.index(name)
-        return max((dict(m).get(i, 0) for m in self.terms), default=0)
+        return max((_exponent(m, i) for m in self.terms), default=0)
 
     def kronecker(self, shifts: Dict[str, int]) -> int:
         """Value at name = 2^shift for each named variable: the Kronecker
@@ -325,12 +383,10 @@ class LaurentPoly:
         idx = {ALPHABET.index(n): s for n, s in shifts.items()}
         out = 0
         for m, c in self.terms.items():
-            shift = 0
-            for i, e in m:
-                if i not in idx or e < 0:
-                    raise ExactAlgError(f"cannot pack {mono_str(m)} with {sorted(shifts)}")
-                shift += idx[i] * e
-            out += c << shift
+            exps = [(i, _exponent(m, i)) for i in idx]
+            if m != _pack(exps) or any(e < 0 for _, e in exps):
+                raise ExactAlgError(f"cannot pack {mono_str(m)} with {sorted(shifts)}")
+            out += c << sum(idx[i] * e for i, e in exps)
         return out
 
     def eval(self, point: Dict[int, Fraction]) -> Fraction:
@@ -341,11 +397,11 @@ class LaurentPoly:
         of exponents, in the order of names, maps to the polynomial in the
         other variables that multiplies it."""
         wanted = [ALPHABET.index(n) for n in names]
-        groups: Dict[Tuple[int, ...], Dict[Monomial, int]] = {}
+        groups: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for m, c in self.terms.items():
-            dm = dict(m)
-            rest = tuple((i, e) for i, e in m if i not in wanted)
-            groups.setdefault(tuple(dm.get(i, 0) for i in wanted), {})[rest] = c
+            exps = tuple(_exponent(m, i) for i in wanted)
+            rest = m - _pack(zip(wanted, exps))
+            groups.setdefault(exps, {})[rest] = c
         return {k: LaurentPoly(d) for k, d in groups.items()}
 
     # -- comparison / rendering ---------------------------------------------

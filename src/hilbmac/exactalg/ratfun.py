@@ -19,8 +19,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import (ALPHABET, MONO_ONE, ExactAlgError, LaurentPoly, Monomial,
-                   PoleError, mono_eval, mono_inv, mono_mul, poly_pow)
+from .poly import (ALPHABET, MONO_ONE, ExactAlgError, LaurentPoly, PoleError,
+                   mono_eval, mono_inv, mono_mul, poly_pow)
 
 
 class DivisionByZero(ExactAlgError):
@@ -64,7 +64,7 @@ class RationalFunction:
 
     __slots__ = ("nc", "dc", "mono", "nfac", "dfac", "_expanded")
 
-    def __init__(self, nc: int, dc: int, mono: Monomial, nfac: FactorList, dfac: FactorList):
+    def __init__(self, nc: int, dc: int, mono: int, nfac: FactorList, dfac: FactorList):
         if dc == 0:
             raise DivisionByZero("zero denominator")
         if nc == 0:

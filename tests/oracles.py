@@ -4,13 +4,19 @@ Finite-n Macdonald operators evaluated at concrete points, the finite-n
 eigenvalue family, the Gauss binomial, and the Haglund-Haiman-Loehr formula
 for the integral forms J_mu.  They are written from their definitions,
 independently of the stable-limit code they check.
+
+Also a reference Laurent kernel over tuple monomials: a polynomial is a dict
+from a tuple of (variable index, exponent) pairs, sorted by index with
+nonzero exponents, to an int coefficient.  It multiplies, divides and
+prints term by term, with no packing, so it checks the packed kernel of
+hilbmac.exactalg.poly.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from hilbmac.exactalg import one_like
+from hilbmac.exactalg import BASE_ALPHABET, one_like
 from hilbmac.macdonald import MacdonaldError, elementary_of
 from hilbmac.partitions import Partition
 from hilbmac.symfun import SymmetricFunction, to_p
@@ -144,3 +150,80 @@ def hhl_integral_form(mu: Partition, kappa: Partition, q, t):
         coinv = sum(arm(*u) for u in cells) - (inversions - descent_arms)
         total = total + weight * q ** maj * t ** coinv
     return total
+
+
+# ---------------------------------------------------------------------------
+# reference Laurent kernel over tuple monomials
+# ---------------------------------------------------------------------------
+
+TupleMono = Tuple[Tuple[int, int], ...]
+TuplePoly = Dict[TupleMono, int]
+
+
+def tuple_mono(exponents: Dict[str, int]) -> TupleMono:
+    """The tuple monomial of a map from variable name to exponent."""
+    return tuple(sorted((BASE_ALPHABET.index(n), e) for n, e in exponents.items() if e))
+
+
+def _tuple_mono_mul(a: TupleMono, b: TupleMono) -> TupleMono:
+    d = dict(a)
+    for i, e in b:
+        d[i] = d.get(i, 0) + e
+    return tuple(sorted((i, e) for i, e in d.items() if e))
+
+
+def _tuple_mono_key(a: TupleMono):
+    """Absolute degree, then (index, -exponent) lexicographically."""
+    return sum(abs(e) for _, e in a), tuple((i, -e) for i, e in a)
+
+
+def tuple_poly_mul(a: TuplePoly, b: TuplePoly) -> TuplePoly:
+    out: TuplePoly = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _tuple_mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_poly_add(a: TuplePoly, b: TuplePoly) -> TuplePoly:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_poly_divide(a: TuplePoly, b: TuplePoly) -> Optional[TuplePoly]:
+    """Exact quotient a/b of polynomials with nonnegative exponents, or None
+    when b does not divide a over the integers.  Each step cancels the
+    remainder's largest term in the graded order of _tuple_mono_key."""
+    blm = max(b, key=_tuple_mono_key)
+    rem, quot = dict(a), {}
+    while rem:
+        rlm = max(rem, key=_tuple_mono_key)
+        qm = _tuple_mono_mul(rlm, tuple((i, -e) for i, e in blm))
+        if any(e < 0 for _, e in qm) or rem[rlm] % b[blm]:
+            return None
+        quot[qm] = rem[rlm] // b[blm]
+        rem = {m: c for m, c in rem.items() if m != rlm}
+        for m, c in b.items():
+            if m != blm:
+                mm = _tuple_mono_mul(m, qm)
+                rem[mm] = rem.get(mm, 0) - quot[qm] * c
+                if not rem[mm]:
+                    del rem[mm]
+    return quot
+
+
+def tuple_poly_str(a: TuplePoly) -> str:
+    """Terms in _tuple_mono_key order, as LaurentPoly prints them."""
+    out = []
+    for m in sorted(a, key=_tuple_mono_key):
+        c = a[m]
+        body = "*".join(BASE_ALPHABET[i] if e == 1 else f"{BASE_ALPHABET[i]}^{e}" for i, e in m)
+        chunk = str(abs(c)) if not body else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if not out:
+            out.append(chunk if c > 0 else f"-{chunk}")
+        else:
+            out.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
+    return " ".join(out) or "0"

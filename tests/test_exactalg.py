@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbmac.exactalg import (DivisionByZero, ExactAlgError, LaurentPoly,
+from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
+from hilbmac.exactalg.poly import EXPONENT_LIMIT
 from hilbmac.exactalg.ratfun import poly_over
+
+import oracles
 
 q, t, u, v = generators("q", "t", "u", "v")
 Q = RationalFunction.var("Q")
@@ -300,12 +303,105 @@ def test_sampled_points_have_no_multiplicatively_dependent_pair():
                            for a, b in itertools.combinations(range(len(ex)), 2)), (seed, x, y)
 
 
-def test_exponent_overflow_guard():
-    from hilbmac.exactalg import ExponentOverflowError
-    from hilbmac.exactalg.poly import EXPONENT_LIMIT
-    big = LaurentPoly.var("q", EXPONENT_LIMIT - 1)
-    with pytest.raises(ExponentOverflowError):
-        big * big
+OVERFLOWS = {
+    "square": lambda: LaurentPoly.var("q", EXPONENT_LIMIT - 1) * LaurentPoly.var("q", EXPONENT_LIMIT - 1),
+    "negative": lambda: LaurentPoly.var("q", 1 - EXPONENT_LIMIT) * LaurentPoly.var("q", 1 - EXPONENT_LIMIT),
+    "construction": lambda: LaurentPoly.var("q", EXPONENT_LIMIT + 1),
+    "negative_construction": lambda: LaurentPoly.var("q", -EXPONENT_LIMIT - 1),
+    "quotient": lambda: LaurentPoly.var("q", EXPONENT_LIMIT) / LaurentPoly.var("q", -EXPONENT_LIMIT),
+    "spill": lambda: LaurentPoly.var("t", EXPONENT_LIMIT) * LaurentPoly.var("t", EXPONENT_LIMIT),
+    "negative_spill": lambda: (LaurentPoly.var("t", -EXPONENT_LIMIT) * LaurentPoly.var("q", 5)
+                               * LaurentPoly.var("t", -EXPONENT_LIMIT)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_exponent_overflow_guard(case):
+    """An exponent past EXPONENT_LIMIT raises wherever it is made, naming its
+    own variable: the sum of two exponents at the limit does not carry into
+    the next variable's field."""
+    name = "t" if "spill" in case else "q"
+    with pytest.raises(ExponentOverflowError, match=f"var {name}$"):
+        OVERFLOWS[case]()
+
+
+def test_exponents_at_the_limit_stay_apart():
+    big_q, big_t = LaurentPoly.var("q", EXPONENT_LIMIT), LaurentPoly.var("t", EXPONENT_LIMIT)
+    assert str(big_q * big_t) == f"q^{EXPONENT_LIMIT}*t^{EXPONENT_LIMIT}"
+    assert big_t * LaurentPoly.var("t", -EXPONENT_LIMIT) == LaurentPoly.const(1)
+    assert (big_q * big_t).degree("t") == EXPONENT_LIMIT
+
+
+def test_print_order_pin():
+    """Printed term order, factor order and the sign of primitive() follow
+    the print order (absolute degree, then (index, -exponent)), not the
+    order division uses.  The strings were captured from the tuple-monomial
+    kernel."""
+    pq, pt, pu, pv, pt1 = (LaurentPoly.var(n) for n in ("q", "t", "u", "v", "t1"))
+    a = LaurentPoly.var("q", -1) * pt + pq * LaurentPoly.var("t", -1) + pt1 - (pu * pu * pv).scale(2)
+    assert str(a) == "t1 + q*t^-1 + q^-1*t - 2*u^2*v"
+    b = ((LaurentPoly.var("Q") * LaurentPoly.var("t2", -3) - LaurentPoly.var("x", 2) * pq
+          + LaurentPoly.var("w1") * LaurentPoly.var("u", -1) * pt - LaurentPoly.const(5)) * (pq - pt))
+    assert str(b) == ("-5*q + 5*t - q^2*x^2 + q*t*u^-1*w1 + q*t*x^2 - t^2*u^-1*w1"
+                      " + q*t2^-3*Q - t*t2^-3*Q")
+    for p, sign, mono, prim in [
+            (a, 1, "q^-1*t^-1", "q^2 + t^2 + q*t*t1 - 2*q*t*u^2*v"),
+            (-a, -1, "q^-1*t^-1", "q^2 + t^2 + q*t*t1 - 2*q*t*u^2*v"),
+            (b, 1, "u^-1*t2^-3", "q*u*Q - t*u*Q - 5*q*u*t2^3 + 5*t*u*t2^3 + q*t*t2^3*w1"
+                                 " - t^2*t2^3*w1 - q^2*u*t2^3*x^2 + q*t*u*t2^3*x^2")]:
+        g, m, pp = p.primitive()
+        assert (g, str(LaurentPoly({m: 1})), str(pp)) == (sign, mono, prim)
+    rt1, rQ = generators("t1", "Q")
+    f = (q / t - t / q + rt1 - 2 * u ** 2 * v) / (1 - q * rQ / rt1) / (v - u ** -1)
+    assert f.canonical_str() == ("(-u*t1^2 - q*t^-1*u*t1 + q^-1*t*u*t1 + 2*u^3*v*t1)"
+                                 "/(t1 - q*Q - u*v*t1 + q*u*v*Q)")
+    g = (q ** -2 - rQ * t) * (1 - u * v) / ((t - q) * (1 - rt1 ** -1))
+    assert g.canonical_str() == ("(q^-2*t1 - t*t1*Q - q^-2*u*v*t1 + t*u*v*t1*Q)"
+                                 "/(q - t - q*t1 + t*t1)")
+
+
+# Terms over six names: a coefficient and an exponent in -3..3 for each name,
+# most of them 0 (absent).
+KERNEL_NAMES = ("q", "t", "u", "v", "t1", "Q")
+_terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
+                            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -3]),
+                                     min_size=len(KERNEL_NAMES), max_size=len(KERNEL_NAMES))),
+                  max_size=6)
+
+
+def _both(terms):
+    """The same polynomial as a LaurentPoly and as a reference tuple poly."""
+    packed, ref = LaurentPoly({}), {}
+    for c, exps in terms:
+        term = LaurentPoly.const(c)
+        for n, e in zip(KERNEL_NAMES, exps):
+            term = term * LaurentPoly.var(n, e)
+        packed = packed + term
+        m = oracles.tuple_mono(dict(zip(KERNEL_NAMES, exps)))
+        ref[m] = ref.get(m, 0) + c
+    return packed, {m: c for m, c in ref.items() if c}
+
+
+@given(_terms, _terms, _terms)
+@settings(max_examples=200, deadline=None)
+def test_packed_kernel_matches_tuple_reference(ta, tb, tc):
+    (a, ra), (b, rb), (c, rc) = _both(ta), _both(tb), _both(tc)
+    ab = a * b
+    assert str(ab) == oracles.tuple_poly_str(oracles.tuple_poly_mul(ra, rb))
+    if not b:
+        return
+    assert ab / b == a
+    # Division runs on nonnegative exponents: multiply through by a monomial.
+    shift, rshift = _both([(1, [3] * len(KERNEL_NAMES))])
+    (a, ra), (b, rb), (c, rc) = [(x * shift, oracles.tuple_poly_mul(rx, rshift))
+                                 for x, rx in ((a, ra), (b, rb), (c, rc))]
+    rab = oracles.tuple_poly_mul(ra, rb)
+    for num, rnum in [(a, ra), (a * b, rab), (a * b + c, oracles.tuple_poly_add(rab, rc)),
+                      (a * b * c, oracles.tuple_poly_mul(rab, rc))]:
+        got, want = num.divide_exact(b), oracles.tuple_poly_divide(rnum, rb)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert str(got) == oracles.tuple_poly_str(want)
 
 
 def test_rf_coefficient_extraction():
