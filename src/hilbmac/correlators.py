@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE
-from .partitions import Partition, cells, iter_partitions
+from .partitions import LazyTable, Partition, cells, iter_partitions
 from .symfun import SymmetricFunction
 
 Word = Tuple["DiagonalOperator", ...]
@@ -119,29 +119,30 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
 
     with a_mu the product of the word's eigenvalues at mu.  The primed flag
     divides by <1>_{u,v}.
+
+    The two numerator factors of a cell depend only on (a', l') and the two
+    denominators only on (a, l): each pair is computed once per call, on its
+    first cell, and the sum multiplies and divides by the stored values in
+    the same order as the formula.  Each operator's eigenvalue is computed
+    once per mu.
     """
     u, v, q, t = exact_scalars(u, v, q, t)
     if not u:
         raise CorrelatorError("u must be invertible: the weights contain u^{-1}")
-    memo: Dict[Tuple[str, Partition], object] = {}
-
-    def eig(op: DiagonalOperator, mu: Partition):
-        key = (op.label, mu)
-        if key not in memo:
-            memo[key] = op.eigenvalue(mu)
-        return memo[key]
-
     uinv = 1 / u
+    numerators = LazyTable(lambda a_, l_: (q ** a_ - v * t ** l_,
+                                           t ** (-l_) - uinv * q ** (-a_)))
+    denominators = LazyTable(lambda a, l: (1 - t ** l * q ** (a + 1),
+                                           1 - q ** (-a) * t ** (-(l + 1))))
 
     def term(mu: Partition):
         out = (-u) ** sum(mu)
         for c in cells(mu):
-            out = out * (q ** c.coarm - v * t ** c.coleg)
-            out = out / (1 - t ** c.leg * q ** (c.arm + 1))
-            out = out * (t ** (-c.coleg) - uinv * q ** (-c.coarm))
-            out = out / (1 - q ** (-c.arm) * t ** (-(c.leg + 1)))
+            n1, n2 = numerators[c.coarm, c.coleg]
+            d1, d2 = denominators[c.arm, c.leg]
+            out = out * n1 / d1 * n2 / d2
         for op in word:
-            out = out * eig(op, mu)
+            out = out * op.eigenvalue(mu)
         return out
 
     series = partition_series(term, order)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, rf,
                               scalar_sum)
 from .exactalg.series import TruncatedSeries, first_difference, geometric
 from .macdonald import POWER_OPERATIONS
-from .partitions import Partition, cells, iter_partitions
+from .partitions import LazyTable, Partition, cells, iter_partitions
 
 Weight = Tuple[int, int]
 
@@ -98,19 +99,52 @@ def _mono(t1, t2, w: Weight):
 # per-partition localization data on one chart
 # ---------------------------------------------------------------------------
 
+def _tangent_factors(t1, t2) -> LazyTable:
+    """(a, l) -> the cell's tangent factors (1 - t1^{-l} t2^{a+1}), (1 - t1^{l+1} t2^{-a})."""
+    return LazyTable(lambda a, l: (1 - t1 ** (-l) * t2 ** (a + 1),
+                                   1 - t1 ** (l + 1) * t2 ** (-a)))
+
+
+def _twist_factors(A: Weight, u, v, t1, t2) -> LazyTable:
+    """(a', l') -> the cell's twist factors (1 - u t^A w), (1 - v t^{-A} w^{-1}),
+    w = t1^{l'} t2^{a'}."""
+    tA = _mono(t1, t2, A)
+
+    def factors(coarm: int, coleg: int):
+        w = t1 ** coleg * t2 ** coarm
+        return 1 - u * tA * w, 1 - v * w ** (-1) / tA
+    return LazyTable(factors)
+
+
+def _bundle_weights(A: Weight, t1, t2) -> LazyTable:
+    """(a', l') -> the cell's fiber weight t1^{l'+a} t2^{a'+b}, A = (a, b)."""
+    a, b = A
+    return LazyTable(lambda coarm, coleg: t1 ** (coleg + a) * t2 ** (coarm + b))
+
+
+_ARM_LEG = operator.attrgetter("arm", "leg")
+_COARM_COLEG = operator.attrgetter("coarm", "coleg")
+
+
+def _cell_product(lam: Partition, factors: LazyTable, key, one):
+    """prod over cells of both factors the table holds at the cell's key
+    (_ARM_LEG or _COARM_COLEG)."""
+    out = one
+    for c in cells(lam):
+        f1, f2 = factors[key(c)]
+        out = out * f1 * f2
+    return out
+
+
 def tangent_denominator(lam: Partition, t1, t2):
     """prod over cells (1 - t1^{-l} t2^{a+1})(1 - t1^{l+1} t2^{-a})."""
-    out = one_like(t1)
-    for c in cells(lam):
-        out = out * (1 - t1 ** (-c.leg) * t2 ** (c.arm + 1))
-        out = out * (1 - t1 ** (c.leg + 1) * t2 ** (-c.arm))
-    return out
+    return _cell_product(lam, _tangent_factors(t1, t2), _ARM_LEG, one_like(t1))
 
 
 def bundle_weights(lam: Partition, A: Weight, t1, t2) -> List:
     """Weight multiset of the rank-|lam| fiber: {t1^{l'+a} t2^{a'+b}}."""
-    a, b = A
-    return [t1 ** (c.coleg + a) * t2 ** (c.coarm + b) for c in cells(lam)]
+    weights = _bundle_weights(A, t1, t2)
+    return [weights[c.coarm, c.coleg] for c in cells(lam)]
 
 
 def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
@@ -125,12 +159,7 @@ def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
 
 def twist_factor(lam: Partition, A: Weight, u, v, t1, t2):
     """prod over cells (1 - u t^A t1^{l'} t2^{a'})(1 - v t^{-A} t1^{-l'} t2^{-a'})."""
-    tA = _mono(t1, t2, A)
-    out = one_like(t1)
-    for c in cells(lam):
-        w = t1 ** c.coleg * t2 ** c.coarm
-        out = out * (1 - u * tA * w) * (1 - v * w ** (-1) / tA)
-    return out
+    return _cell_product(lam, _twist_factors(A, u, v, t1, t2), _COARM_COLEG, one_like(t1))
 
 
 def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
@@ -140,13 +169,23 @@ def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
     Q^n coefficient: sum over |mu| = n of the insertion characters times the
     dual exterior-algebra twist over the tangent denominator.  u = v = 0
     gives the untwisted series.
+
+    The tangent factors of a cell are computed once per call for each
+    (a, l), and its twist factors and each insertion's fiber weight once per
+    call for each (a', l'); the partition sum reads the stored values.
     """
     u, v, t1, t2 = exact_scalars(u, v, t1, t2)
+    one = one_like(t1)
+    tangent = _tangent_factors(t1, t2)
+    twist = _twist_factors(twist_A, u, v, t1, t2)
+    fibers = [(POWER_OPERATIONS[ins.operation][0], ins.m, _bundle_weights(ins.A, t1, t2))
+              for ins in insertions]
 
     def term(mu: Partition):
-        out = twist_factor(mu, twist_A, u, v, t1, t2) / tangent_denominator(mu, t1, t2)
-        for ins in insertions:
-            out = out * insertion_factor(ins, mu, t1, t2)
+        out = (_cell_product(mu, twist, _COARM_COLEG, one)
+               / _cell_product(mu, tangent, _ARM_LEG, one))
+        for cell_function, m, weights in fibers:
+            out = out * cell_function([weights[c.coarm, c.coleg] for c in cells(mu)], m)
         return out
 
     return partition_series(term, order)
@@ -342,18 +381,25 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
     tA = _mono(t1, t2, twist_w)
     u2, v2 = u * tA, v / tA
     zero = t1 * 0
+    one = one_like(t1i)
+    tangent = _tangent_factors(t1i, t2i)
+    twist_cells = _twist_factors((0, 0), u2, v2, t1i, t2i)
+    cell_weights = _bundle_weights((0, 0), t1i, t2i)
+    fibers = []
+    for ins in insertions:
+        if ins.bundle not in point.bundles:
+            raise HilbertError(f"missing bundle weight {ins.bundle!r} at a fixed point")
+        wB = _mono(t1, t2, point.bundles[ins.bundle])
+        fibers.append((POWER_OPERATIONS[ins.operation][0],
+                       LazyTable(lambda coarm, coleg, wB=wB: wB * cell_weights[coarm, coleg])))
     out: Dict[MarkerKey, List] = {}
     for n in range(order + 1):
         for mu in iter_partitions(n):
-            base = twist_factor(mu, (0, 0), u2, v2, t1i, t2i) / tangent_denominator(mu, t1i, t2i)
-            cell_ws = [t1i ** c.coleg * t2i ** c.coarm for c in cells(mu)]
+            base = (_cell_product(mu, twist_cells, _COARM_COLEG, one)
+                    / _cell_product(mu, tangent, _ARM_LEG, one))
             per_bundle: List[List] = []
-            for ins in insertions:
-                if ins.bundle not in point.bundles:
-                    raise HilbertError(f"missing bundle weight {ins.bundle!r} at a fixed point")
-                wB = _mono(t1, t2, point.bundles[ins.bundle])
-                ws = [wB * w for w in cell_ws]
-                cell_function = POWER_OPERATIONS[ins.operation][0]
+            for cell_function, weights in fibers:
+                ws = [weights[c.coarm, c.coleg] for c in cells(mu)]
                 per_bundle.append([cell_function(ws, kk) for kk in range(marker_cap + 1)])
             for key in _marker_keys(len(insertions), marker_cap):
                 factor = base

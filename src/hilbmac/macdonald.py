@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
 from .exactalg.series import TruncatedSeries
-from .partitions import Partition, cells, enumerate_partitions
+from .partitions import LazyTable, Partition, cells, enumerate_partitions
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, basis_convert, merge_parts, to_p)
 
@@ -127,6 +127,12 @@ class MacdonaldTable:
     - otherwise (Fractions, other rational functions) it runs with field
       division and P = J / c_mu directly.
 
+    The operator matrix of degree n is built column by column, one apply_E
+    image of m_nu each; the coefficients of the multiplication series
+    M(z) = exp(sum (1-t^{-n})/n p_n z^n) are computed once per degree k for
+    the table's t and shared by every column of every degree, for as long as
+    the table lives.
+
     The tests check the result against <.,.>_{q,t} and against the
     Haglund-Haiman-Loehr formula for J.
     """
@@ -141,6 +147,7 @@ class MacdonaldTable:
         self._J: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): self._ring(one)})}
         self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
         self._P_p: Dict[Partition, SymmetricFunction] = {}
+        self._mult_series = LazyTable(lambda k: _mult_series_coeff(k, t))
         self._degrees_done = {0}
 
     def _ring(self, x):
@@ -172,7 +179,7 @@ class MacdonaldTable:
         # columns of the operator in the m-basis: E m_nu = sum_kappa A[kappa][nu] m_kappa
         A: Dict[Partition, Dict[Partition, object]] = {kappa: {} for kappa in order}
         for nu in order:
-            img = apply_E(SymmetricFunction("m", {nu: one}), q, t)
+            img = _apply_E(SymmetricFunction("m", {nu: one}), q, t, self._mult_series)
             for kappa, c in basis_convert(img, "m").terms.items():
                 A[kappa][nu] = self._ring(c)
         ev = {lam: self._ring(eigen_E(lam, q, t)) for lam in order}
@@ -274,23 +281,33 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     z^{-k}, the multiplication series restores degree k.
     """
     q, t = exact_scalars(q, t)
+    return _apply_E(f, q, t, LazyTable(lambda k: _mult_series_coeff(k, t)))
+
+
+def _apply_E(f: SymmetricFunction, q, t, mult_series: LazyTable) -> SymmetricFunction:
+    """apply_E with the multiplication series' degree-k coefficients looked
+    up in mult_series, which a MacdonaldTable shares across its fill.  Within
+    the call q^n - 1 is computed once per part size n, and the shifted
+    factors of a p_kappa, one per subset of its parts, are built subset by
+    subset: each is a smaller subset's factor times one more q^n - 1, the
+    same products in the same order as part by part."""
     g = to_p(f)
     dmax = g.degree()
+    shift = LazyTable(lambda n: q ** n - 1)
     # shifted[k] = z^{-k} coefficient of f(p + a), a_n = (q^n - 1) z^{-n}
     shifted: List[Dict[Partition, object]] = [dict() for _ in range(dmax + 1)]
     for kappa, coeff in g.terms.items():
-        parts = list(kappa)
-        nparts = len(parts)
-        for mask in range(1 << nparts):
+        factors = [coeff]     # factors[mask]: coeff times q^n - 1 for each dropped part
+        for part in kappa:
+            factors += [x * shift[part] for x in factors]
+        for mask, factor in enumerate(factors):
             dropped = 0
-            factor = coeff
             kept: List[int] = []
-            for i in range(nparts):
+            for i, part in enumerate(kappa):
                 if mask >> i & 1:
-                    dropped += parts[i]
-                    factor = factor * (q ** parts[i] - 1)
+                    dropped += part
                 else:
-                    kept.append(parts[i])
+                    kept.append(part)
             key = tuple(sorted(kept, reverse=True))
             tgt = shifted[dropped]
             tgt[key] = tgt.get(key, factor * 0) + factor
@@ -298,7 +315,7 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     for k in range(dmax + 1):
         if not shifted[k]:
             continue
-        for kappa, mc in _mult_series_coeff(k, t):
+        for kappa, mc in mult_series[k]:
             for rest, c in shifted[k].items():
                 key = merge_parts(kappa, rest)
                 v = mc * c
@@ -319,17 +336,26 @@ def eigen_E(mu: Partition, q, t):
 # stabilized higher-operator eigenvalues
 # ---------------------------------------------------------------------------
 
+def _euler_tails(j: int, t) -> List:
+    """e_0..e_j of (t^{-1}, t^{-2}, ...): by Euler's formula e_n is
+    prod_{a<=n} 1/(t^a - 1), so each is the one before over t^n - 1."""
+    tails = [one_like(t)]
+    for a in range(1, j + 1):
+        tails.append(tails[-1] / (t ** a - 1))
+    return tails
+
+
 def euler_tail(j: int, t):
     """e_j(t^{-1}, t^{-2}, ...) = prod_{a<=j} 1/(t^a - 1), by Euler's formula."""
-    out = one_like(t)
-    for a in range(1, j + 1):
-        out = out / (t ** a - 1)
-    return out
+    return _euler_tails(j, t)[j]
 
 
 def eigen_tildeE(mu: Partition, r: int, q, t):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
-    finite head product times the Euler-summed tail."""
+    finite head product times the Euler-summed tail.
+
+    Within the call the head is built only to e_min(l, r), the entries the
+    sum reads, and the Euler tails e_0..e_r once each, incrementally."""
     q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
@@ -337,8 +363,9 @@ def eigen_tildeE(mu: Partition, r: int, q, t):
         return one_like(q)
     l = len(mu)
     head = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
-                            one_like(q), l)
-    return scalar_sum([head[r - n] * (t ** (-n * l)) * euler_tail(n, t)
+                            one_like(q), min(l, r))
+    tails = _euler_tails(r, t)
+    return scalar_sum([head[r - n] * (t ** (-n * l)) * tails[n]
                        for n in range(r + 1) if r - n < len(head)])
 
 
@@ -361,19 +388,12 @@ def eigen_E_r(mu: Partition, r: int, q, t):
 # symmetric functions of the cell multiset: direct and universal-formula paths
 # ---------------------------------------------------------------------------
 
-def _e_tail_shifted(r: int, t):
-    """e_r(1, t^{-1}, t^{-2}, ...) = e_r(t^{-1},...) + e_{r-1}(t^{-1},...)."""
-    out = euler_tail(r, t)
-    if r >= 1:
-        out = out + euler_tail(r - 1, t)
-    return out
-
-
 def sym_of_cells(lam: Partition, operation: str, k: int, q, t) -> Tuple[object, object]:
     """The symmetric function of the power operation (psi: p_k, lambda: e_k,
     sigma: h_k) of the cell multiset, as the pair (direct over the cells,
     through the decomposition in the stabilized family that the operator
-    hands to the vertex engine, each E~-word evaluated by eigen_tildeE)."""
+    hands to the vertex engine, each E~-word evaluated by eigen_tildeE).
+    Within the call eigen_tildeE(lam, part) is computed once per part size."""
     q, t = exact_scalars(q, t)
     if operation not in POWER_OPERATIONS:
         raise MacdonaldError(f"unknown operation {operation!r}")
@@ -384,9 +404,10 @@ def sym_of_cells(lam: Partition, operation: str, k: int, q, t) -> Tuple[object, 
     if k == 0:
         return direct, one_like(q)
     terms, formula = decomposition(k, q, t)
+    eigen = LazyTable(lambda part: eigen_tildeE(lam, part, q, t))
     for c, mu in terms:
         for part in mu:
-            c = c * eigen_tildeE(lam, part, q, t)
+            c = c * eigen[part]
         formula = formula + c
     return direct, formula
 
@@ -423,22 +444,29 @@ def sigma_decomposition(m: int, q, t) -> Tuple[List[Tuple[object, Partition]], o
 
 def _power_decomposition(m: int, q, t, symmetric: bool):
     """Lambda^m pairs gamma on the head with beta on the tail; Sigma^m swaps
-    the two tables and carries the sign (-1)^m."""
+    the two tables and carries the sign (-1)^m.
+
+    A tail part j contributes e_j(1, t^{-1}, t^{-2}, ...) =
+    e_j(t^{-1}, ...) + e_{j-1}(t^{-1}, ...); these and the powers t^w are
+    computed once per call, before the loops over head and tail."""
     if m < 1:
         raise MacdonaldError("m must be >= 1")
     beta, gamma = beta_gamma_coefficients(m, q)
     head, tail = (beta, gamma) if symmetric else (gamma, beta)
     one = one_like(q)
+    tails = _euler_tails(m, t)
+    shifted = [tails[0]] + [tails[j] + tails[j - 1] for j in range(1, m + 1)]
     acc: Dict[Partition, object] = {}
     for w_mu in range(0, m + 1):
+        t_w = t ** w_mu
         for mu in enumerate_partitions(w_mu):
             h = head[mu] if mu else one
             for nu in enumerate_partitions(m - w_mu):
-                c = h * (tail[nu] if nu else one) * t ** w_mu
+                c = h * (tail[nu] if nu else one) * t_w
                 if symmetric:
                     c = c * Fraction((-1) ** m)
                 for part in nu:
-                    c = c * _e_tail_shifted(part, t)
+                    c = c * shifted[part]
                 acc[mu] = acc.get(mu, c * 0) + c
     const = acc.pop((), Fraction(0))
     return [(c, mu) for mu, c in sorted(acc.items())], const

@@ -12,7 +12,7 @@ library is deterministic.  Cells are iterated row-major, 1-indexed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from .exactalg.series import TruncatedSeries
 
@@ -88,6 +88,23 @@ def cells(lam: Partition) -> List[CellStat]:
         for j in range(1, p + 1):
             out.append(CellStat(i, j, p - j, conj[j - 1] - i, j - 1, i - 1))
     return out
+
+
+class LazyTable(dict):
+    """Values of formula at int keys, each computed on its first lookup and
+    kept as long as the table: a cell's (arm, leg) or (coarm, coleg) pair
+    gives formula(*key), a part size or degree k gives formula(k).  A table
+    belongs to one call, one operator or one MacdonaldTable; the partition
+    sums look up a cell factor once per distinct pair, not once per cell."""
+
+    def __init__(self, formula: Callable):
+        super().__init__()
+        self._formula = formula
+
+    def __missing__(self, key):
+        value = self[key] = (self._formula(*key) if isinstance(key, tuple)
+                             else self._formula(key))
+        return value
 
 
 def hooks(lam: Partition) -> List[int]:

@@ -67,6 +67,39 @@ def test_e1_bracket_symbolic_order_3():
     assert bf == closed_form_series("E1", 3)
 
 
+def test_operators_with_one_label_keep_their_own_eigenvalues():
+    """Two E1 operators built at different (q, t) share a label, not an
+    eigenvalue: the bracket of the word does not depend on their order and
+    equals the bracket of one operator with the product eigenvalue."""
+    a = tilde_e_op(1, Fraction(2, 3), Fraction(5, 7))
+    b = tilde_e_op(1, Fraction(1, 5), Fraction(7, 2))
+    args = (Fraction(3, 11), Fraction(13, 17), Fraction(2, 3), Fraction(5, 7), 3)
+    ab = DiagonalOperator("ab", lambda mu: a.eigenvalue(mu) * b.eigenvalue(mu))
+    assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([b, a], *args)
+    assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([ab], *args)
+
+
+def test_bruteforce_cell_tables_against_vertex_engine_at_order_8():
+    """From order 8 on many cells share (a, l) but not (a', l'), and the
+    reverse, so a cell factor stored under the wrong key changes the sum.
+    Two seeded points in one process: each call builds its own tables."""
+    for seed in (41, 43):
+        pt = RationalSampler(seed, magnitude=30).point(["q", "t", "u", "v"])
+        q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
+        word = [tilde_e_op(2, q, t), tilde_e_op(1, q, t)]
+        assert bracket_bruteforce(word, u, v, q, t, 8, primed=True) == \
+            vertex_correlator(word, u, v, q, t, 8), seed
+
+
+def test_symbolic_bruteforce_prints_the_same_when_repeated():
+    """The stored cell factors are shared by every partition of a call; none
+    is changed in place, so the same call made twice prints the same."""
+    def printed():
+        series = bracket_bruteforce([tilde_e_op(1, qs, ts)], us, vs, qs, ts, 3)
+        return [c.canonical_str() for c in series.coeffs]
+    assert printed() == printed()
+
+
 # ---------------------------------------------------------------------------
 # base brackets
 # ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ def test_central_bridge_cases(pt):
         assert lhs == rhs, (ins, A)
 
 
+def test_localization_cell_tables_against_the_bridge_at_order_6():
+    """At order 6 many cells share (a, l) but not (a', l'), and the reverse,
+    so a tangent or twist factor stored under the wrong key changes the sum.
+    Two seeded points in one process: each call builds its own tables."""
+    ins = [BundleInsertion("psi", 2, (1, 0)), BundleInsertion("lambda", 1, (0, 1))]
+    for seed in (47, 53):
+        p = RationalSampler(seed, magnitude=30).point(["t1", "t2", "u", "v"])
+        t1, t2, u, v = p["t1"], p["t2"], p["u"], p["v"]
+        assert chi_C2_series(ins, (1, -1), u, v, 6, t1, t2) == \
+            chi_via_correlators(ins, (1, -1), u, v, 6, t1, t2), seed
+
+
 def test_plain_operation_is_gone():
     """The bundle itself is psi^1; there is no separate operation for it."""
     with pytest.raises(HilbertError):

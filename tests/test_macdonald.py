@@ -233,6 +233,21 @@ def test_tildeE_from_E_r_consistency():
             assert lhs == rhs, (mu, r)
 
 
+@pytest.mark.parametrize("mu, r", [
+    pytest.param((2, 2, 1, 1), 2, id="r<l"), pytest.param((3, 1, 1), 1, id="r<l-one"),
+    pytest.param((2, 2, 1, 1), 4, id="r=l"), pytest.param((3, 1, 1), 3, id="r=l-three"),
+    pytest.param((2, 2, 1, 1), 7, id="r>l"), pytest.param((3, 1, 1), 5, id="r>l-five"),
+    pytest.param((), 4, id="empty")])
+def test_eigen_tildeE_against_E_r_route(mu, r):
+    """r below, at and above l(mu): the head is built only to e_min(l, r) and
+    the Euler tails incrementally; the sum over the finite eigenvalues
+    eigen_E_r weighted by euler_tail builds neither."""
+    pt = RationalSampler(37).point(["q", "t"])
+    qv, tv = pt["q"], pt["t"]
+    rhs = scalar_sum([euler_tail(j, tv) * eigen_E_r(mu, r - j, qv, tv) for j in range(r + 1)])
+    assert eigen_tildeE(mu, r, qv, tv) == rhs
+
+
 def test_finite_n_family():
     """The finite-n eigenvalue sums match their generating function
     prod_{j<=n} (1 + q^{mu_j} t^{-j} z) / prod_{j<=n} (1 + t^{-j} z).
