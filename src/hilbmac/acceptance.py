@@ -212,6 +212,10 @@ def gram_failure(table: MacdonaldTable, n: int) -> Optional[str]:
 
 @criterion("C07", "Macdonald suite")
 def c07_macdonald_suite(seed, trials):
+    """Unit leading coefficients, triangularity, the Gram identity, the
+    eigenrelation and the two-path specialization.  The table's operator
+    matrix comes from a closed m-basis formula, so the eigenrelation
+    compares it with apply_E's independent power-sum route."""
     q, t, u = generators("q", "t", "u")
     table = MacdonaldTable(q, t, degree_bound=6)
     for n in range(0, 7):

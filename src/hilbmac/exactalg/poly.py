@@ -259,6 +259,13 @@ class LaurentPoly:
         _check(d)
         return LaurentPoly(d)
 
+    def __rmul__(self, other: int) -> "LaurentPoly":
+        """n * p for an int n: p.scale(n), so scalar code can multiply a
+        ring element by an integer count in every ring alike."""
+        if isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
+
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly({})

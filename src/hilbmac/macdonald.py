@@ -10,16 +10,18 @@ evaluation mode.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
 from .exactalg.series import TruncatedSeries
-from .partitions import LazyTable, Partition, cells, enumerate_partitions
+from .partitions import LazyTable, Partition, cells, enumerate_partitions, partitions_upto
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
-                     beta_gamma_coefficients, basis_convert, merge_parts, to_p)
+                     beta_gamma_coefficients, merge_parts, to_p)
 
 
 class MacdonaldError(ValueError):
@@ -106,6 +108,61 @@ def _laurent_unit(x) -> bool:
         return False
 
 
+def _splits(nu: Partition) -> List[Tuple[Partition, Partition]]:
+    """Every pair (beta, nu minus beta) with beta a sub-multiset of nu's
+    parts, each distinct beta once."""
+    out: List[Tuple[Partition, Partition]] = [((), ())]
+    for part, mult in Counter(nu).items():
+        out = [(beta + (part,) * k, rest + (part,) * (mult - k))
+               for beta, rest in out for k in range(mult + 1)]
+    return out
+
+
+def _signed_arrangements(delta: Sequence[int]) -> int:
+    """m_delta[-1] = (-1)^l(delta) l(delta)! / prod_i m_i(delta)!: a sign
+    times the number of distinct rearrangements of delta."""
+    count = math.factorial(len(delta))
+    for mult in Counter(delta).values():
+        count //= math.factorial(mult)
+    return -count if len(delta) % 2 else count
+
+
+def _m_at_q_minus_one(beta: Partition, q_powers: Sequence):
+    """m_beta[q - 1], the image of m_beta under p_n -> q^n - 1, with
+    q_powers[a] = q^a in the caller's ring.  The coproduct of m_beta over
+    the alphabets q and -1 leaves sum over gamma of q^|gamma| m_{beta - gamma}[-1],
+    gamma empty or one part of beta (each distinct part value once), since
+    m_gamma[q] vanishes for two or more parts."""
+    out = _signed_arrangements(beta) * q_powers[0]
+    for i, part in enumerate(beta):
+        if i and part == beta[i - 1]:
+            continue
+        out = out + _signed_arrangements(beta[:i] + beta[i + 1:]) * q_powers[part]
+    return out
+
+
+def _rearrangement_counts(kappa: Partition, rest: Partition,
+                          memo: Dict[Tuple[Partition, Partition], Dict[int, int]]) -> Dict[int, int]:
+    """j -> N_j, the number of distinct rearrangements r of rest (a
+    partition zero-padded to len(kappa)) with r_i <= kappa_i for every i
+    and j = #{i : r_i < kappa_i}.  Position by position over kappa; memo
+    holds the counts of each (remaining positions, remaining values)."""
+    key = (kappa, rest)
+    if key in memo:
+        return memo[key]
+    out: Dict[int, int] = {}
+    if not kappa:
+        out[0] = 1
+    for i, value in enumerate(rest):
+        if value > kappa[0] or (i and value == rest[i - 1]):
+            continue
+        step = int(value < kappa[0])
+        for j, count in _rearrangement_counts(kappa[1:], rest[:i] + rest[i + 1:], memo).items():
+            out[j + step] = out.get(j + step, 0) + count
+    memo[key] = out
+    return out
+
+
 class MacdonaldTable:
     """Fill-once cache of the integral forms J_mu = c_mu P_mu and of P_mu for
     fixed scalars (q, t), c_mu = prod over cells (1 - q^a t^{l+1}).
@@ -127,11 +184,25 @@ class MacdonaldTable:
     - otherwise (Fractions, other rational functions) it runs with field
       division and P = J / c_mu directly.
 
-    The operator matrix of degree n is built column by column, one apply_E
-    image of m_nu each; the coefficients of the multiplication series
-    M(z) = exp(sum (1-t^{-n})/n p_n z^n) are computed once per degree k for
-    the table's t and shared by every column of every degree, for as long as
-    the table lives.
+    The operator's m-basis matrix is built in the same ring from one closed
+    formula, with no division and no change of basis (Macdonald, op. cit.,
+    VI §3, for the triangular m-basis action; Bergeron, Garsia, Haiman &
+    Tesler, Methods Appl. Anal. 6 (1999), for the plethystic form):
+
+        E m_nu = sum over nonempty sub-multisets beta of nu's parts of
+                 m_beta[q - 1] sum_kappa sum_r t^-1 (1 - t^-1)^(j(r) - 1) m_kappa,
+
+    r over the distinct rearrangements of nu - beta, zero-padded to
+    l(kappa), with r_i <= kappa_i for every i, and j(r) = #{i : r_i < kappa_i}.
+    From apply_E's definition E f = (t - 1)^-1 (sum_k h_k[X(1 - t^-1)]
+    f[X + (q - 1)/z]|_{z^-k} - f):
+      - the coproduct of m_nu splits off m_beta[(q - 1)/z] = z^-|beta| m_beta[q - 1];
+      - h_k[X(1 - t^-1)] = sum over lam |- k of (1 - t^-1)^l(lam) m_lam, and
+        m_lam m_{nu - beta} counts the r with kappa - r a rearrangement of lam;
+      - beta = () cancels -f, and (1 - t^-1)^j / (t - 1) = t^-1 (1 - t^-1)^(j - 1).
+    The ring values are m_beta[q - 1], one per beta, and t^-1 (1 - t^-1)^(j - 1),
+    one per j; the rest are integer counts.  apply_E stays the independent
+    route, which the eigenrelation check of C07 compares with the table.
 
     The tests check the result against <.,.>_{q,t} and against the
     Haglund-Haiman-Loehr formula for J.
@@ -147,7 +218,6 @@ class MacdonaldTable:
         self._J: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): self._ring(one)})}
         self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
         self._P_p: Dict[Partition, SymmetricFunction] = {}
-        self._mult_series = LazyTable(lambda k: _mult_series_coeff(k, t))
         self._degrees_done = {0}
 
     def _ring(self, x):
@@ -173,15 +243,9 @@ class MacdonaldTable:
         if n > self.degree_bound:
             raise MacdonaldError(f"degree {n} above bound {self.degree_bound}")
         q, t = self.q, self.t
-        one = one_like(q)
         order = enumerate_partitions(n)   # dominance-compatible, dominant first
         pos = {lam: i for i, lam in enumerate(order)}
-        # columns of the operator in the m-basis: E m_nu = sum_kappa A[kappa][nu] m_kappa
-        A: Dict[Partition, Dict[Partition, object]] = {kappa: {} for kappa in order}
-        for nu in order:
-            img = _apply_E(SymmetricFunction("m", {nu: one}), q, t, self._mult_series)
-            for kappa, c in basis_convert(img, "m").terms.items():
-                A[kappa][nu] = self._ring(c)
+        A = self._operator_matrix(order)
         ev = {lam: self._ring(eigen_E(lam, q, t)) for lam in order}
         for mu in order:
             factors = [self._ring(f) for f in integral_factors(mu, q, t)[0]]
@@ -203,6 +267,41 @@ class MacdonaldTable:
             self._P[mu] = SymmetricFunction("m", {kappa: self._over(c, factors, c_mu)
                                                   for kappa, c in J.items()})
         self._degrees_done.add(n)
+
+    def _operator_matrix(self, order: List[Partition]) -> Dict[Partition, Dict[Partition, object]]:
+        """The m-basis matrix of the degree-1 operator on the partitions of
+        one degree, E m_nu = sum_kappa A[kappa][nu] m_kappa, in the fill's
+        ring, by the closed formula of the class docstring.  The rearrangement
+        counts are tabulated for this call only."""
+        one = self._ring(one_like(self.q))
+        q, t_inv = self._ring(self.q), self._ring(1 / self.t)
+        n = sum(order[0])
+        q_powers = [one]
+        zero = 0 * one
+        weights = [zero, t_inv]     # weights[j] = t^-1 (1 - t^-1)^(j-1), j >= 1
+        for _ in range(n):
+            q_powers.append(q_powers[-1] * q)
+            weights.append(weights[-1] * (one - t_inv))
+        at_q_minus_one = {beta: _m_at_q_minus_one(beta, q_powers) for beta in partitions_upto(n)}
+        counts: Dict[Tuple[Partition, Partition], Dict[int, int]] = {}
+        A: Dict[Partition, Dict[Partition, object]] = {kappa: {} for kappa in order}
+        for nu in order:
+            splits = [(at_q_minus_one[beta], rho) for beta, rho in _splits(nu) if beta]
+            for kappa in order:
+                by_j: Dict[int, object] = {}    # j -> sum over beta of N_j m_beta[q - 1]
+                for m_beta, rho in splits:
+                    if len(rho) > len(kappa):
+                        continue
+                    padded = rho + (0,) * (len(kappa) - len(rho))
+                    for j, count in _rearrangement_counts(kappa, padded, counts).items():
+                        v = count * m_beta
+                        by_j[j] = by_j[j] + v if j in by_j else v
+                entry = zero
+                for j, v in by_j.items():
+                    entry = entry + weights[j] * v
+                if entry:
+                    A[kappa][nu] = entry
+        return A
 
     def J(self, mu: Partition) -> SymmetricFunction:
         """J_mu in the monomial basis, with coefficients in the fill's ring
@@ -278,19 +377,14 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
 
     Realized as 1/(t-1) [ M(z) . f(p_n + (q^n - 1) z^{-n}) |_{z^0} - f ]
     with M(z) = exp(sum (1-t^{-n})/n p_n z^n): the translation part collects
-    z^{-k}, the multiplication series restores degree k.
+    z^{-k}, the multiplication series restores degree k.  Within the call
+    the degree-k coefficients of M(z) and q^n - 1 are computed once each,
+    and the shifted factors of a p_kappa, one per subset of its parts, are
+    built subset by subset: each is a smaller subset's factor times one
+    more q^n - 1.
     """
     q, t = exact_scalars(q, t)
-    return _apply_E(f, q, t, LazyTable(lambda k: _mult_series_coeff(k, t)))
-
-
-def _apply_E(f: SymmetricFunction, q, t, mult_series: LazyTable) -> SymmetricFunction:
-    """apply_E with the multiplication series' degree-k coefficients looked
-    up in mult_series, which a MacdonaldTable shares across its fill.  Within
-    the call q^n - 1 is computed once per part size n, and the shifted
-    factors of a p_kappa, one per subset of its parts, are built subset by
-    subset: each is a smaller subset's factor times one more q^n - 1, the
-    same products in the same order as part by part."""
+    mult_series = LazyTable(lambda k: _mult_series_coeff(k, t))
     g = to_p(f)
     dmax = g.degree()
     shift = LazyTable(lambda n: q ** n - 1)

@@ -94,8 +94,8 @@ class LazyTable(dict):
     """Values of formula at int keys, each computed on its first lookup and
     kept as long as the table: a cell's (arm, leg) or (coarm, coleg) pair
     gives formula(*key), a part size or degree k gives formula(k).  A table
-    belongs to one call, one operator or one MacdonaldTable; the partition
-    sums look up a cell factor once per distinct pair, not once per cell."""
+    belongs to one call or one operator; the partition sums look up a cell
+    factor once per distinct pair, not once per cell."""
 
     def __init__(self, formula: Callable):
         super().__init__()

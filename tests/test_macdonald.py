@@ -7,7 +7,7 @@ import pytest
 from hilbmac import macdonald
 from hilbmac.exactalg import (LaurentPoly, RationalFunction, RationalSampler,
                               generators, scalar_sum)
-from hilbmac.macdonald import (MacdonaldError, MacdonaldTable,
+from hilbmac.macdonald import (MacdonaldError, MacdonaldTable, _m_at_q_minus_one,
                                apply_E, b_norm, cell_multiset,
                                complete_of, eigen_E, eigen_E_r, eigen_tildeE,
                                elementary_of, euler_tail, integral_factors,
@@ -16,7 +16,7 @@ from hilbmac.macdonald import (MacdonaldError, MacdonaldTable,
                                sigma_decomposition, specialize_eps,
                                specialize_eps_via_p, sym_of_cells)
 from hilbmac.partitions import enumerate_partitions, partitions_upto
-from hilbmac.symfun import SymmetricFunction, inner_product_qt
+from hilbmac.symfun import SymmetricFunction, basis_convert, inner_product_qt, to_p
 from oracles import (En_apply_power_sum, dn1_apply_power_sum,
                      eigen_E_r_finite, eval_p_basis, finite_coefficient_c,
                      hhl_integral_form, q_binomial)
@@ -143,6 +143,46 @@ def test_eigenrelation_through_degree_5(table):
     for lam in partitions_upto(5):
         lhs = apply_E(table.P_in_p(lam), q, t)
         assert lhs == table.P_in_p(lam).scale(eigen_E(lam, q, t)), lam
+
+
+def _columns_agree_with_apply_E(qq, tt, degree):
+    """Every column of the fill's operator matrix, E m_nu with |nu| <= degree,
+    equals apply_E's image of m_nu converted back to the m-basis."""
+    table = MacdonaldTable(qq, tt)
+    for n in range(1, degree + 1):
+        order = enumerate_partitions(n)
+        A = table._operator_matrix(order)
+        for nu in order:
+            image = apply_E(SymmetricFunction("m", {nu: qq * 0 + 1}), qq, tt)
+            expected = {kappa: table._ring(c) for kappa, c in basis_convert(image, "m").terms.items()}
+            column = {kappa: A[kappa][nu] for kappa in order if nu in A[kappa]}
+            assert column == expected, nu
+
+
+def test_operator_matrix_matches_apply_E_symbolic():
+    _columns_agree_with_apply_E(q, t, 6)
+
+
+def test_operator_matrix_matches_apply_E_at_inverted_generators():
+    _columns_agree_with_apply_E(q ** -1, t ** -1, 4)
+
+
+def test_operator_matrix_matches_apply_E_at_a_point():
+    pt = RationalSampler(43).point(["q", "t"])
+    _columns_agree_with_apply_E(pt["q"], pt["t"], 8)
+
+
+def test_m_at_q_minus_one_matches_plethysm():
+    """The closed form of m_beta[q - 1] equals to_p(m_beta) under
+    p_n -> q^n - 1, |beta| <= 8."""
+    q_powers = [q ** a for a in range(9)]
+    for beta in partitions_upto(8):
+        terms = []
+        for rho, c in to_p(SymmetricFunction("m", {beta: Fraction(1)})).terms.items():
+            for part in rho:
+                c = c * (q ** part - 1)
+            terms.append(c)
+        assert _m_at_q_minus_one(beta, q_powers) == scalar_sum(terms), beta
 
 
 def test_arm_leg_identity():
