@@ -16,7 +16,7 @@ from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,
                      inner_product_qt, omega)
 from .macdonald import (MacdonaldTable, apply_E, b_norm, eigen_E, eigen_E_r,
                         eigen_tildeE, macdonald_P, psi_decomposition,
-                        specialize_eps, sym_of_cells)
+                        specialize_eps)
 from .correlators import (bracket_bruteforce, base_bracket_z,
                           closed_form_library, connected_correlators,
                           fqft_layer, lambda_op, psi_op, sigma_op,

@@ -20,17 +20,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .correlators import (CLOSED_FORMS, bracket_bruteforce, base_bracket_series,
                           base_bracket_z, closed_form_series,
                           connected_correlators, disconnected_from_connected,
-                          operator_word, tilde_e_op, vertex_correlator)
-from .exactalg.ratfun import ExactAlgError, RationalFunction, generators, one_like
+                          operator_word, power_op, tilde_e_op, vertex_correlator)
+from .exactalg.ratfun import (ExactAlgError, RationalFunction, generators, one_like,
+                              scalar_sum)
 from .exactalg.sampling import RationalSampler
 from .exactalg.series import TruncatedSeries, expand_closed_form, first_difference
 from .hilbert import (BundleInsertion, chi_C2_series, chi_via_correlators,
                       load_surface, toric_correlator_checks,
                       verify_main_identity)
-from .macdonald import (MacdonaldTable, apply_E, b_norm, eigen_E,
-                        integral_factors, specialize_eps, specialize_eps_via_p,
-                        sym_of_cells)
-from .partitions import (dominates, enumerate_partitions, goettsche_count_check,
+from .macdonald import (MacdonaldTable, apply_E, b_norm, eigen_E, eigen_tildeE,
+                        integral_factors, specialize_eps, specialize_eps_via_p)
+from .partitions import (LazyTable, dominates, enumerate_partitions, goettsche_count_check,
                          nekrasov_okounkov_check, partitions_upto, z_factor)
 from .symfun import (SymmetricFunction, alpha_coefficients, bc_product_check,
                      beta_gamma_coefficients, to_p)
@@ -294,14 +294,21 @@ def c08_alpha_bc_tables(seed, trials):
 
 @criterion("C09", "cell-multiset two-path")
 def c09_sym_of_cells(seed, trials):
+    """Each power operator of the engines, built once per point: its eigenvalue
+    at lam (a symmetric function of the cell multiset) against the sum of
+    c * prod eigen_tildeE(lam, w) over the expansion the vertex engine uses."""
     for pt in _points(seed, trials, names=("q", "t")):
         q, t = pt["q"], pt["t"]
+        ops = [(operation, k, power_op(operation, k, q, t))
+               for operation in ("lambda", "sigma", "psi") for k in (1, 2, 3)]
         for lam in partitions_upto(6):
-            for operation in ("lambda", "sigma", "psi"):
-                for k in (1, 2, 3):
-                    direct, formula = sym_of_cells(lam, operation, k, q, t)
-                    if not direct == formula:
-                        return False, f"{operation}^{k} at {lam}: {direct} != {formula}"
+            eigen = LazyTable(lambda part: eigen_tildeE(lam, part, q, t))
+            for operation, k, op in ops:
+                direct = op.eigenvalue(lam)
+                formula = scalar_sum([functools.reduce(operator.mul, [eigen[w] for w in ws], c)
+                                      for ws, c in op.expansion])
+                if not direct == formula:
+                    return False, f"{operation}^{k} at {lam}: {direct} != {formula}"
     return True, ""
 
 

@@ -20,10 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
 from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE
-from .partitions import LazyTable, Partition, cells, iter_partitions
+from .partitions import CellStat, LazyTable, Partition, cells, iter_partitions
 from .symfun import SymmetricFunction
-
-Word = Tuple["DiagonalOperator", ...]
 
 
 class CorrelatorError(ValueError):
@@ -120,35 +118,62 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
     with a_mu the product of the word's eigenvalues at mu.  The primed flag
     divides by <1>_{u,v}.
 
-    The two numerator factors of a cell depend only on (a', l') and the two
-    denominators only on (a, l): each pair is computed once per call, on its
-    first cell, and the sum multiplies and divides by the stored values in
-    the same order as the formula.  Each operator's eigenvalue is computed
-    once per mu.
+    This is the localization sum of the chart (t1, t2) = (t^{-1}, q), with
+    the word's eigenvalues as the factors of mu: for w = t^{-l'} q^{a'},
+
+        -u (q^{a'} - v t^{l'})(t^{-l'} - u^{-1} q^{-a'}) = (1 - u w)(1 - v/w),
+
+    and the two denominators are the chart's tangent factors verbatim.  Each
+    operator's eigenvalue is computed once per mu.
     """
     u, v, q, t = exact_scalars(u, v, q, t)
     if not u:
         raise CorrelatorError("u must be invertible: the weights contain u^{-1}")
-    uinv = 1 / u
-    numerators = LazyTable(lambda a_, l_: (q ** a_ - v * t ** l_,
-                                           t ** (-l_) - uinv * q ** (-a_)))
-    denominators = LazyTable(lambda a, l: (1 - t ** l * q ** (a + 1),
-                                           1 - q ** (-a) * t ** (-(l + 1))))
-
-    def term(mu: Partition):
-        out = (-u) ** sum(mu)
-        for c in cells(mu):
-            n1, n2 = numerators[c.coarm, c.coleg]
-            d1, d2 = denominators[c.arm, c.leg]
-            out = out * n1 / d1 * n2 / d2
-        for op in word:
-            out = out * op.eigenvalue(mu)
-        return out
-
-    series = partition_series(term, order)
+    series = chart_series(1 / t, q, u, v, order,
+                          lambda mu, _: {(): [op.eigenvalue(mu) for op in word]})[()]
     if primed:
         series = series / bracket_one_closed(u, v, q, t, order)
     return series
+
+
+def chart_series(t1, t2, u, v, order: int,
+                 extra: Callable[[Partition, List[CellStat]], Dict[object, Sequence]]
+                 ) -> Dict[object, TruncatedSeries]:
+    """Fixed-point localization sum on the plane chart with tangent weights
+    t1, t2 and the dual exterior-algebra twist (u, v), graded by keys.  The
+    base term of mu is, with w = t1^{l'} t2^{a'},
+
+        prod_s (1 - u w)(1 - v/w) / prod_s (1 - t1^{-l} t2^{a+1})(1 - t1^{l+1} t2^{-a});
+
+    extra(mu, cells(mu)) maps each key to the factors that multiply the base
+    at that key, and the Q^n coefficient at a key sums over |mu| = n.  Cell
+    factors are computed once per call for each (a', l') or (a, l).
+    """
+    one = one_like(t1)
+    twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_,
+                                      1 - v / (t1 ** l_ * t2 ** a_)))
+    tangent = LazyTable(lambda a, l: (1 - t1 ** (-l) * t2 ** (a + 1),
+                                      1 - t1 ** (l + 1) * t2 ** (-a)))
+    coeffs: Dict[object, List] = {}
+    for n in range(order + 1):
+        terms: Dict[object, List] = {}
+        for mu in iter_partitions(n):
+            cs = cells(mu)
+            num = den = one
+            for c in cs:
+                f1, f2 = twist[c.coarm, c.coleg]
+                d1, d2 = tangent[c.arm, c.leg]
+                num = num * f1 * f2
+                den = den * d1 * d2
+            base = num / den
+            for key, factors in extra(mu, cs).items():
+                term = base
+                for f in factors:
+                    term = term * f
+                terms.setdefault(key, []).append(term)
+        for key, vals in terms.items():
+            coeffs.setdefault(key, []).append(scalar_sum(vals))
+    return {key: TruncatedSeries(c) for key, c in coeffs.items()}
 
 
 def partition_series(term: Callable[[Partition], object], order: int) -> TruncatedSeries:

@@ -16,14 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .correlators import (bracket_one_closed, partition_series, power_op,
-                          vertex_correlator)
+from .correlators import (bracket_one_closed, chart_series, partition_series,
+                          power_op, vertex_correlator)
 from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, rf,
                               scalar_sum)
 from .exactalg.series import TruncatedSeries, first_difference, geometric
@@ -96,70 +95,13 @@ def _mono(t1, t2, w: Weight):
 
 
 # ---------------------------------------------------------------------------
-# per-partition localization data on one chart
+# the affine chart
 # ---------------------------------------------------------------------------
-
-def _tangent_factors(t1, t2) -> LazyTable:
-    """(a, l) -> the cell's tangent factors (1 - t1^{-l} t2^{a+1}), (1 - t1^{l+1} t2^{-a})."""
-    return LazyTable(lambda a, l: (1 - t1 ** (-l) * t2 ** (a + 1),
-                                   1 - t1 ** (l + 1) * t2 ** (-a)))
-
-
-def _twist_factors(A: Weight, u, v, t1, t2) -> LazyTable:
-    """(a', l') -> the cell's twist factors (1 - u t^A w), (1 - v t^{-A} w^{-1}),
-    w = t1^{l'} t2^{a'}."""
-    tA = _mono(t1, t2, A)
-
-    def factors(coarm: int, coleg: int):
-        w = t1 ** coleg * t2 ** coarm
-        return 1 - u * tA * w, 1 - v * w ** (-1) / tA
-    return LazyTable(factors)
-
 
 def _bundle_weights(A: Weight, t1, t2) -> LazyTable:
     """(a', l') -> the cell's fiber weight t1^{l'+a} t2^{a'+b}, A = (a, b)."""
     a, b = A
     return LazyTable(lambda coarm, coleg: t1 ** (coleg + a) * t2 ** (coarm + b))
-
-
-_ARM_LEG = operator.attrgetter("arm", "leg")
-_COARM_COLEG = operator.attrgetter("coarm", "coleg")
-
-
-def _cell_product(lam: Partition, factors: LazyTable, key, one):
-    """prod over cells of both factors the table holds at the cell's key
-    (_ARM_LEG or _COARM_COLEG)."""
-    out = one
-    for c in cells(lam):
-        f1, f2 = factors[key(c)]
-        out = out * f1 * f2
-    return out
-
-
-def tangent_denominator(lam: Partition, t1, t2):
-    """prod over cells (1 - t1^{-l} t2^{a+1})(1 - t1^{l+1} t2^{-a})."""
-    return _cell_product(lam, _tangent_factors(t1, t2), _ARM_LEG, one_like(t1))
-
-
-def bundle_weights(lam: Partition, A: Weight, t1, t2) -> List:
-    """Weight multiset of the rank-|lam| fiber: {t1^{l'+a} t2^{a'+b}}."""
-    weights = _bundle_weights(A, t1, t2)
-    return [weights[c.coarm, c.coleg] for c in cells(lam)]
-
-
-def insertion_factor(ins: BundleInsertion, lam: Partition, t1, t2):
-    """Character of the power operation applied to the fiber at I_lam: the
-    operation's power-sum, elementary or complete symmetric function of the
-    finite weight multiset (the generating-series relations between the three
-    families are a test, not the implementation).
-    """
-    cell_function = POWER_OPERATIONS[ins.operation][0]
-    return cell_function(bundle_weights(lam, ins.A, t1, t2), ins.m)
-
-
-def twist_factor(lam: Partition, A: Weight, u, v, t1, t2):
-    """prod over cells (1 - u t^A t1^{l'} t2^{a'})(1 - v t^{-A} t1^{-l'} t2^{-a'})."""
-    return _cell_product(lam, _twist_factors(A, u, v, t1, t2), _COARM_COLEG, one_like(t1))
 
 
 def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
@@ -170,25 +112,22 @@ def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
     dual exterior-algebra twist over the tangent denominator.  u = v = 0
     gives the untwisted series.
 
-    The tangent factors of a cell are computed once per call for each
-    (a, l), and its twist factors and each insertion's fiber weight once per
-    call for each (a', l'); the partition sum reads the stored values.
+    This is correlators.chart_series on the chart (t1, t2) with the twist
+    (u t^A, v t^{-A}) and the insertions' characters as the factors of mu:
+    each insertion's power-sum, elementary or complete symmetric function of
+    the fiber weights t1^{l'+a} t2^{a'+b}, each weight computed once per
+    call for each (a', l').
     """
     u, v, t1, t2 = exact_scalars(u, v, t1, t2)
-    one = one_like(t1)
-    tangent = _tangent_factors(t1, t2)
-    twist = _twist_factors(twist_A, u, v, t1, t2)
+    tA = _mono(t1, t2, twist_A)
     fibers = [(POWER_OPERATIONS[ins.operation][0], ins.m, _bundle_weights(ins.A, t1, t2))
               for ins in insertions]
 
-    def term(mu: Partition):
-        out = (_cell_product(mu, twist, _COARM_COLEG, one)
-               / _cell_product(mu, tangent, _ARM_LEG, one))
-        for cell_function, m, weights in fibers:
-            out = out * cell_function([weights[c.coarm, c.coleg] for c in cells(mu)], m)
-        return out
+    def characters(mu: Partition, cs):
+        return {(): [cell_function([weights[c.coarm, c.coleg] for c in cs], m)
+                     for cell_function, m, weights in fibers]}
 
-    return partition_series(term, order)
+    return chart_series(t1, t2, u * tA, v / tA, order, characters)[()]
 
 
 @dataclass
@@ -369,7 +308,10 @@ MarkerKey = Tuple[int, ...]
 def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInsertion],
                          twist: Optional[str], u, v, order: int, t1, t2,
                          marker_cap: int) -> Dict[MarkerKey, TruncatedSeries]:
-    """One chart's series, graded by marker exponents up to total degree cap."""
+    """One chart's series, graded by marker exponents up to total degree cap:
+    correlators.chart_series at the point's tangent weights, one key per
+    marker exponent, whose factors are the insertions' characters of the
+    fiber weights w_B t1i^{l'} t2i^{a'}."""
     t1i = _mono(t1, t2, point.tangent[0])
     t2i = _mono(t1, t2, point.tangent[1])
     if twist is None:
@@ -379,36 +321,23 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
             raise HilbertError(f"missing bundle weight {twist!r} at a fixed point")
         twist_w = point.bundles[twist]
     tA = _mono(t1, t2, twist_w)
-    u2, v2 = u * tA, v / tA
-    zero = t1 * 0
-    one = one_like(t1i)
-    tangent = _tangent_factors(t1i, t2i)
-    twist_cells = _twist_factors((0, 0), u2, v2, t1i, t2i)
-    cell_weights = _bundle_weights((0, 0), t1i, t2i)
     fibers = []
     for ins in insertions:
         if ins.bundle not in point.bundles:
             raise HilbertError(f"missing bundle weight {ins.bundle!r} at a fixed point")
         wB = _mono(t1, t2, point.bundles[ins.bundle])
         fibers.append((POWER_OPERATIONS[ins.operation][0],
-                       LazyTable(lambda coarm, coleg, wB=wB: wB * cell_weights[coarm, coleg])))
-    out: Dict[MarkerKey, List] = {}
-    for n in range(order + 1):
-        for mu in iter_partitions(n):
-            base = (_cell_product(mu, twist_cells, _COARM_COLEG, one)
-                    / _cell_product(mu, tangent, _ARM_LEG, one))
-            per_bundle: List[List] = []
-            for cell_function, weights in fibers:
-                ws = [weights[c.coarm, c.coleg] for c in cells(mu)]
-                per_bundle.append([cell_function(ws, kk) for kk in range(marker_cap + 1)])
-            for key in _marker_keys(len(insertions), marker_cap):
-                factor = base
-                for j, kj in enumerate(key):
-                    if kj:
-                        factor = factor * per_bundle[j][kj]
-                tgt = out.setdefault(key, [zero] * (order + 1))
-                tgt[n] = tgt[n] + factor
-    return {k: TruncatedSeries(v) for k, v in out.items()}
+                       LazyTable(lambda coarm, coleg, wB=wB: wB * t1i ** coleg * t2i ** coarm)))
+    keys = _marker_keys(len(insertions), marker_cap)
+
+    def characters(mu: Partition, cs):
+        per_bundle = []
+        for cell_function, weights in fibers:
+            ws = [weights[c.coarm, c.coleg] for c in cs]
+            per_bundle.append({k: cell_function(ws, k) for k in range(1, marker_cap + 1)})
+        return {key: [per_bundle[j][kj] for j, kj in enumerate(key) if kj] for key in keys}
+
+    return chart_series(t1i, t2i, u * tA, v / tA, order, characters)
 
 
 def _marker_keys(n_markers: int, cap: int) -> List[MarkerKey]:

@@ -439,11 +439,6 @@ def _euler_tails(j: int, t) -> List:
     return tails
 
 
-def euler_tail(j: int, t):
-    """e_j(t^{-1}, t^{-2}, ...) = prod_{a<=j} 1/(t^a - 1), by Euler's formula."""
-    return _euler_tails(j, t)[j]
-
-
 def eigen_tildeE(mu: Partition, r: int, q, t):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
     finite head product times the Euler-summed tail.
@@ -476,34 +471,6 @@ def eigen_E_r(mu: Partition, r: int, q, t):
     num = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)], one, r)
     den = _elementary_list([t ** (-j) for j in range(1, len(mu) + 1)], one, r)
     return (TruncatedSeries(num) / TruncatedSeries(den)).coeffs[r]
-
-
-# ---------------------------------------------------------------------------
-# symmetric functions of the cell multiset: direct and universal-formula paths
-# ---------------------------------------------------------------------------
-
-def sym_of_cells(lam: Partition, operation: str, k: int, q, t) -> Tuple[object, object]:
-    """The symmetric function of the power operation (psi: p_k, lambda: e_k,
-    sigma: h_k) of the cell multiset, as the pair (direct over the cells,
-    through the decomposition in the stabilized family that the operator
-    hands to the vertex engine, each E~-word evaluated by eigen_tildeE).
-    Within the call eigen_tildeE(lam, part) is computed once per part size."""
-    q, t = exact_scalars(q, t)
-    if operation not in POWER_OPERATIONS:
-        raise MacdonaldError(f"unknown operation {operation!r}")
-    if k < 0 or (k == 0 and operation == "psi"):
-        raise MacdonaldError(f"{operation}^{k} of the cell multiset is not defined")
-    cell_function, decomposition = POWER_OPERATIONS[operation]
-    direct = cell_function(cell_multiset(lam, q, t), k)
-    if k == 0:
-        return direct, one_like(q)
-    terms, formula = decomposition(k, q, t)
-    eigen = LazyTable(lambda part: eigen_tildeE(lam, part, q, t))
-    for c, mu in terms:
-        for part in mu:
-            c = c * eigen[part]
-        formula = formula + c
-    return direct, formula
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Reference implementations that only the tests use.
 
 Finite-n Macdonald operators evaluated at concrete points, the finite-n
-eigenvalue family, the Gauss binomial, and the Haglund-Haiman-Loehr formula
-for the integral forms J_mu.  They are written from their definitions,
-independently of the stable-limit code they check.
+eigenvalue family, the Gauss binomial, Euler's tail product, the
+Haglund-Haiman-Loehr formula for the integral forms J_mu, and the plane's
+localization data (tangent denominator, fiber weights, insertion
+characters, the bracket's displayed partition sum).  They are written from
+their definitions, independently of the stable-limit code and the cached
+cell tables they check.
 
 Also a reference Laurent kernel over tuple monomials: a polynomial is a dict
 from a tuple of (variable index, exponent) pairs, sorted by index with
@@ -12,13 +15,15 @@ prints term by term, with no packing, so it checks the packed kernel of
 hilbmac.exactalg.poly.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from hilbmac.exactalg import BASE_ALPHABET, one_like
+from hilbmac.exactalg import BASE_ALPHABET, TruncatedSeries, one_like
 from hilbmac.macdonald import MacdonaldError, elementary_of
-from hilbmac.partitions import Partition
+from hilbmac.partitions import Partition, iter_partitions
 from hilbmac.symfun import SymmetricFunction, to_p
 
 
@@ -56,6 +61,14 @@ def eigen_E_r_finite(mu: Partition, r: int, n: int, q, t):
         v = finite_coefficient_c(j, n, t) * elementary_of(vals, r - j)
         total = v if total is None else total + v
     return total
+
+
+def euler_tail(j: int, t):
+    """e_j(t^{-1}, t^{-2}, ...) = prod_{a<=j} 1/(t^a - 1), by Euler's formula."""
+    out = one_like(t)
+    for a in range(1, j + 1):
+        out = out / (t ** a - 1)
+    return out
 
 
 def dn1_apply_power_sum(mu: Partition, xs: Sequence[Fraction], q: Fraction, t: Fraction) -> Fraction:
@@ -150,6 +163,72 @@ def hhl_integral_form(mu: Partition, kappa: Partition, q, t):
         coinv = sum(arm(*u) for u in cells) - (inversions - descent_arms)
         total = total + weight * q ** maj * t ** coinv
     return total
+
+
+# ---------------------------------------------------------------------------
+# localization on the plane, cell by cell
+# ---------------------------------------------------------------------------
+
+def diagram_cells(lam: Partition) -> List[Tuple[int, int, int, int]]:
+    """(a, l, a', l') of each cell (i, j) of the diagram, row-major:
+    a = lam_i - j, l = #{k : lam_k >= j} - i, a' = j - 1, l' = i - 1."""
+    return [(p - j, sum(1 for r in lam if r >= j) - i, j - 1, i - 1)
+            for i, p in enumerate(lam, start=1) for j in range(1, p + 1)]
+
+
+def tangent_denominator(lam: Partition, t1, t2):
+    """prod over cells (1 - t1^{-l} t2^{a+1})(1 - t1^{l+1} t2^{-a})."""
+    out = one_like(t1)
+    for a, l, _, _ in diagram_cells(lam):
+        out = out * (1 - t1 ** (-l) * t2 ** (a + 1)) * (1 - t1 ** (l + 1) * t2 ** (-a))
+    return out
+
+
+def bundle_weights(lam: Partition, A, t1, t2) -> List:
+    """Weight multiset of the rank-|lam| fiber: {t1^{l'+a} t2^{a'+b}}, A = (a, b)."""
+    a, b = A
+    return [t1 ** (coleg + a) * t2 ** (coarm + b) for _, _, coarm, coleg in diagram_cells(lam)]
+
+
+def insertion_factor(ins, lam: Partition, t1, t2):
+    """Character of the insertion's power operation of the fiber at I_lam:
+    p_m, e_m or h_m of the fiber weights, summed over the monomials of its
+    definition (m-th powers, m-subsets, m-multisets of the cells)."""
+    ws = bundle_weights(lam, ins.A, t1, t2)
+    monomials = {"psi": [(w,) * ins.m for w in ws],
+                 "lambda": itertools.combinations(ws, ins.m),
+                 "sigma": itertools.combinations_with_replacement(ws, ins.m)}[ins.operation]
+    total = t1 * 0
+    for mono in monomials:
+        total = total + functools.reduce(operator.mul, mono)
+    return total
+
+
+def bracket_definition(word, u, v, q, t, order: int, primed: bool = False) -> TruncatedSeries:
+    """The (u,v)-bracket summed term by term from its displayed definition
+
+        sum_mu (-uQ)^{|mu|} prod_s (q^{a'} - v t^{l'})/(1 - t^l q^{a+1})
+               * a_mu * prod_s (t^{-l'} - u^{-1} q^{-a'})/(1 - q^{-a} t^{-(l+1)}),
+
+    a_mu the product of the word's eigenvalues at mu; primed divides by the
+    same sum for the empty word."""
+    coeffs = []
+    for n in range(order + 1):
+        total = u * 0
+        for mu in iter_partitions(n):
+            term = (-u) ** n
+            for a, l, a_, l_ in diagram_cells(mu):
+                term = term * (q ** a_ - v * t ** l_) / (1 - t ** l * q ** (a + 1))
+                term = term * (t ** (-l_) - u ** -1 * q ** (-a_)) \
+                    / (1 - q ** (-a) * t ** (-(l + 1)))
+            for op in word:
+                term = term * op.eigenvalue(mu)
+            total = total + term
+        coeffs.append(total)
+    series = TruncatedSeries(coeffs)
+    if primed:
+        series = series / bracket_definition([], u, v, q, t, order)
+    return series
 
 
 # ---------------------------------------------------------------------------

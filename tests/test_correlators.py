@@ -22,6 +22,7 @@ from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  sigma_op, tilde_e_op, vertex_correlator)
 from hilbmac.exactalg import (RationalFunction, RationalSampler,
                               TruncatedSeries, expand_closed_form, generators)
+from oracles import bracket_definition
 
 qs, ts, us, vs = generators("q", "t", "u", "v")
 
@@ -65,6 +66,23 @@ def test_e1_bracket_closed_form(point):
 def test_e1_bracket_symbolic_order_3():
     bf = bracket_bruteforce([tilde_e_op(1, qs, ts)], us, vs, qs, ts, 3, primed=True)
     assert bf == closed_form_series("E1", 3)
+
+
+def test_bracket_matches_its_displayed_definition_symbolic():
+    """The chart sum against the docstring's formula summed term by term,
+    with (-uQ)^{|mu|}, u^{-1} and a_mu as displayed."""
+    word = [tilde_e_op(1, qs, ts)]
+    assert bracket_bruteforce(word, us, vs, qs, ts, 3) == \
+        bracket_definition(word, us, vs, qs, ts, 3)
+
+
+def test_bracket_matches_its_displayed_definition_at_a_point():
+    pt = RationalSampler(67, magnitude=30).point(["q", "t", "u", "v"])
+    q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
+    word = [tilde_e_op(2, q, t), tilde_e_op(1, q, t)]
+    for primed in (False, True):
+        assert bracket_bruteforce(word, u, v, q, t, 6, primed=primed) == \
+            bracket_definition(word, u, v, q, t, 6, primed=primed), primed
 
 
 def test_operators_with_one_label_keep_their_own_eigenvalues():

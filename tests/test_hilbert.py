@@ -6,14 +6,15 @@ import pytest
 from hilbmac.correlators import bracket_one_closed, closed_form_series
 from hilbmac.exactalg import RationalFunction, RationalSampler, generators
 from hilbmac.hilbert import (BundleInsertion, HilbertError, ToricInsertion,
-                             bundle_weights, chi_C2_series, chi_surface,
+                             chi_C2_series, chi_surface,
                              chi_via_correlators, coh_intersection_series,
-                             insertion_factor, ktheory_coh_jet_report,
+                             ktheory_coh_jet_report,
                              load_surface, main_identity_rhs,
-                             surface_from_dict, tangent_denominator,
+                             surface_from_dict,
                              toric_chi_series, toric_correlator_checks,
                              verify_main_identity)
 from hilbmac.partitions import iter_partitions
+from oracles import bundle_weights, insertion_factor, tangent_denominator
 
 t1s, t2s, us, vs = generators("t1", "t2", "u", "v")
 

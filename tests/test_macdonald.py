@@ -1,25 +1,28 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from hilbmac import macdonald
+from hilbmac.correlators import lambda_op, power_op, psi_op
 from hilbmac.exactalg import (LaurentPoly, RationalFunction, RationalSampler,
                               generators, scalar_sum)
 from hilbmac.macdonald import (MacdonaldError, MacdonaldTable, _m_at_q_minus_one,
                                apply_E, b_norm, cell_multiset,
                                complete_of, eigen_E, eigen_E_r, eigen_tildeE,
-                               elementary_of, euler_tail, integral_factors,
+                               elementary_of, integral_factors,
                                lambda_decomposition, macdonald_P,
                                power_of, psi_decomposition,
                                sigma_decomposition, specialize_eps,
-                               specialize_eps_via_p, sym_of_cells)
+                               specialize_eps_via_p)
 from hilbmac.partitions import enumerate_partitions, partitions_upto
 from hilbmac.symfun import SymmetricFunction, basis_convert, inner_product_qt, to_p
 from oracles import (En_apply_power_sum, dn1_apply_power_sum,
-                     eigen_E_r_finite, eval_p_basis, finite_coefficient_c,
-                     hhl_integral_form, q_binomial)
+                     eigen_E_r_finite, euler_tail, eval_p_basis,
+                     finite_coefficient_c, hhl_integral_form, q_binomial)
 
 q, t = generators("q", "t")
 u = RationalFunction.var("u")
@@ -366,26 +369,30 @@ def test_finite_coefficient_against_direct_expansion():
 # cell-multiset symmetric functions and operator decompositions
 # ---------------------------------------------------------------------------
 
-def test_sym_of_cells_examples():
-    assert sym_of_cells((), "lambda", 1, q, t)[0] == 0
-    assert sym_of_cells((1,), "psi", 1, q, t)[0] == 1
-    direct, formula = sym_of_cells((2, 1), "psi", 1, q, t)
-    assert direct == 1 + q + t ** -1
-    assert direct == formula
+def _expansion_value(op, lam):
+    """The operator's eigenvalue at lam through its expansion in the
+    stabilized family: sum of c * prod eigen_tildeE(lam, w)."""
+    return scalar_sum([functools.reduce(operator.mul, [eigen_tildeE(lam, w, q, t) for w in ws], c)
+                       for ws, c in op.expansion])
 
 
-def test_sym_of_cells_two_path_symbolic_small():
-    for lam in partitions_upto(3):
-        for operation in ("lambda", "sigma", "psi"):
-            direct, formula = sym_of_cells(lam, operation, 2, q, t)
-            assert direct == formula, (lam, operation)
-
-
-def test_sym_of_cells_rejects_bad_input():
+def test_power_op_examples():
+    assert lambda_op(1, q, t).eigenvalue(()) == 0
+    assert psi_op(1, q, t).eigenvalue((1,)) == 1
+    op = psi_op(1, q, t)
+    assert op.eigenvalue((2, 1)) == 1 + q + t ** -1
+    assert _expansion_value(op, (2, 1)) == 1 + q + t ** -1
     with pytest.raises(MacdonaldError):
-        sym_of_cells((1,), "x", 1, q, t)
-    with pytest.raises(MacdonaldError):
-        sym_of_cells((1,), "psi", 0, q, t)
+        psi_op(0, q, t)
+
+
+def test_power_op_two_routes_symbolic_small():
+    """Each power operator's eigenvalue against its expansion, at symbolic
+    q and t: the two routes the brute-force sum and the vertex engine take."""
+    for operation in ("lambda", "sigma", "psi"):
+        op = power_op(operation, 2, q, t)
+        for lam in partitions_upto(3):
+            assert op.eigenvalue(lam) == _expansion_value(op, lam), (lam, operation)
 
 
 def test_psi_decomposition_displays():

@@ -68,7 +68,6 @@ FLOAT_CALLS = {
     "psi_decomposition": lambda: hb.psi_decomposition(1, F, 3),
     "specialize_eps": lambda: hb.specialize_eps((1,), F, 2, 3),
     "specialize_eps_via_p": lambda: specialize_eps_via_p((1,), F, hb.MacdonaldTable(2, 3)),
-    "sym_of_cells": lambda: hb.sym_of_cells((1,), "lambda", 1, F, 3),
     "bracket_bruteforce": lambda: hb.bracket_bruteforce([], F, 2, 3, 5, 1),
     "base_bracket_z": lambda: hb.base_bracket_z(1, F),
     "tilde_e_op": lambda: hb.tilde_e_op(1, F, 3),
