@@ -22,8 +22,7 @@ from .correlators import (bracket_bruteforce, base_bracket_z,
                           fqft_layer, lambda_op, psi_op, sigma_op,
                           tilde_e_op, vertex_correlator)
 from .hilbert import (BundleInsertion, Surface, chi_C2_series,
-                      chi_via_correlators, coh_intersection_series,
-                      load_surface, toric_chi_series,
+                      chi_via_correlators, load_surface, toric_chi_series,
                       toric_correlator_checks, verify_main_identity)
 
 __version__ = "0.1.0"

@@ -64,6 +64,9 @@ def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
     function of the cell multiset of mu, and its expansion in the stabilized
     family is the operation's decomposition (macdonald.POWER_OPERATIONS)."""
     q, t = exact_scalars(q, t)
+    if operation not in POWER_OPERATIONS:
+        raise CorrelatorError(f"unknown operation {operation!r}; "
+                              f"have {', '.join(POWER_OPERATIONS)}")
     cell_function, decomposition = POWER_OPERATIONS[operation]
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
@@ -174,12 +177,6 @@ def chart_series(t1, t2, u, v, order: int,
         for key, vals in terms.items():
             coeffs.setdefault(key, []).append(scalar_sum(vals))
     return {key: TruncatedSeries(c) for key, c in coeffs.items()}
-
-
-def partition_series(term: Callable[[Partition], object], order: int) -> TruncatedSeries:
-    """The series whose Q^n coefficient is the sum of term(mu) over |mu| = n."""
-    return TruncatedSeries([scalar_sum([term(mu) for mu in iter_partitions(n)])
-                            for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -369,18 +369,3 @@ def exact_scalars(*values) -> tuple:
 
 def generators(*names: str) -> Tuple[RationalFunction, ...]:
     return tuple(RationalFunction.var(n) for n in names)
-
-
-def rf_coefficient(f: RationalFunction, exponents: Dict[str, int]) -> RationalFunction:
-    """Coefficient of prod var^k in f, for variables the denominator is free of.
-
-    Groups the expanded numerator by the requested exponents; anything else in
-    the monomial stays.  Raises if a requested variable occurs in the
-    denominator (the coefficient would not be a polynomial section).
-    """
-    num, den = f.expanded()
-    names = tuple(exponents)
-    if set(den.group_by(names)) != {(0,) * len(names)}:
-        raise ExactAlgError("denominator involves a coefficient-extraction variable")
-    picked = num.group_by(names).get(tuple(exponents.values()), LaurentPoly({}))
-    return RationalFunction.from_poly(picked) / RationalFunction.from_poly(den)

@@ -2,9 +2,9 @@
 fixed-point localization.
 
 K-theoretic Euler-characteristic series on the plane with power-operation
-insertions and dual exterior-algebra twists, cohomological localization sums,
-the bridge to the correlator engine, and the product formula over toric
-surfaces with isolated fixed points.
+insertions and dual exterior-algebra twists, the bridge to the correlator
+engine, and the product formula over toric surfaces with isolated fixed
+points.
 
 Torus convention (frozen): the torus scales coordinates by inverses,
 (t1, t2) . (x, y) = (t1^{-1} x, t2^{-1} y), which fixes the tangent weight
@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .correlators import (bracket_one_closed, chart_series, partition_series,
-                          power_op, vertex_correlator)
-from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, rf,
-                              scalar_sum)
+from .correlators import (bracket_one_closed, chart_series, power_op,
+                          vertex_correlator)
+from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries, first_difference, geometric
 from .macdonald import POWER_OPERATIONS
-from .partitions import LazyTable, Partition, cells, iter_partitions
+from .partitions import LazyTable, Partition
 
 Weight = Tuple[int, int]
 
@@ -76,22 +74,39 @@ def load_surface(name: str, path: Optional[Path] = None) -> Surface:
     return surface_from_dict(name, data[name])
 
 
+def _weight(w, what: str) -> Weight:
+    """A weight read from surface data: a pair of ints (bools refused)."""
+    if not (isinstance(w, (list, tuple)) and len(w) == 2
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in w)):
+        raise HilbertError(f"{what} must be a pair of ints, got {w!r}")
+    return tuple(w)
+
+
 def surface_from_dict(name: str, d: dict) -> Surface:
+    if "fixed_points" not in d:
+        raise HilbertError(f"surface {name!r} has no fixed_points")
     pts = []
     for fp in d["fixed_points"]:
-        tangent = tuple(tuple(w) for w in fp["tangent"])
+        tangent = tuple(_weight(w, "tangent weight") for w in fp.get("tangent", ()))
         if len(tangent) != 2:
             raise HilbertError("each fixed point needs two tangent weights")
         if any(w == (0, 0) for w in tangent):
             raise HilbertError("tangent weights must be nonconstant monomials "
                                "(isolated fixed points)")
-        bundles = {k: tuple(w) for k, w in fp.get("bundles", {}).items()}
+        bundles = {k: _weight(w, f"bundle weight {k!r}")
+                   for k, w in fp.get("bundles", {}).items()}
         pts.append(FixedPointDatum(tangent=tangent, bundles=bundles))
     return Surface(name=name, fixed_points=tuple(pts))
 
 
 def _mono(t1, t2, w: Weight):
     return t1 ** w[0] * t2 ** w[1]
+
+
+def _bundle(point: FixedPointDatum, name: str) -> Weight:
+    if name not in point.bundles:
+        raise HilbertError(f"missing bundle weight {name!r} at a fixed point")
+    return point.bundles[name]
 
 
 # ---------------------------------------------------------------------------
@@ -185,109 +200,6 @@ def chi_via_correlators(insertions: Sequence[BundleInsertion], twist_A: Weight,
 
 
 # ---------------------------------------------------------------------------
-# cohomological localization sums
-# ---------------------------------------------------------------------------
-
-def coh_euler_denominator(lam: Partition, w1, w2):
-    """prod over cells (l w1 - (a+1) w2)(-(l+1) w1 + a w2)."""
-    out = one_like(w1)
-    for c in cells(lam):
-        out = out * (c.leg * w1 - (c.arm + 1) * w2)
-        out = out * (-(c.leg + 1) * w1 + c.arm * w2)
-    return out
-
-
-def coh_insertion_factor(k: int, A: Weight, lam: Partition, w1, w2):
-    """(1/k!) sum over cells ((l'+a) w1 + (a'+b) w2)^k."""
-    a, b = A
-    vals = [(c.coleg + a) * w1 + (c.coarm + b) * w2 for c in cells(lam)]
-    return scalar_sum([x ** k for x in vals]) * Fraction(1, math.factorial(k))
-
-
-def coh_intersection_series(insertions: Sequence[Tuple[int, Weight]], order: int,
-                            w1, w2, chern_twist: Optional[Tuple[Weight, object, object]] = None
-                            ) -> TruncatedSeries:
-    """Equivariant cohomological intersection series by localization.
-
-    insertions: list of (k_j, A_j) graded-character factors.  chern_twist,
-    when given, is (A, x, y): multiplies each cell by
-    (x + (l'+a) w1 + (a'+b) w2)(y - (l'+a) w1 - (a'+b) w2); the interesting
-    slice is then the coefficient of q^n x^n y^n.
-    """
-    w1, w2 = exact_scalars(w1, w2)
-
-    def term(mu: Partition):
-        out = 1 / coh_euler_denominator(mu, w1, w2) if mu else Fraction(1)
-        for k, A in insertions:
-            out = out * coh_insertion_factor(k, A, mu, w1, w2)
-        if chern_twist is not None:
-            A, x, y = chern_twist
-            a, b = A
-            for c in cells(mu):
-                lin = (c.coleg + a) * w1 + (c.coarm + b) * w2
-                out = out * (x + lin) * (y - lin)
-        return out
-
-    return partition_series(term, order)
-
-
-def coh_chern_diagonal_slice(insertions: Sequence[Tuple[int, Weight]],
-                             twist_A: Weight, order: int, w1, w2) -> List:
-    """The diagonal marker slice of the Chern-polynomial-twisted series.
-
-    Entry n is the coefficient of x^n y^n in the Q^n coefficient of
-    coh_intersection_series(..., chern_twist=(twist_A, x, y)): the rank of
-    the twisted fiber is n, so x^n y^n picks the untwisted part of the Chern
-    polynomials and the slice recovers the plain localization sum.
-    """
-    from .exactalg.ratfun import rf_coefficient
-    x, y = RationalFunction.var("x"), RationalFunction.var("y")
-    series = coh_intersection_series(insertions, order, w1, w2,
-                                     chern_twist=(twist_A, x, y))
-    return [rf_coefficient(rf(series.coeffs[n]), {"x": n, "y": n})
-            for n in range(order + 1)]
-
-
-# ---------------------------------------------------------------------------
-# K-theory vs cohomology jet comparison
-# ---------------------------------------------------------------------------
-
-def _one_minus_exp_over_eps(c, jet_order: int) -> TruncatedSeries:
-    """(1 - exp(eps*c))/eps; constant term -c, invertible when c != 0."""
-    return TruncatedSeries([-(c ** (k + 1)) * Fraction(1, math.factorial(k + 1))
-                            for k in range(jet_order + 1)])
-
-
-JET_K_MAX = 3   # ktheory_coh_jet_report compares the ch_k slices k <= JET_K_MAX
-JET_ORDER = 4   # and truncates its jets in eps at this order
-
-
-def ktheory_coh_jet_report(A1: Weight, order: int, w1: Fraction, w2: Fraction) -> VerifyReport:
-    """Check that substituting t_i = exp(eps w_i) into the K-theoretic
-    localization terms reproduces, at leading order in eps, the cohomological
-    localization sums: per partition the tangent factor times eps^{2n} is a
-    unit jet whose constant term is the equivariant-Euler-class reciprocal,
-    and the ch_k slice of the single insertion matches the degree-k factor.
-    """
-    one = TruncatedSeries.constant(Fraction(1), JET_ORDER)
-    for n in range(order + 1):
-        for k in range(JET_K_MAX + 1):
-            total_jet = TruncatedSeries.constant(Fraction(0), JET_ORDER)
-            for mu in iter_partitions(n):
-                jet = one
-                for c in cells(mu):
-                    l1 = -c.leg * w1 + (c.arm + 1) * w2        # 1 - t1^{-l} t2^{a+1}
-                    l2 = (c.leg + 1) * w1 - c.arm * w2         # 1 - t1^{l+1} t2^{-a}
-                    jet = jet / _one_minus_exp_over_eps(l1, JET_ORDER)
-                    jet = jet / _one_minus_exp_over_eps(l2, JET_ORDER)
-                total_jet = total_jet + jet * coh_insertion_factor(k, A1, mu, w1, w2)
-            coh = coh_intersection_series([(k, A1)], n, w1, w2).coeffs[n]
-            if not total_jet.coeffs[0] == coh:
-                return VerifyReport(False, (n, total_jet.coeffs[0], coh))
-    return VerifyReport(True)
-
-
-# ---------------------------------------------------------------------------
 # toric surfaces: product of local charts with marker-graded insertions
 # ---------------------------------------------------------------------------
 
@@ -314,18 +226,10 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
     fiber weights w_B t1i^{l'} t2i^{a'}."""
     t1i = _mono(t1, t2, point.tangent[0])
     t2i = _mono(t1, t2, point.tangent[1])
-    if twist is None:
-        twist_w = (0, 0)
-    else:
-        if twist not in point.bundles:
-            raise HilbertError(f"missing bundle weight {twist!r} at a fixed point")
-        twist_w = point.bundles[twist]
-    tA = _mono(t1, t2, twist_w)
+    tA = _mono(t1, t2, (0, 0) if twist is None else _bundle(point, twist))
     fibers = []
     for ins in insertions:
-        if ins.bundle not in point.bundles:
-            raise HilbertError(f"missing bundle weight {ins.bundle!r} at a fixed point")
-        wB = _mono(t1, t2, point.bundles[ins.bundle])
+        wB = _mono(t1, t2, _bundle(point, ins.bundle))
         fibers.append((POWER_OPERATIONS[ins.operation][0],
                        LazyTable(lambda coarm, coleg, wB=wB: wB * t1i ** coleg * t2i ** coarm)))
     keys = _marker_keys(len(insertions), marker_cap)
@@ -379,7 +283,7 @@ def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, extra=None):
         t2i = _mono(t1, t2, point.tangent[1])
         w = one_like(t1)
         if bundle is not None:
-            w = _mono(t1, t2, point.bundles[bundle])
+            w = _mono(t1, t2, _bundle(point, bundle))
         term = w / ((1 - t1i) * (1 - t2i))
         if extra is not None:
             term = term * extra(point, t1i, t2i)
@@ -441,7 +345,7 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> Toric
     def suq_extra(point, t1i, t2i):
         g1 = geometric(u * t1i, order)
         g2 = geometric(u * t2i, order)
-        w2 = _mono(t1, t2, point.bundles[L2])
+        w2 = _mono(t1, t2, _bundle(point, L2))
         return g1 * g2 * w2
     chi_12_suq = chi_surface(surface, L1, t1, t2, extra=suq_extra)
     conn_term = qpref * chi_12_suq
@@ -459,7 +363,7 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> Toric
     def lam2_extra(point, t1i, t2i):
         g1 = geometric(u * t1i, order)
         g2 = geometric(u * t2i, order)
-        w1b = _mono(t1, t2, point.bundles[L1])
+        w1b = _mono(t1, t2, _bundle(point, L1))
         kan = t1i * t2i
         sminus = 1 / ((1 + t1i) * (1 + t2i))
         canonical = one + Q * (u * kan)

@@ -18,7 +18,8 @@ from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  closed_form_series, connected_correlators,
                                  correlators_from_Z,
                                  disconnected_from_connected, fqft_layer,
-                                 identity_op, lambda_op, psi_op, set_partitions,
+                                 identity_op, lambda_op, power_op, psi_op,
+                                 set_partitions,
                                  sigma_op, tilde_e_op, vertex_correlator)
 from hilbmac.exactalg import (RationalFunction, RationalSampler,
                               TruncatedSeries, expand_closed_form, generators)
@@ -95,6 +96,11 @@ def test_operators_with_one_label_keep_their_own_eigenvalues():
     ab = DiagonalOperator("ab", lambda mu: a.eigenvalue(mu) * b.eigenvalue(mu))
     assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([b, a], *args)
     assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([ab], *args)
+
+
+def test_power_op_rejects_an_unknown_operation():
+    with pytest.raises(CorrelatorError, match="psi, lambda, sigma"):
+        power_op("x", 1, 2, 3)
 
 
 def test_bruteforce_cell_tables_against_vertex_engine_at_order_8():

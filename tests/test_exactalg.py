@@ -404,15 +404,12 @@ def test_packed_kernel_matches_tuple_reference(ta, tb, tc):
             assert str(got) == oracles.tuple_poly_str(want)
 
 
-def test_rf_coefficient_extraction():
-    from hilbmac.exactalg import rf_coefficient
-    x = RationalFunction.var("x")
-    f = (x ** 2 * u + x * v + 3) / (1 - u)
-    assert rf_coefficient(f, {"x": 1}) == v / (1 - u)
-    assert rf_coefficient(f, {"x": 2}) == u / (1 - u)
-    assert rf_coefficient(f, {"x": 5}).is_zero()
-    with pytest.raises(ExactAlgError):
-        rf_coefficient(1 / (1 - x), {"x": 1})
+def test_package_exports_resolve():
+    import hilbmac.exactalg as exactalg
+    assert [name for name in exactalg.__all__ if not hasattr(exactalg, name)] == []
+    namespace = {}
+    exec("from hilbmac.exactalg import *", namespace)
+    assert set(exactalg.__all__) <= set(namespace)
 
 
 def test_random_expression_trees_against_fraction_oracle():

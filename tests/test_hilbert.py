@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from hilbmac.correlators import bracket_one_closed, closed_form_series
-from hilbmac.exactalg import RationalFunction, RationalSampler, generators
+from hilbmac.exactalg import RationalSampler, generators
 from hilbmac.hilbert import (BundleInsertion, HilbertError, ToricInsertion,
                              chi_C2_series, chi_surface,
-                             chi_via_correlators, coh_intersection_series,
-                             ktheory_coh_jet_report,
-                             load_surface, main_identity_rhs,
+                             chi_via_correlators, load_surface, main_identity_rhs,
                              surface_from_dict,
                              toric_chi_series, toric_correlator_checks,
                              verify_main_identity)
@@ -21,7 +19,7 @@ t1s, t2s, us, vs = generators("t1", "t2", "u", "v")
 
 @pytest.fixture(scope="module")
 def pt():
-    return RationalSampler(202, magnitude=30).point(["t1", "t2", "u", "v", "w1", "w2"])
+    return RationalSampler(202, magnitude=30).point(["t1", "t2", "u", "v"])
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +150,6 @@ def test_psi1_closed_form_times_normalization(pt):
 
 
 # ---------------------------------------------------------------------------
-# cohomological sums
-# ---------------------------------------------------------------------------
-
-def test_coh_single_box(pt):
-    w1, w2 = pt["w1"], pt["w2"]
-    ser = coh_intersection_series([], 1, w1, w2)
-    assert ser.coeffs[1] == 1 / (w1 * w2)
-
-
-def test_coh_zeroth_character_counts_boxes(pt):
-    w1, w2 = pt["w1"], pt["w2"]
-    ser = coh_intersection_series([(0, (4, 7))], 3, w1, w2)
-    plain = coh_intersection_series([], 3, w1, w2)
-    for n in range(4):
-        direct = Fraction(0)
-        from hilbmac.hilbert import coh_euler_denominator
-        for mu in iter_partitions(n):
-            if mu:
-                direct += Fraction(sum(mu)) / coh_euler_denominator(mu, w1, w2)
-        assert ser.coeffs[n] == direct, n
-
-
-def test_coh_chern_twist_single_box():
-    w1, w2 = generators("w1", "w2")
-    x, y = RationalFunction.var("x"), RationalFunction.var("y")
-    ser = coh_intersection_series([], 1, w1, w2, chern_twist=((2, 3), x, y))
-    lin = 2 * w1 + 3 * w2
-    assert ser.coeffs[1] == (x + lin) * (y - lin) / (w1 * w2)
-
-
-def test_ktheory_cohomology_jet_comparison(pt):
-    rep = ktheory_coh_jet_report((1, 0), 3, pt["w1"], pt["w2"])
-    assert rep.ok, rep.first_mismatch
-
-
-# ---------------------------------------------------------------------------
 # toric surfaces
 # ---------------------------------------------------------------------------
 
@@ -196,6 +158,29 @@ def test_surface_loading_and_errors():
         load_surface("P3")
     with pytest.raises(HilbertError):
         surface_from_dict("bad", {"fixed_points": [{"tangent": [[1, 0]]}]})
+
+
+def _one_point(tangent, bundles):
+    return {"fixed_points": [{"tangent": tangent, "bundles": bundles}]}
+
+
+@pytest.mark.parametrize("data", [
+    _one_point([[1, 0, 5], [0, 1]], {}),
+    _one_point([[1, 0], [0, 1]], {"L1": [1]}),
+    _one_point([[1, 0], [0, 1]], {"L1": [1, "a"]}),
+    _one_point([[1, 0], [True, 1]], {}),
+    {"points": []},
+    {"fixed_points": [{"bundles": {}}]},
+], ids=["tangent-triple", "bundle-single", "bundle-str", "tangent-bool",
+        "no-fixed-points", "no-tangent"])
+def test_malformed_surface_data_is_rejected(data):
+    with pytest.raises(HilbertError):
+        surface_from_dict("bad", data)
+
+
+def test_surface_chi_missing_bundle_is_rejected(pt):
+    with pytest.raises(HilbertError, match="missing bundle weight 'L3'"):
+        chi_surface(load_surface("P2"), "L3", pt["t1"], pt["t2"])
 
 
 def test_surface_chi_identities(pt):
@@ -293,18 +278,6 @@ def test_constant_tangent_weight_rejected():
     with pytest.raises(HilbertError):
         surface_from_dict("bad", {"fixed_points": [
             {"tangent": [[0, 0], [0, 1]], "bundles": {}}]})
-
-
-def test_coh_chern_diagonal_slice_recovers_plain_sums(pt):
-    """Picking the x^n y^n slice of the Chern-polynomial twist at rank n
-    strips the twist entirely."""
-    from hilbmac.hilbert import coh_chern_diagonal_slice
-    w1, w2 = pt["w1"], pt["w2"]
-    plain = coh_intersection_series([(1, (2, -1))], 3, w1, w2)
-    sliced = coh_chern_diagonal_slice([(1, (2, -1))], (0, 1), 3, w1, w2)
-    for n in range(4):
-        val = sliced[n]
-        assert val == plain.coeffs[n], n
 
 
 def test_single_chart_lambda1_reduces_to_closed_form(pt):

@@ -77,7 +77,6 @@ FLOAT_CALLS = {
     "vertex_correlator": lambda: hb.vertex_correlator([], F, 2, 3, 5, 1),
     "chi_C2_series": lambda: hb.chi_C2_series([], (0, 0), F, 2, 1, 3, 5),
     "chi_via_correlators": lambda: hb.chi_via_correlators([], (0, 0), F, 2, 1, 3, 5),
-    "coh_intersection_series": lambda: hb.coh_intersection_series([], 1, F, 3),
     "toric_chi_series": lambda: hb.toric_chi_series(
         SURFACE, [ToricInsertion("L1", "lambda")], None, F, 2, 1, 3, 5),
     "toric_correlator_checks": lambda: hb.toric_correlator_checks(SURFACE, 1, F, 2, 3, 5),
