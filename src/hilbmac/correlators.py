@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
-from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE
+from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE, tail_weights
 from .partitions import CellStat, LazyTable, Partition, cells, iter_partitions
 from .symfun import SymmetricFunction
 
@@ -54,8 +54,9 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         raise CorrelatorError("weight must be >= 0")
     if r == 0:
         return identity_op(q, t)
-    return DiagonalOperator(
-        f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t), expansion=(((r,), one_like(q)),))
+    weights = tail_weights(r, t)
+    return DiagonalOperator(f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t, weights),
+                            expansion=(((r,), one_like(q)),))
 
 
 def power_op(operation: str, m: int, q, t) -> DiagonalOperator:

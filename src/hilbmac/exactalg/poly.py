@@ -10,18 +10,30 @@ Variable 0 holds the highest field, and the field stores the negated
 exponent.  So the unit monomial is 0, a product is an integer sum, an
 inverse is a negation, and divisibility is one mask test.  Exponents stay
 within EXPONENT_LIMIT = 2**62, so the sum of two of them (at most 2**63 in
-absolute value) never spills into a neighbouring field; the overflow check
-runs once per result monomial.  Only this module builds or reads monomials:
-other modules pass them to its functions.
+absolute value) never spills into a neighbouring field.  A product checks
+its operands: when no operand exponent exceeds EXPONENT_LIMIT // 2 in
+absolute value, no product exponent can exceed the limit, and only
+otherwise is each result monomial checked.  Other constructions (shifts,
+quotients) check each result monomial.  Only this module builds or reads
+monomials: other modules pass them to its functions.
 
 Two orders serve two jobs:
   - integer comparison of the packed ints is graded by signed degree, then
     larger exponents of earlier variables rank lower.  On the nonnegative
-    cone, where division runs, it is a monomial order and agrees with
-    mono_key; divide_exact and leading() use it.
+    cone, where the signed degree is the absolute degree, this is a
+    monomial order and agrees with mono_key: after equal degrees, both
+    compare the exponent vectors lexicographically with larger exponents of
+    earlier variables first.  divide_exact, leading() and the sign of
+    primitive() (whose shifted terms lie on the cone) use it.
   - mono_key (absolute degree, then (index, -exponent) lexicographically)
-    orders the printed terms, the factor lists through key(), and the sign
-    of primitive(); it is decoded from the int and cached.
+    orders the printed terms and the factor lists through key(); it is
+    decoded from the int and cached.
+
+Exact division by a binomial aX + bY (X > Y) needs no heap: the remainder
+only ever moves along chains r, r - (X - Y), r - 2(X - Y), ..., and chains
+do not meet, so divide_exact walks each chain from its highest term down.
+Divisors with three or more terms use the heap division of Monagan and
+Pearce (J. Symb. Comput. 46, 2011).
 
 Coefficients are arbitrary-precision Python ints.
 """
@@ -66,6 +78,10 @@ _SPILL = _each_field(_FIELD_MASK ^ (2 * EXPONENT_LIMIT - 1))
 #: plus _OFFSET, every in-range field becomes an unsigned digit below _HALF
 _OFFSET = _each_field(2 * EXPONENT_LIMIT)
 _FIELDS = _each_field(_FIELD_MASK)
+#: as _LIMIT_BIAS and _SPILL for half the limit: a monomial with no _HALF_SPILL
+#: bit after adding _HALF_BIAS has every exponent in (-LIMIT/2, LIMIT/2]
+_HALF_BIAS = _each_field(EXPONENT_LIMIT // 2)
+_HALF_SPILL = _each_field(_FIELD_MASK ^ (EXPONENT_LIMIT - 1))
 
 
 class ExponentOverflowError(ArithmeticError):
@@ -139,6 +155,16 @@ def _check(monos) -> None:
                         f"exponent {e} exceeds limit for var {ALPHABET.name(k)}")
 
 
+def _past_half(monos) -> bool:
+    """True if an exponent of the monomials may exceed EXPONENT_LIMIT // 2
+    in absolute value; the product of two monomials with none cannot
+    overflow.  One mask test, conservative at exactly -LIMIT/2."""
+    spill = 0
+    for m in monos:
+        spill |= m + _HALF_BIAS
+    return bool(spill & _HALF_SPILL)
+
+
 def mono_mul(a: int, b: int) -> int:
     m = a + b
     _check((m,))
@@ -171,8 +197,8 @@ _MONO_KEY_CACHE: Dict[int, tuple] = {}
 
 def mono_key(a: int):
     """Print order key: total absolute degree, then per-variable
-    (index, -exponent) lexicographically.  Orders printed terms, key() and
-    primitive()'s sign; division uses the integer order instead."""
+    (index, -exponent) lexicographically.  Orders printed terms and key();
+    division and primitive()'s sign use the integer order instead."""
     k = _MONO_KEY_CACHE.get(a)
     if k is None:
         pairs = _decode(a)
@@ -256,7 +282,8 @@ class LaurentPoly:
             for mb, cb in b.items():
                 m = ma + mb
                 d[m] = get(m, 0) + ca * cb
-        _check(d)
+        if _past_half(a) or _past_half(b):
+            _check(d)
         return LaurentPoly(d)
 
     def __rmul__(self, other: int) -> "LaurentPoly":
@@ -302,7 +329,9 @@ class LaurentPoly:
         Monomial content is the per-variable minimum exponent, so the
         primitive part has no common monomial factor and no negative
         exponents.  The integer content carries the sign that makes the
-        primitive part's first term in the canonical order positive.
+        primitive part's lowest term positive.  The shifted terms lie on the
+        nonnegative cone, where the integer order and mono_key agree, so the
+        lowest term is the least packed int.
         """
         if self.is_zero():
             return 0, MONO_ONE, LaurentPoly({})
@@ -320,7 +349,7 @@ class LaurentPoly:
             shifted = {m - mono: c for m, c in shifted.items()}
             _check(shifted)
         g = math.gcd(*shifted.values())
-        if shifted[min(shifted, key=mono_key)] < 0:
+        if shifted[min(shifted)] < 0:
             g = -g
         prim = LaurentPoly({m: c // g for m, c in shifted.items()})
         return g, mono, prim
@@ -336,12 +365,15 @@ class LaurentPoly:
         Both operands must have nonnegative exponents (primitive factors do).
         The remainder's leading term strictly decreases in the graded order,
         so the loop terminates at zero (divisible) or a failed step (not).
-        Remainder maxima come from a lazy heap of negated monomials.
+        A binomial divisor goes to _divide_binomial; otherwise remainder
+        maxima come from a lazy heap of negated monomials.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return LaurentPoly({})
+        if len(divisor.terms) == 2:
+            return _divide_binomial(self.terms, divisor.terms)
         dlm, dlc = divisor.leading()
         dtail = [(m, c) for m, c in divisor.terms.items() if m != dlm]
         rem = dict(self.terms)
@@ -421,7 +453,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -444,6 +476,40 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def _divide_binomial(num: Dict[int, int], divisor: Dict[int, int]):
+    """num / (aX + bY) with X > Y in the integer order, both operands on the
+    nonnegative cone: the quotient LaurentPoly, or None.
+
+    Cancelling a remainder term r leaves -(c/a)*b at r - (X - Y), so the
+    remainder moves only along the chain r, r - (X - Y), r - 2(X - Y), ...
+    Each chain is walked from its highest numerator term down, carrying
+    that term; the walk stops where the remainder is zero, and the division
+    fails at the first nonzero remainder that X or a does not divide.  The
+    chains fall in X's divisibility or in degree, so every walk ends."""
+    (x, a), (y, b) = sorted(divisor.items(), reverse=True)
+    step = x - y
+    rem = dict(num)
+    quot: Dict[int, int] = {}
+    for m in sorted(num, reverse=True):
+        if m not in rem:
+            continue  # reached from a higher term of its chain
+        carry = 0
+        while True:
+            c = rem.pop(m, 0) + carry
+            if not c:
+                break
+            if (x - m) & _SIGNS or c % a:
+                return None
+            qm = m - x
+            if (qm + _LIMIT_BIAS) & _SPILL:
+                _check((qm,))
+            qc = c // a
+            quot[qm] = qc
+            carry = -qc * b
+            m -= step
+    return LaurentPoly(quot)
 
 
 def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:

@@ -3,12 +3,17 @@
 Values are kept in partially factored form
     (nc/dc) * monomial * prod(num factors) / prod(den factors)
 with each factor a primitive polynomial (integer content 1, no monomial
-content, canonically positive leading coefficient).  There is no full
+content, positive first term in the print order).  There is no full
 multivariate gcd: fractions reduce by content, by cancellation of identical
 factors, and by exact trial division of freshly expanded numerators against
 tracked denominator factors.  So a value is not reduced: equal values may
 have different factors.  Full expansion happens only at comparison and
 rendering boundaries.
+
+Trial division takes the numerator's primitive part once: an exact quotient
+by a factor is already primitive with a positive first term and is kept as
+it is.  The tracked factors are mostly binomials, which
+LaurentPoly.divide_exact divides without a heap.
 """
 
 from __future__ import annotations
@@ -267,7 +272,12 @@ class RationalFunction:
 
 def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction:
     """Build num/(dc * prod den) reduced by content and trial division; den is
-    in key() order, and the remaining denominator keeps that order."""
+    in key() order, and the remaining denominator keeps that order.
+
+    An exact quotient of primitive parts is the new primitive part as it
+    is: by Gauss's lemma it has content 1, its least exponents are 0, and
+    its lowest term is positive, since lowest terms multiply under the
+    integer order."""
     if num.is_zero():
         return RationalFunction.from_int(0)
     c, mono, prim = num.primitive()
@@ -280,9 +290,7 @@ def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction
                 q = prim.divide_exact(p)
                 if q is None:
                     break
-                gq, mq, prim = q.primitive()
-                c *= gq
-                mono = mono_mul(mono, mq)
+                prim = q
             k -= 1
         if k:
             dfac.append((p, k))
@@ -317,7 +325,8 @@ def rf_sum(values) -> RationalFunction:
 
     Expands and reduces once, which is substantially cheaper than a fold of
     two-term sums for long sums (inner products, partition sums).  Two-term
-    addition is this function on a pair.
+    addition is this function on a pair.  Each term's cofactor is expanded
+    in the order its factors come, unsorted: the product is exact.
     """
     vals = [rf(v) for v in values]
     vals = [v for v in vals if v.nc != 0]
@@ -335,7 +344,8 @@ def rf_sum(values) -> RationalFunction:
         dc = dc * v.dc // math.gcd(dc, v.dc)
     num = LaurentPoly({})
     for v in vals:
-        part = _expand(_split(_exponents(((v.nfac, 1), (v.dfac, -1)), den))[0])
+        part = _expand([(p, k) for p, k in _exponents(((v.nfac, 1), (v.dfac, -1)), den).items()
+                        if k > 0])
         num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
     return _reduce_over(num, dc, _split(den)[0])
 

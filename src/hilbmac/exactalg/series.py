@@ -102,7 +102,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self * (Fraction(1) / other)
+            return self * _divide(1, other)
         a, b = self._align(other)
         n = a.order
         out: List = []
@@ -162,11 +162,10 @@ def first_difference(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:
 
 
 def _divide(a, b):
-    if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
-        if not isinstance(a, RationalFunction):
-            a = RationalFunction.from_fraction(Fraction(a))
-        return a / b
-    return Fraction(a) / Fraction(b)
+    """a / b by the scalars' own division; int / int is a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
 def geometric(ratio, order: int) -> TruncatedSeries:

@@ -14,7 +14,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
@@ -439,23 +439,41 @@ def _euler_tails(j: int, t) -> List:
     return tails
 
 
-def eigen_tildeE(mu: Partition, r: int, q, t):
+def tail_weights(r: int, t) -> LazyTable:
+    """At each length l, the list t^{-n l} e_n(t^{-1}, t^{-2}, ...) for
+    n = 0..r: the part of E~_r's eigenvalue at mu that depends on mu only
+    through its length.  One table serves every mu of one operator; the
+    Euler tails are computed at its first lookup, once per table."""
+    tails: List = []
+
+    def at_length(l: int) -> List:
+        if not tails:
+            tails.extend(_euler_tails(r, t))
+        return [t ** (-n * l) * e for n, e in enumerate(tails)]
+
+    return LazyTable(at_length)
+
+
+def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = None):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
     finite head product times the Euler-summed tail.
 
+    weights is tail_weights(r, t), built here when it is not given; an
+    operator passes its own table, which lives as long as the operator.
     Within the call the head is built only to e_min(l, r), the entries the
-    sum reads, and the Euler tails e_0..e_r once each, incrementally."""
+    sum reads."""
     q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
     if r == 0:
         return one_like(q)
+    if weights is None:
+        weights = tail_weights(r, t)
     l = len(mu)
     head = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
                             one_like(q), min(l, r))
-    tails = _euler_tails(r, t)
-    return scalar_sum([head[r - n] * (t ** (-n * l)) * tails[n]
-                       for n in range(r + 1) if r - n < len(head)])
+    tail = weights[l]
+    return scalar_sum([head[r - n] * tail[n] for n in range(r + 1) if r - n < len(head)])
 
 
 def eigen_E_r(mu: Partition, r: int, q, t):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hilbmac
-from hilbmac import correlators
+from hilbmac import correlators, macdonald
 from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  DiagonalOperator, base_bracket_series,
                                  base_bracket_z, bracket_bruteforce,
@@ -23,6 +23,7 @@ from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  sigma_op, tilde_e_op, vertex_correlator)
 from hilbmac.exactalg import (RationalFunction, RationalSampler,
                               TruncatedSeries, expand_closed_form, generators)
+from hilbmac.macdonald import eigen_tildeE
 from oracles import bracket_definition
 
 qs, ts, us, vs = generators("q", "t", "u", "v")
@@ -96,6 +97,21 @@ def test_operators_with_one_label_keep_their_own_eigenvalues():
     ab = DiagonalOperator("ab", lambda mu: a.eigenvalue(mu) * b.eigenvalue(mu))
     assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([b, a], *args)
     assert bracket_bruteforce([a, b], *args) == bracket_bruteforce([ab], *args)
+
+
+def test_repeated_weight_operators_compute_their_euler_tails_once_each(point, monkeypatch):
+    """Each E~_r operator keeps its own table of Euler tails, which lives as
+    long as the operator: a word of two E2 computes the tails twice, not once
+    per operator and partition, and the bracket equals its definition with
+    every eigenvalue computed afresh."""
+    q, t, u, v = point["q"], point["t"], point["u"], point["v"]
+    calls = []
+    real = macdonald._euler_tails
+    monkeypatch.setattr(macdonald, "_euler_tails", lambda j, t_: calls.append(j) or real(j, t_))
+    got = bracket_bruteforce([tilde_e_op(2, q, t), tilde_e_op(2, q, t)], u, v, q, t, 5)
+    assert calls == [2, 2]
+    fresh = DiagonalOperator("E2", lambda mu: eigen_tildeE(mu, 2, q, t))
+    assert got == bracket_definition([fresh, fresh], u, v, q, t, 5)
 
 
 def test_power_op_rejects_an_unknown_operation():

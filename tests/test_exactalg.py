@@ -3,20 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
-from hilbmac.exactalg.poly import EXPONENT_LIMIT
+from hilbmac.exactalg.poly import EXPONENT_LIMIT, MONO_ONE, mono_key
 from hilbmac.exactalg.ratfun import poly_over
 
 import oracles
 
 q, t, u, v = generators("q", "t", "u", "v")
 Q = RationalFunction.var("Q")
+HALF = EXPONENT_LIMIT // 2
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,30 @@ OVERFLOWS = {
     "spill": lambda: LaurentPoly.var("t", EXPONENT_LIMIT) * LaurentPoly.var("t", EXPONENT_LIMIT),
     "negative_spill": lambda: (LaurentPoly.var("t", -EXPONENT_LIMIT) * LaurentPoly.var("q", 5)
                                * LaurentPoly.var("t", -EXPONENT_LIMIT)),
+    # A product checks its result only when an operand exponent passes half
+    # the limit; these operands do, and their products overflow.
+    "half_operands": lambda: LaurentPoly.var("q", HALF + 1) * LaurentPoly.var("q", HALF),
+    "half_operands_negative": lambda: (LaurentPoly.var("q", -HALF - 1)
+                                       * LaurentPoly.var("q", -HALF - 1)),
+    "half_operands_left": lambda: LaurentPoly.var("q", EXPONENT_LIMIT) * LaurentPoly.var("q"),
+    "half_operands_right": lambda: LaurentPoly.var("q") * LaurentPoly.var("q", EXPONENT_LIMIT),
+    "half_operands_in_sums": lambda: ((LaurentPoly.var("q", HALF + 1) + LaurentPoly.var("u"))
+                                      * (LaurentPoly.var("v") - LaurentPoly.var("q", HALF))),
+    "half_operands_spill": lambda: (LaurentPoly.var("t", HALF + 1) * LaurentPoly.var("q")
+                                    * LaurentPoly.var("t", HALF + 1)),
+}
+
+#: products of operands past half the limit that stay in range, so the check
+#: on the product runs and passes: the product's print
+IN_RANGE = {
+    "at_the_limit": (lambda: LaurentPoly.var("q", HALF + 1) * LaurentPoly.var("q", HALF - 1),
+                     f"q^{EXPONENT_LIMIT}"),
+    "other_variables": (lambda: LaurentPoly.var("q", HALF + 1) * LaurentPoly.var("t", HALF + 1),
+                        f"q^{HALF + 1}*t^{HALF + 1}"),
+    "cancelling": (lambda: LaurentPoly.var("t", -HALF - 1) * LaurentPoly.var("t", HALF + 1), "1"),
+    "in_sums": (lambda: ((LaurentPoly.var("q", HALF + 1) - LaurentPoly.const(1))
+                         * (LaurentPoly.var("q", -HALF - 1) + LaurentPoly.var("q", HALF - 1))),
+                f"1 - q^{HALF - 1} - q^{-HALF - 1} + q^{EXPONENT_LIMIT}"),
 }
 
 
@@ -325,6 +350,12 @@ def test_exponent_overflow_guard(case):
         OVERFLOWS[case]()
 
 
+@pytest.mark.parametrize("case", sorted(IN_RANGE))
+def test_operands_past_half_the_limit_with_a_product_in_range(case):
+    make, printed = IN_RANGE[case]
+    assert str(make()) == printed
+
+
 def test_exponents_at_the_limit_stay_apart():
     big_q, big_t = LaurentPoly.var("q", EXPONENT_LIMIT), LaurentPoly.var("t", EXPONENT_LIMIT)
     assert str(big_q * big_t) == f"q^{EXPONENT_LIMIT}*t^{EXPONENT_LIMIT}"
@@ -333,10 +364,12 @@ def test_exponents_at_the_limit_stay_apart():
 
 
 def test_print_order_pin():
-    """Printed term order, factor order and the sign of primitive() follow
-    the print order (absolute degree, then (index, -exponent)), not the
-    order division uses.  The strings were captured from the tuple-monomial
-    kernel."""
+    """Printed term order and factor order follow the print order (absolute
+    degree, then (index, -exponent)), not the integer order division uses.
+    The sign of primitive() is picked by the integer order, which agrees with
+    the print order on the nonnegative cone where the primitive part lies,
+    so it is pinned here too.  The strings were captured from the
+    tuple-monomial kernel."""
     pq, pt, pu, pv, pt1 = (LaurentPoly.var(n) for n in ("q", "t", "u", "v", "t1"))
     a = LaurentPoly.var("q", -1) * pt + pq * LaurentPoly.var("t", -1) + pt1 - (pu * pu * pv).scale(2)
     assert str(a) == "t1 + q*t^-1 + q^-1*t - 2*u^2*v"
@@ -402,6 +435,87 @@ def test_packed_kernel_matches_tuple_reference(ta, tb, tc):
         assert (got is None) == (want is None)
         if got is not None:
             assert str(got) == oracles.tuple_poly_str(want)
+
+
+# Terms on the nonnegative cone, where division runs.
+_cone_terms = st.lists(st.tuples(st.integers(-4, 4).filter(bool),
+                                 st.lists(st.sampled_from([0, 0, 1, 2, 3]),
+                                          min_size=len(KERNEL_NAMES), max_size=len(KERNEL_NAMES))),
+                       max_size=6)
+_binomials = st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                st.lists(st.sampled_from([0, 0, 1, 2]), min_size=len(KERNEL_NAMES),
+                                         max_size=len(KERNEL_NAMES))),
+                      min_size=2, max_size=2).filter(lambda ts: ts[0][1] != ts[1][1])
+
+
+@given(_binomials, _cone_terms, _cone_terms, st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+@settings(max_examples=300, deadline=None)
+def test_binomial_division_matches_tuple_reference(td, tq, te, coeffs):
+    """Division by a binomial with any coefficients, divisible or not,
+    against the reference kernel's long division.  The last numerator is a
+    multiple of the divisor's two monomials with other coefficients, where
+    a division most often fails on a coefficient."""
+    d, rd = _both(td)
+    qp, rq = _both(tq)
+    e, re_ = _both(te)
+    other, rother = _both([(c, exps) for c, (_, exps) in zip(coeffs, td)])
+    rdq = oracles.tuple_poly_mul(rd, rq)
+    for num, rnum in [(d * qp, rdq), (d * qp + e, oracles.tuple_poly_add(rdq, re_)), (e, re_),
+                      (other * qp, oracles.tuple_poly_mul(rother, rq))]:
+        got = num.divide_exact(d)
+        want = oracles.tuple_poly_divide(rnum, rd)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert str(got) == oracles.tuple_poly_str(want)
+
+
+def test_binomial_division_examples():
+    pq, pt, pu = (LaurentPoly.var(n) for n in ("q", "t", "u"))
+    d = pq.scale(2) - pt.scale(3)
+    assert (d * (pq * pq + pt * pu - LaurentPoly.const(7))).divide_exact(d) == \
+        pq * pq + pt * pu - LaurentPoly.const(7)
+    # 4q^2 - 9t^2 = (2q - 3t)(2q + 3t), but 4q^2 - 9t^3 is not a multiple
+    assert (pq * pq).scale(4).divide_exact(d) is None
+    assert ((pq * pq).scale(4) - (pt * pt).scale(9)).divide_exact(d) == pq.scale(2) + pt.scale(3)
+    assert ((pq * pq).scale(4) - (pt * pt * pt).scale(9)).divide_exact(d) is None
+    # 2t - 2q: the leading term in the integer order is -3t, and the
+    # remainder after one step would vanish if 3 divided 2
+    assert (pt - pq).scale(2).divide_exact(d) is None
+    # q*t - u^2: the leading term is not a power of one variable
+    b = pq * pt - pu * pu
+    assert (b * b * (pq + pu)).divide_exact(b) == b * (pq + pu)
+    assert (b * b + pq).divide_exact(b) is None
+
+
+@given(_cone_terms.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_integer_order_is_the_print_order_on_the_cone(terms):
+    p = _both(terms)[0]
+    assume(p)
+    assert min(p.terms) == min(p.terms, key=mono_key)
+
+
+@given(_terms, _terms)
+@settings(max_examples=200, deadline=None)
+def test_quotient_of_primitive_parts_is_primitive(ta, tb):
+    """What _reduce_over relies on when it keeps a quotient as it is."""
+    a, b = _both(ta)[0], _both(tb)[0]
+    assume(a and b)
+    p, q_ = a.primitive()[2], b.primitive()[2]
+    assert (p * q_).divide_exact(p).primitive() == (1, MONO_ONE, q_)
+
+
+@given(_terms, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_equal_polynomials_hash_equal(terms, rnd):
+    p = _both(terms)[0]
+    items = list(p.terms.items())
+    rnd.shuffle(items)
+    shuffled = LaurentPoly(dict(items))
+    assert shuffled == p and hash(shuffled) == hash(p)
+    a, b = _both(terms[::2])[0], _both(terms[1::2])[0]
+    assert hash(a + b) == hash(b + a) == hash(p)
+    assert hash(a * b) == hash(b * a)
 
 
 def test_package_exports_resolve():

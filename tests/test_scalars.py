@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import hilbmac as hb
-from hilbmac.exactalg import RationalFunction, exact_scalars
+from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
 from hilbmac.symfun import SymmetricFunction
@@ -90,3 +90,100 @@ FLOAT_CALLS = {
 def test_float_scalar_is_rejected(name):
     with pytest.raises(TypeError):
         FLOAT_CALLS[name]()
+
+
+# ---------------------------------------------------------------------------
+# a scalar ring that is not Fraction or RationalFunction
+# ---------------------------------------------------------------------------
+
+PRIME = 2 ** 61 - 1
+
+
+class ModP:
+    """The prime field GF(2^61 - 1), with ints and Fractions taken as its
+    elements: the least a scalar needs for series arithmetic."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n % PRIME
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, ModP):
+            return x
+        if isinstance(x, int):
+            return ModP(x)
+        if isinstance(x, Fraction):
+            return ModP(x.numerator * pow(x.denominator, -1, PRIME))
+        return NotImplemented
+
+    def _with(self, other, op):
+        other = ModP.of(other)
+        return NotImplemented if other is NotImplemented else ModP(op(self.n, other.n))
+
+    def __add__(self, other):
+        return self._with(other, lambda a, b: a + b)
+
+    def __sub__(self, other):
+        return self._with(other, lambda a, b: a - b)
+
+    def __rsub__(self, other):
+        return self._with(other, lambda a, b: b - a)
+
+    def __mul__(self, other):
+        return self._with(other, lambda a, b: a * b)
+
+    def __truediv__(self, other):
+        return self._with(other, lambda a, b: a * pow(b, -1, PRIME))
+
+    def __rtruediv__(self, other):
+        return self._with(other, lambda a, b: b * pow(a, -1, PRIME))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return ModP(-self.n)
+
+    def __pow__(self, k: int):
+        return ModP(pow(self.n, k, PRIME))
+
+    def __bool__(self):
+        return bool(self.n)
+
+    def __eq__(self, other):
+        other = ModP.of(other)
+        return other is not NotImplemented and self.n == other.n
+
+    __hash__ = None
+
+
+def test_series_division_uses_the_scalars_own_division():
+    a = TruncatedSeries([ModP(3), ModP(1), ModP(4)])
+    b = TruncatedSeries([ModP(2), ModP(7), ModP(1)])
+    quotient = a / b
+    assert [type(c) for c in quotient.coeffs] == [ModP] * 3
+    assert quotient * b == a
+    assert (a / ModP(5)) * 5 == a
+    fa = TruncatedSeries([Fraction(3), Fraction(1), Fraction(4)])
+    fb = TruncatedSeries([Fraction(2), Fraction(7), Fraction(1)])
+    assert quotient == (fa / fb).map(ModP.of)
+
+
+def test_int_series_division_still_gives_fractions():
+    a, b = TruncatedSeries([3, 1, 4]), TruncatedSeries([2, 7, 1])
+    assert _fractions(a / b) and _fractions(a / 2)
+    assert (a / b).coeffs[0] == Fraction(3, 2) and (a / 2).coeffs[2] == 2
+
+
+def test_bracket_over_a_prime_field_matches_the_fraction_bracket():
+    """The primed bracket divides two series: over GF(p) the division stays
+    in GF(p) and agrees with the Fraction bracket reduced mod p."""
+    q, t, u, v = Fraction(2, 3), Fraction(5, 7), Fraction(3, 11), Fraction(13, 17)
+    word = [hb.tilde_e_op(2, q, t), hb.psi_op(2, q, t)]
+    want = hb.bracket_bruteforce(word, u, v, q, t, 3, primed=True)
+    mq, mt, mu, mv = (ModP.of(x) for x in (q, t, u, v))
+    word = [hb.tilde_e_op(2, mq, mt), hb.psi_op(2, mq, mt)]
+    got = hb.bracket_bruteforce(word, mu, mv, mq, mt, 3, primed=True)
+    assert [type(c) for c in got.coeffs] == [ModP] * 4
+    assert got == want.map(ModP.of)
