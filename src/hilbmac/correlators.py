@@ -12,15 +12,15 @@ RationalFunctions; the series variable is always Q.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
-from .exactalg.series import TruncatedSeries
+from .exactalg.series import TruncatedSeries, expand_closed_form
 from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE, tail_weights
-from .partitions import CellStat, LazyTable, Partition, cells, iter_partitions
+from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
+                         multiplicity_factorial, set_partition_moebius, set_partitions)
 from .symfun import SymmetricFunction
 
 
@@ -62,8 +62,9 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
 def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
     """The operator Psi^m, Lambda^m or Sigma^m of the power operation psi,
     lambda or sigma: its eigenvalue at mu is the operation's symmetric
-    function of the cell multiset of mu, and its expansion in the stabilized
-    family is the operation's decomposition (macdonald.POWER_OPERATIONS)."""
+    function of the cell multiset of mu (the zero of q's ring at the empty
+    mu), and its expansion in the stabilized family is the operation's
+    decomposition (macdonald.POWER_OPERATIONS)."""
     q, t = exact_scalars(q, t)
     if operation not in POWER_OPERATIONS:
         raise CorrelatorError(f"unknown operation {operation!r}; "
@@ -72,7 +73,8 @@ def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
     return DiagonalOperator(
-        f"{operation.capitalize()}{m}", lambda mu: cell_function(cell_multiset(mu, q, t), m),
+        f"{operation.capitalize()}{m}",
+        lambda mu: cell_function(cell_multiset(mu, q, t), m) if mu else q * 0,
         expansion=expansion)
 
 
@@ -418,7 +420,6 @@ def closed_form_series(name: str, order: int,
     """Expand a library entry in Q.  bindings may give any of q, t, u and v,
     which closed_form_library takes as scalars; with all four the
     coefficients come back as exact Fractions."""
-    from .exactalg.series import expand_closed_form
     bindings = bindings or {}
     series = expand_closed_form(closed_form_library(name, **bindings), order)
     if len(bindings) == 4:
@@ -430,29 +431,12 @@ def closed_form_series(name: str, order: int,
 # connected correlators and the formal-QFT layer
 # ---------------------------------------------------------------------------
 
-def set_partitions(items: Sequence) -> List[List[List]]:
-    """All set partitions of the given positions."""
-    items = list(items)
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for part in set_partitions(rest):
-        out.append([[first]] + [list(b) for b in part])
-        for i in range(len(part)):
-            blocks = [list(b) for b in part]
-            blocks[i] = [first] + blocks[i]
-            out.append(blocks)
-    return out
-
-
 def connected_correlators(raw: Dict[Tuple, object]) -> Dict[Tuple, object]:
     """Moebius inversion over set partitions of the word positions:
 
         conn(w) = sum over partitions pi of (-1)^{|pi|-1} (|pi|-1)! prod_B raw(w|_B)
     """
-    return _set_partition_sums(
-        raw, lambda k: Fraction((-1) ** (k - 1) * math.factorial(k - 1)))
+    return _set_partition_sums(raw, lambda k: Fraction(set_partition_moebius(k)))
 
 
 def disconnected_from_connected(conn: Dict[Tuple, object]) -> Dict[Tuple, object]:
@@ -488,15 +472,6 @@ class FqftResult:
     G: Dict[Tuple, object]
 
 
-def _multiplicity_factorials(key: Tuple) -> Fraction:
-    """prod over the labels of a sorted word of (multiplicity)!: the
-    multinomial factor between a correlator and its Z coefficient."""
-    out = Fraction(1)
-    for _, grp in itertools.groupby(key):
-        out *= math.factorial(len(list(grp)))
-    return out
-
-
 def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
     """Partition function, free energy and entropy from a normalized
     correlator table.
@@ -511,7 +486,7 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
         if not word or len(word) > D:
             continue
         key = tuple(sorted(word))
-        v = val * (1 / _multiplicity_factorials(key))
+        v = val * Fraction(1, multiplicity_factorial(key))
         Z[key] = Z.get(key, v * 0) + v
     # F = log Z as a series graded by word length; a sorted word reversed
     # is a p-basis key, and p-basis products merge keys as words multiply
@@ -531,5 +506,5 @@ def correlators_from_Z(Z: Dict[Tuple, object]) -> Dict[Tuple, object]:
     for key, v in Z.items():
         if not key:
             continue
-        out[key] = v * _multiplicity_factorials(key)
+        out[key] = v * multiplicity_factorial(key)
     return out

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
 from .exactalg.series import TruncatedSeries
-from .partitions import LazyTable, Partition, cells, enumerate_partitions, partitions_upto
+from .partitions import (LazyTable, Partition, cells, enumerate_partitions,
+                         multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, merge_parts, to_p)
 
@@ -121,9 +122,7 @@ def _splits(nu: Partition) -> List[Tuple[Partition, Partition]]:
 def _signed_arrangements(delta: Sequence[int]) -> int:
     """m_delta[-1] = (-1)^l(delta) l(delta)! / prod_i m_i(delta)!: a sign
     times the number of distinct rearrangements of delta."""
-    count = math.factorial(len(delta))
-    for mult in Counter(delta).values():
-        count //= math.factorial(mult)
+    count = math.factorial(len(delta)) // multiplicity_factorial(delta)
     return -count if len(delta) % 2 else count
 
 
@@ -362,7 +361,6 @@ def specialize_eps_via_p(lam: Partition, u, table: MacdonaldTable):
 
 def _mult_series_coeff(k: int, t) -> List[Tuple[Partition, object]]:
     """Degree-k coefficient of exp(sum (1-t^{-n})/n p_n z^n) as p-basis terms."""
-    from .partitions import z_factor
     out = []
     for kappa in enumerate_partitions(k):
         c = Fraction(1, z_factor(kappa)) * one_like(t)
@@ -421,9 +419,9 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
 
 
 def eigen_E(mu: Partition, q, t):
-    """(q-1)/t * sum over cells t^{-l'} q^{a'}; vacuum eigenvalue 0."""
+    """(q-1)/t * sum over cells t^{-l'} q^{a'}; at the vacuum, the zero of q's ring."""
     q, t = exact_scalars(q, t)
-    return (q - 1) / t * power_of(cell_multiset(mu, q, t), 1) if mu else Fraction(0)
+    return (q - 1) / t * power_of(cell_multiset(mu, q, t), 1) if mu else q * 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ library is deterministic.  Cells are iterated row-major, 1-indexed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactalg.series import TruncatedSeries
 
@@ -133,11 +134,36 @@ def multiplicities(lam: Partition) -> Dict[int, int]:
 
 def z_factor(lam: Partition) -> int:
     """z_lam = prod_i i^{m_i} m_i! over part multiplicities m_i."""
-    import math
     z = 1
     for part, m in multiplicities(lam).items():
         z *= part ** m * math.factorial(m)
     return z
+
+
+def multiplicity_factorial(lam: Sequence) -> int:
+    """prod_i m_i! over the multiplicities m_i of lam's entries."""
+    return math.prod(math.factorial(m) for m in multiplicities(lam).values())
+
+
+def set_partitions(items: Sequence) -> Iterator[List[Tuple]]:
+    """Yield every set partition of items as a list of blocks (tuples shared
+    between the partitions yielded): each partition of items[1:] with items[0]
+    as a block of its own, then with items[0] put in front of each block."""
+    items = tuple(items)
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for part in set_partitions(items[1:]):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1:]
+
+
+def set_partition_moebius(k: int) -> int:
+    """mu_k = (-1)^{k-1} (k-1)!: the Moebius function of the set-partition
+    lattice from a partition with k blocks up to the one-block partition."""
+    return (-1) ** (k - 1) * math.factorial(k - 1)
 
 
 def partition_counts(n: int) -> List[int]:

@@ -2,20 +2,23 @@
 involution omega, and the universal coefficient families alpha, beta, gamma.
 
 A SymmetricFunction is a basis tag plus a sparse map partition -> coefficient.
-Coefficients may be Fractions or RationalFunctions; conversion matrices are
-exact rationals cached per degree.
+Coefficients may be Fractions or RationalFunctions.  Both m <-> p matrices of
+a degree come from one exact, cached sum over set partitions, and the alpha
+table from the same Moebius values in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
-from .partitions import Partition, enumerate_partitions, z_factor
+from .partitions import (Partition, enumerate_partitions, multiplicity_factorial,
+                         partitions_upto, set_partition_moebius, set_partitions, z_factor)
 
 BASES = ("p", "m", "e", "h")
 
@@ -143,62 +146,36 @@ def _p_in_generators(n: int, target: str) -> Tuple[Tuple[Partition, Fraction], .
 # ---------------------------------------------------------------------------
 
 #: highest degree converted through the monomial basis; bounds the
-#: transition matrices built for input from outside the program.
+#: transition matrices built for input from outside the program (degree 10: the
+#: Bell(10) = 115975 set partitions, about 1 s and 17 MiB as a whole process).
 M_DEGREE_BOUND = 10
 
 
 @lru_cache(maxsize=None)
-def _p_to_m_matrix(n: int) -> Dict[Partition, Dict[Partition, int]]:
-    """Row lam: integer coefficients of p_lam in the monomial basis.
+def _transition_matrices(n: int) -> Dict[str, Dict[Partition, Dict[Partition, object]]]:
+    """Both matrices by target basis: row lam of 'm' is p_lam in the m basis
+    (ints), of 'p' is m_lam in the p basis (Fractions), nonzero entries in
+    reverse-lex order.
 
-    Computed by expanding the power-sum product in n concrete variables and
-    reading coefficients at dominant (sorted) exponent vectors.
+    One pass over the set partitions pi of lam's parts (Doubilet 1972): with
+    lam(pi) the partition of the block sums, m~_lam = prod_i m_i(lam)! m_lam
+    and mu_k the set-partition Moebius value,
+
+        p_lam = sum_pi m~_{lam(pi)},   m~_lam = sum_pi prod_{B in pi} mu_|B| p_{lam(pi)}.
     """
-    parts = enumerate_partitions(n)
-    rows: Dict[Partition, Dict[Partition, int]] = {}
-    for lam in parts:
-        state: Dict[Tuple[int, ...], int] = {(0,) * max(n, 1): 1}
-        for part in lam:
-            new: Dict[Tuple[int, ...], int] = {}
-            for vec, c in state.items():
-                for i in range(len(vec)):
-                    v2 = list(vec)
-                    v2[i] += part
-                    key = tuple(v2)
-                    new[key] = new.get(key, 0) + c
-            state = new
-        row: Dict[Partition, int] = {}
-        for mu in parts:
-            vec = tuple(list(mu) + [0] * (max(n, 1) - len(mu)))
-            c = state.get(vec, 0)
-            if c:
-                row[mu] = c
-        rows[lam] = row
-    return rows
-
-def _solve_unitriangular(mat: Dict[Partition, Dict[Partition, int]],
-                         order: List[Partition]) -> Dict[Partition, Dict[Partition, Fraction]]:
-    """Invert the p->m matrix (triangular in dominance, refined by the frozen
-    reverse-lex order) by back substitution over exact rationals."""
-    inv: Dict[Partition, Dict[Partition, Fraction]] = {}
-    for mu in order:
-        # p_mu = diag * m_mu + sum over strictly dominating nu (earlier in the
-        # frozen order) of c_{mu nu} m_nu, so m_mu back-substitutes from those.
-        diag = mat[mu][mu]
-        out: Dict[Partition, Fraction] = {mu: Fraction(1, diag)}
-        for nu, c in mat[mu].items():
-            if nu == mu:
-                continue
-            for kappa, w in inv[nu].items():
-                out[kappa] = out.get(kappa, Fraction(0)) - Fraction(c, diag) * w
-        inv[mu] = {k: v for k, v in out.items() if v}
-    return inv
-
-
-@lru_cache(maxsize=None)
-def _m_to_p_matrix(n: int) -> Dict[Partition, Dict[Partition, Fraction]]:
     order = enumerate_partitions(n)
-    return _solve_unitriangular(_p_to_m_matrix(n), order)
+    rows: Dict[str, Dict[Partition, Dict[Partition, object]]] = {"m": {}, "p": {}}
+    for lam in order:
+        count: Dict[Partition, int] = {}
+        signed: Dict[Partition, int] = {}
+        for pi in set_partitions(lam):
+            mu = tuple(sorted(map(sum, pi), reverse=True))
+            count[mu] = count.get(mu, 0) + 1
+            signed[mu] = signed.get(mu, 0) + math.prod(set_partition_moebius(len(b)) for b in pi)
+        scale = multiplicity_factorial(lam)
+        rows["m"][lam] = {mu: count[mu] * multiplicity_factorial(mu) for mu in order if mu in count}
+        rows["p"][lam] = {mu: Fraction(signed[mu], scale) for mu in order if signed.get(mu)}
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +186,7 @@ def to_p(f: SymmetricFunction) -> SymmetricFunction:
     if f.basis == "p":
         return f
     if f.basis == "m":
-        return _transition(f, _m_to_p_matrix, "p")
+        return _transition(f, "p")
     return _expand_products(f, e_in_p if f.basis == "e" else h_in_p, "p")
 
 
@@ -226,14 +203,14 @@ def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFu
     return SymmetricFunction(basis, out)
 
 
-def _transition(f: SymmetricFunction, matrix, basis: str) -> SymmetricFunction:
-    """Apply the per-degree m <-> p transition matrix(n) to each term of f."""
+def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
+    """Apply the per-degree m <-> p transition matrix into basis to each term of f."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
         n = sum(lam)
         if n > M_DEGREE_BOUND:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
-        for mu, w in matrix(n)[lam].items():
+        for mu, w in _transition_matrices(n)[basis][lam].items():
             v = c * w
             out[mu] = out.get(mu, v * 0) + v
     return SymmetricFunction(basis, out)
@@ -254,7 +231,7 @@ def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
     if target == "p":
         return g
     if target == "m":
-        return _transition(g, _p_to_m_matrix, "m")
+        return _transition(g, "m")
     return _expand_products(g, lambda n: _p_in_generators(n, target), target)
 
 
@@ -300,12 +277,15 @@ def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
 # ---------------------------------------------------------------------------
 
 def alpha_coefficients(n: int) -> Dict[Partition, Fraction]:
-    """log(sum e_k z^k) = sum alpha_lam e_lam z^{|lam|}: rational alpha table."""
+    """log(sum e_k z^k) = sum alpha_lam e_lam z^{|lam|}: rational alpha table.
+
+    The l-th term (-1)^{l-1}/l (sum e_k z^k)^l of the logarithm holds e_lam,
+    l = l(lam), in l!/prod_i m_i(lam)! orders, so alpha_lam = mu_l / prod_i m_i(lam)!
+    with mu_l the set-partition Moebius value."""
     if n < 1:
         raise SymFunError("n must be >= 1")
-    series = TruncatedSeries([SymmetricFunction("e", {(): Fraction(1)})] +
-                             [SymmetricFunction.generator("e", k) for k in range(1, n + 1)])
-    return {lam: c for g in series.log().coeffs[1:] for lam, c in g.terms.items()}
+    return {lam: Fraction(set_partition_moebius(len(lam)), multiplicity_factorial(lam))
+            for lam in partitions_upto(n) if lam}
 
 
 def beta_gamma_coefficients(n: int, q=None) -> Tuple[Dict[Partition, object], Dict[Partition, object]]:

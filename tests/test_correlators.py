@@ -299,7 +299,7 @@ def test_library_scalars_agree_with_symbolic_evaluation(name, point):
 def test_set_partitions_count():
     # Bell numbers 1, 1, 2, 5, 15
     for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15)]:
-        assert len(set_partitions(range(n))) == bell
+        assert len(list(set_partitions(range(n)))) == bell
 
 
 def test_connected_two_and_three_point_displays():

@@ -66,6 +66,10 @@ COMMANDS = {
         {"basis": "p", "terms": [{"partition": [3, 2, 1], "coeff": "5"}]})],
     "symfun_convert_m_to_p": ["symfun", "convert", "--to", "p", "--input", json.dumps(
         {"basis": "m", "terms": [{"partition": [3, 2, 1], "coeff": "5"}]})],
+    "symfun_convert_p_to_m_8": ["symfun", "convert", "--to", "m", "--input", json.dumps(
+        {"basis": "p", "terms": [{"partition": [1] * 8, "coeff": "1"}]})],
+    "symfun_convert_m_to_p_8": ["symfun", "convert", "--to", "p", "--input", json.dumps(
+        {"basis": "m", "terms": [{"partition": [3, 2, 2, 1], "coeff": "1"}]})],
 }
 
 

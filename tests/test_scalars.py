@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import hilbmac as hb
+from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
@@ -187,3 +188,19 @@ def test_bracket_over_a_prime_field_matches_the_fraction_bracket():
     got = hb.bracket_bruteforce(word, mu, mv, mq, mt, 3, primed=True)
     assert [type(c) for c in got.coeffs] == [ModP] * 4
     assert got == want.map(ModP.of)
+
+
+VACUUM_SCALARS = {
+    "fraction": (Fraction(2, 3), Fraction(5, 7)),
+    "rational_function": tuple(RationalFunction.var(n) for n in ("q", "t")),
+    "mod_p": (ModP.of(Fraction(2, 3)), ModP.of(Fraction(5, 7))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VACUUM_SCALARS))
+def test_vacuum_eigenvalues_are_the_zero_of_the_scalars_ring(kind):
+    q, t = VACUUM_SCALARS[kind]
+    values = [hb.eigen_E((), q, t)] + [power_op(op, m, q, t).eigenvalue(())
+                                       for op in ("psi", "lambda", "sigma") for m in (1, 2)]
+    assert [type(v) for v in values] == [type(q)] * len(values)
+    assert not any(values)

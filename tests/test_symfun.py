@@ -10,7 +10,7 @@ from hilbmac.symfun import (SymFunError, SymmetricFunction,
                             alpha_coefficients, basis_convert,
                             bc_product_check, beta_gamma_coefficients,
                             inner_product_hall,
-                            inner_product_qt, omega, to_p)
+                            inner_product_qt, omega, to_p, _transition_matrices)
 
 q, t = generators("q", "t")
 
@@ -43,6 +43,64 @@ def test_monomial_expansion_of_power_sums():
     assert p2.terms == {(2,): Fraction(1)}
     p11 = basis_convert(sf("p", {(1, 1): 1}), "m")
     assert p11.terms == {(2,): Fraction(1), (1, 1): Fraction(2)}
+
+
+def _weak_compositions(n: int, length: int):
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _weak_compositions(n - first, length - 1):
+            yield (first,) + rest
+
+
+def _monomials_at(xs, n: int):
+    """m_mu(xs) for every mu of n, from the definition: the sum of x^a over
+    the exponent vectors a whose nonzero entries rearrange to mu."""
+    out = {}
+    for a in _weak_compositions(n, len(xs)):
+        mu = tuple(sorted((e for e in a if e), reverse=True))
+        term = Fraction(1)
+        for x, e in zip(xs, a):
+            term *= x ** e
+        out[mu] = out.get(mu, Fraction(0)) + term
+    return out
+
+
+def _power_sum_at(xs, lam):
+    out = Fraction(1)
+    for part in lam:
+        out *= sum(x ** part for x in xs)
+    return out
+
+
+def test_transition_matrices_at_concrete_points():
+    """p_lam = sum A[lam][mu] m_mu and m_lam = sum B[lam][rho] p_rho at seeded
+    rational points x_1..x_n, every |lam| = n <= 7, each side evaluated from
+    its definition."""
+    rng = random.Random(18)
+    for n in range(1, 8):
+        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        m_at = _monomials_at(xs, n)
+        for lam in enumerate_partitions(n):
+            in_m = basis_convert(sf("p", {lam: 1}), "m")
+            assert _power_sum_at(xs, lam) == sum(
+                c * m_at[mu] for mu, c in in_m.terms.items()), lam
+            in_p = to_p(sf("m", {lam: 1}))
+            assert m_at[lam] == sum(c * _power_sum_at(xs, rho)
+                                    for rho, c in in_p.terms.items()), lam
+
+
+def test_transition_matrices_are_inverse():
+    for n in range(10):
+        matrices = _transition_matrices(n)
+        for lam in enumerate_partitions(n):
+            row = {}
+            for mu, a in matrices["m"][lam].items():
+                for rho, b in matrices["p"][mu].items():
+                    row[rho] = row.get(rho, 0) + a * b
+            assert {k: v for k, v in row.items() if v} == {lam: 1}, lam
 
 
 def test_roundtrips_to_degree_8():
