@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: Laurent polynomials, rational functions,
 truncated power series, and seeded rational-point sampling."""
 
-from .poly import ALPHABET, BASE_ALPHABET, ExponentOverflowError, LaurentPoly
+from .poly import BASE_ALPHABET, ExponentOverflowError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, exact_scalars, generators, one_like,
                      rf, rf_sum, scalar_sum)
@@ -9,7 +9,7 @@ from .sampling import RationalSampler
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
-    "ALPHABET", "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
+    "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
     "RationalFunction", "rf", "rf_sum", "scalar_sum", "one_like", "exact_scalars",
     "generators",
     "ExactAlgError", "DivisionByZero", "PoleError",

@@ -26,8 +26,8 @@ Two orders serve two jobs:
     earlier variables first.  divide_exact, leading() and the sign of
     primitive() (whose shifted terms lie on the cone) use it.
   - mono_key (absolute degree, then (index, -exponent) lexicographically)
-    orders the printed terms and the factor lists through key(); it is
-    decoded from the int and cached.
+    orders the printed terms, and through key() the factors that trial
+    division tries; it is decoded from the int and cached.
 
 Exact division by a binomial aX + bY (X > Y) needs no heap: the remainder
 only ever moves along chains r, r - (X - Y), r - 2(X - Y), ..., and chains
@@ -96,24 +96,15 @@ class PoleError(ExactAlgError):
     """Evaluation point lies on a pole; caller should retry elsewhere."""
 
 
-class Alphabet:
-    """Global ordered variable registry of the frozen base names."""
-
-    def __init__(self):
-        self._names = list(BASE_ALPHABET)
-        self._index = {n: i for i, n in enumerate(self._names)}
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}")
-
-    def name(self, idx: int) -> str:
-        return self._names[idx]
+_INDEX = {n: i for i, n in enumerate(BASE_ALPHABET)}
 
 
-ALPHABET = Alphabet()
+def var_index(name: str) -> int:
+    """Index of the named variable in BASE_ALPHABET; ExactAlgError if none."""
+    i = _INDEX.get(name)
+    if i is None:
+        raise ExactAlgError(f"unknown variable {name!r}")
+    return i
 
 
 def _exponent(m: int, k: int) -> int:
@@ -152,7 +143,7 @@ def _check(monos) -> None:
             for k, e in _decode(m):
                 if abs(e) > EXPONENT_LIMIT:
                     raise ExponentOverflowError(
-                        f"exponent {e} exceeds limit for var {ALPHABET.name(k)}")
+                        f"exponent {e} exceeds limit for var {BASE_ALPHABET[k]}")
 
 
 def _past_half(monos) -> bool:
@@ -180,7 +171,7 @@ def mono_eval(a: int, point: Dict[int, Fraction]) -> Fraction:
     val = Fraction(1)
     for i, e in _decode(a):
         if i not in point:
-            raise ExactAlgError(f"unbound variable {ALPHABET.name(i)}")
+            raise ExactAlgError(f"unbound variable {BASE_ALPHABET[i]}")
         if point[i] == 0 and e < 0:
             raise PoleError("zero base with negative exponent")
         val *= point[i] ** e
@@ -213,7 +204,7 @@ def mono_str(a: int) -> str:
         return "1"
     parts = []
     for i, ne in mono_key(a)[1]:
-        n = ALPHABET.name(i)
+        n = BASE_ALPHABET[i]
         parts.append(n if ne == -1 else f"{n}^{-ne}")
     return "*".join(parts)
 
@@ -238,7 +229,7 @@ class LaurentPoly:
     def var(name: str, exp: int = 1) -> "LaurentPoly":
         if abs(exp) > EXPONENT_LIMIT:
             raise ExponentOverflowError(f"exponent {exp} exceeds limit for var {name}")
-        return LaurentPoly({exp * _VAR[ALPHABET.index(name)]: 1})
+        return LaurentPoly({exp * _VAR[var_index(name)]: 1})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -412,14 +403,14 @@ class LaurentPoly:
 
     def degree(self, name: str) -> int:
         """Largest exponent of the named variable (0 where it is absent)."""
-        i = ALPHABET.index(name)
+        i = var_index(name)
         return max((_exponent(m, i) for m in self.terms), default=0)
 
     def kronecker(self, shifts: Dict[str, int]) -> int:
         """Value at name = 2^shift for each named variable: the Kronecker
         substitution, one integer.  Raises ExactAlgError on a negative
         exponent or on a variable that is not named."""
-        idx = {ALPHABET.index(n): s for n, s in shifts.items()}
+        idx = {var_index(n): s for n, s in shifts.items()}
         out = 0
         for m, c in self.terms.items():
             exps = [(i, _exponent(m, i)) for i in idx]
@@ -435,7 +426,7 @@ class LaurentPoly:
         """Terms grouped by their exponents of the named variables: each tuple
         of exponents, in the order of names, maps to the polynomial in the
         other variables that multiplies it."""
-        wanted = [ALPHABET.index(n) for n in names]
+        wanted = [var_index(n) for n in names]
         groups: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for m, c in self.terms.items():
             exps = tuple(_exponent(m, i) for i in wanted)

@@ -1,9 +1,13 @@
 """Rational functions: quotients of sparse integer Laurent polynomials.
 
 Values are kept in partially factored form
-    (nc/dc) * monomial * prod(num factors) / prod(den factors)
-with each factor a primitive polynomial (integer content 1, no monomial
-content, positive first term in the print order).  There is no full
+    (nc/dc) * monomial * prod(p**k for p, k in fac.items())
+with fac one map from primitive polynomial (integer content 1, no monomial
+content, positive first term in the print order) to a nonzero signed
+exponent: positive exponents make the numerator, negative ones the
+denominator.  A map is never changed once a value holds it, so values
+share maps.  Products merge exponents in no order; only trial division
+(_reduce_over) orders the factors, by key().  There is no full
 multivariate gcd: fractions reduce by content, by cancellation of identical
 factors, and by exact trial division of freshly expanded numerators against
 tracked denominator factors.  So a value is not reduced: equal values may
@@ -24,36 +28,16 @@ import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import (ALPHABET, MONO_ONE, ExactAlgError, LaurentPoly, PoleError,
-                   mono_eval, mono_inv, mono_mul, poly_pow)
+from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, mono_eval,
+                   mono_inv, mono_mul, poly_pow, var_index)
 
 
 class DivisionByZero(ExactAlgError):
     """Division of rational functions by the zero value."""
 
 
-FactorList = Tuple[Tuple[LaurentPoly, int], ...]
-
-
-def _exponents(signed, start=()) -> Dict[LaurentPoly, int]:
-    """Map from primitive factor to signed exponent: the start map plus each
-    (factor list, sign) pair's exponents times its sign."""
-    exps: Dict[LaurentPoly, int] = dict(start)
-    for factors, sign in signed:
-        for p, k in factors:
-            exps[p] = exps.get(p, 0) + sign * k
-    return exps
-
-
-def _split(exps: Dict[LaurentPoly, int]) -> Tuple[FactorList, FactorList]:
-    """Numerator and denominator factor lists of a signed exponent map, each
-    in the frozen key() order."""
-    items = sorted(exps.items(), key=lambda t: t[0].key())
-    return (tuple((p, k) for p, k in items if k > 0),
-            tuple((p, -k) for p, k in items if k < 0))
-
-
-def _expand(factors: FactorList) -> LaurentPoly:
+def _expand(factors) -> LaurentPoly:
+    """The product of p**k over the (factor, exponent) pairs, each k > 0."""
     out = LaurentPoly.const(1)
     for p, k in factors:
         out = out * poly_pow(p, k)
@@ -67,13 +51,13 @@ class RationalFunction:
     of expanded numerators and denominators yields equal polynomials.
     """
 
-    __slots__ = ("nc", "dc", "mono", "nfac", "dfac", "_expanded")
+    __slots__ = ("nc", "dc", "mono", "fac", "_expanded")
 
-    def __init__(self, nc: int, dc: int, mono: int, nfac: FactorList, dfac: FactorList):
+    def __init__(self, nc: int, dc: int, mono: int, fac: Dict[LaurentPoly, int]):
         if dc == 0:
             raise DivisionByZero("zero denominator")
         if nc == 0:
-            dc, mono, nfac, dfac = 1, MONO_ONE, (), ()
+            dc, mono, fac = 1, MONO_ONE, {}
         else:
             g = math.gcd(nc, dc)
             if dc < 0:
@@ -83,19 +67,18 @@ class RationalFunction:
         self.nc = nc
         self.dc = dc
         self.mono = mono
-        self.nfac = nfac
-        self.dfac = dfac
+        self.fac = fac
         self._expanded = None
 
     # -- constructors --------------------------------------------------------
     @staticmethod
     def from_int(n: int) -> "RationalFunction":
-        return RationalFunction(int(n), 1, MONO_ONE, (), ())
+        return RationalFunction(int(n), 1, MONO_ONE, {})
 
     @staticmethod
     def from_fraction(f: Fraction) -> "RationalFunction":
         f = Fraction(f)
-        return RationalFunction(f.numerator, f.denominator, MONO_ONE, (), ())
+        return RationalFunction(f.numerator, f.denominator, MONO_ONE, {})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "RationalFunction":
@@ -103,7 +86,7 @@ class RationalFunction:
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunction":
-        return _reduce_over(p, 1, ())
+        return _reduce_over(p, 1, {})
 
     # -- coercion --------------------------------------------------------------
     @staticmethod
@@ -124,7 +107,7 @@ class RationalFunction:
         return self.nc != 0
 
     def as_fraction(self) -> Fraction:
-        if (self.mono, self.nfac, self.dfac) != (MONO_ONE, (), ()):
+        if self.mono != MONO_ONE or self.fac:
             raise ExactAlgError(f"not a constant: {self}")
         return Fraction(self.nc, self.dc)
 
@@ -141,10 +124,15 @@ class RationalFunction:
             return NotImplemented
         if self.nc == 0 or other.nc == 0:
             return RationalFunction.from_int(0)
-        nfac, dfac = _split(_exponents(((self.nfac, 1), (other.nfac, 1),
-                                        (self.dfac, -1), (other.dfac, -1))))
+        fac = dict(self.fac)
+        for p, k in other.fac.items():
+            k += fac.get(p, 0)
+            if k:
+                fac[p] = k
+            else:
+                del fac[p]
         return RationalFunction(self.nc * other.nc, self.dc * other.dc,
-                                mono_mul(self.mono, other.mono), nfac, dfac)
+                                mono_mul(self.mono, other.mono), fac)
 
     __rmul__ = __mul__
 
@@ -152,7 +140,8 @@ class RationalFunction:
         if self.nc == 0:
             raise DivisionByZero("inverting zero rational function")
         return RationalFunction(self.dc if self.nc > 0 else -self.dc,
-                                abs(self.nc), mono_inv(self.mono), self.dfac, self.nfac)
+                                abs(self.nc), mono_inv(self.mono),
+                                {p: -k for p, k in self.fac.items()})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -179,7 +168,7 @@ class RationalFunction:
         return out
 
     def __neg__(self):
-        return RationalFunction(-self.nc, self.dc, self.mono, self.nfac, self.dfac)
+        return RationalFunction(-self.nc, self.dc, self.mono, self.fac)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -211,17 +200,17 @@ class RationalFunction:
         prefactor folded into the numerator).
         """
         if self._expanded is None:
-            num = _expand(self.nfac).mono_shift(self.mono).scale(self.nc)
-            den = _expand(self.dfac).scale(self.dc)
-            self._expanded = (num, den)
+            fac = self.fac.items()
+            num = _expand((p, k) for p, k in fac if k > 0)
+            den = _expand((p, -k) for p, k in fac if k < 0)
+            self._expanded = (num.mono_shift(self.mono).scale(self.nc), den.scale(self.dc))
         return self._expanded
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if (self.nc, self.dc, self.mono, self.nfac, self.dfac) == \
-           (other.nc, other.dc, other.mono, other.nfac, other.dfac):
+        if (self.nc, self.dc, self.mono, self.fac) == (other.nc, other.dc, other.mono, other.fac):
             return True
         na, da = self.expanded()
         nb, db = other.expanded()
@@ -233,17 +222,15 @@ class RationalFunction:
     def eval(self, bindings: Dict[str, Fraction]) -> Fraction:
         """Exact evaluation at rational points; raises PoleError on vanishing
         denominator factors and ExactAlgError on an unbound variable."""
-        idx = {ALPHABET.index(k): Fraction(v) for k, v in bindings.items()}
+        idx = {var_index(k): Fraction(v) for k, v in bindings.items()}
         if self.nc == 0:
             return Fraction(0)
         val = Fraction(self.nc, self.dc) * mono_eval(self.mono, idx)
-        for p, k in self.nfac:
-            val *= p.eval(idx) ** k
-        for p, k in self.dfac:
+        for p, k in self.fac.items():
             pv = p.eval(idx)
-            if pv == 0:
+            if pv == 0 and k < 0:
                 raise PoleError(f"denominator factor vanishes: {p}")
-            val /= pv ** k
+            val *= pv ** k
         return val
 
     # -- rendering -----------------------------------------------------------------
@@ -270,9 +257,12 @@ class RationalFunction:
         return f"RF({self.canonical_str()})"
 
 
-def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction:
-    """Build num/(dc * prod den) reduced by content and trial division; den is
-    in key() order, and the remaining denominator keeps that order.
+def _reduce_over(num: LaurentPoly, dc: int, den: Dict[LaurentPoly, int]) -> RationalFunction:
+    """Build num/(dc * prod(p**k for p, k in den.items())) reduced by content
+    and trial division, for den a map from primitive factor to positive
+    multiplicity.  The factors are tried in key() order, the one place that
+    reads the order: which factors a numerator absorbs, and so the printed
+    value, depends on it.
 
     An exact quotient of primitive parts is the new primitive part as it
     is: by Gauss's lemma it has content 1, its least exponents are 0, and
@@ -281,8 +271,8 @@ def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction
     if num.is_zero():
         return RationalFunction.from_int(0)
     c, mono, prim = num.primitive()
-    dfac = []
-    for p, k in den:
+    fac = {}
+    for p, k in sorted(den.items(), key=lambda pk: pk[0].key()):
         while k:
             if prim == p:
                 prim = LaurentPoly.const(1)
@@ -293,10 +283,11 @@ def _reduce_over(num: LaurentPoly, dc: int, den: FactorList) -> RationalFunction
                 prim = q
             k -= 1
         if k:
-            dfac.append((p, k))
+            fac[p] = -k
     if prim.is_const():
-        return RationalFunction(c * prim.const_value(), dc, mono, (), tuple(dfac))
-    return RationalFunction(c, dc, mono, ((prim, 1),), tuple(dfac))
+        return RationalFunction(c * prim.const_value(), dc, mono, fac)
+    fac[prim] = 1
+    return RationalFunction(c, dc, mono, fac)
 
 
 def poly_over(num: LaurentPoly, factors) -> RationalFunction:
@@ -309,7 +300,7 @@ def poly_over(num: LaurentPoly, factors) -> RationalFunction:
         dc *= g
         mono = mono_mul(mono, m)
         den[prim] = den.get(prim, 0) + 1
-    return _reduce_over(num.mono_shift(mono_inv(mono)), dc, _split(den)[0])
+    return _reduce_over(num.mono_shift(mono_inv(mono)), dc, den)
 
 
 def rf(x) -> RationalFunction:
@@ -336,18 +327,20 @@ def rf_sum(values) -> RationalFunction:
         return vals[0]
     den: Dict[LaurentPoly, int] = {}
     for v in vals:
-        for p, k in v.dfac:
-            if den.get(p, 0) < k:
-                den[p] = k
+        for p, k in v.fac.items():
+            if k < 0 and den.get(p, 0) < -k:
+                den[p] = -k
     dc = 1
     for v in vals:
         dc = dc * v.dc // math.gcd(dc, v.dc)
     num = LaurentPoly({})
     for v in vals:
-        part = _expand([(p, k) for p, k in _exponents(((v.nfac, 1), (v.dfac, -1)), den).items()
-                        if k > 0])
+        cofactor = dict(den)
+        for p, k in v.fac.items():
+            cofactor[p] = cofactor.get(p, 0) + k
+        part = _expand((p, k) for p, k in cofactor.items() if k > 0)
         num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
-    return _reduce_over(num, dc, _split(den)[0])
+    return _reduce_over(num, dc, den)
 
 
 def scalar_sum(values):

@@ -210,7 +210,10 @@ def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
         n = sum(lam)
         if n > M_DEGREE_BOUND:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
-        for mu, w in _transition_matrices(n)[basis][lam].items():
+        row = _transition_matrices(n)[basis].get(lam)
+        if row is None:
+            raise SymFunError(f"not a partition: {lam!r}")
+        for mu, w in row.items():
             v = c * w
             out[mu] = out.get(mu, v * 0) + v
     return SymmetricFunction(basis, out)

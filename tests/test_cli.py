@@ -4,6 +4,8 @@ import json
 import pytest
 
 from hilbmac.cli import dispatch, resolve_mode
+from hilbmac.correlators import bracket_one_closed
+from hilbmac.exactalg import generators
 
 
 def run_cli(capsys, argv):
@@ -214,6 +216,10 @@ def test_verify_all_json_is_one_document(capsys):
      '{"basis": "p", "terms": [{"partition": [2], "coeff": true}]}'],
     ["symfun", "convert", "--to", "m", "--input",
      '{"basis": "p", "terms": [{"partition": [2], "coeff": 0.1}]}'],
+    # malformed --mu, --twist and --word values
+    ["macdonald", "P", "--mu", "1,2"],
+    ["chi", "--twist", "1"],
+    ["correlate", "--word", "E1,"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -222,6 +228,18 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_identity_word_is_E0(capsys):
+    q, t, u, v = generators("q", "t", "u", "v")
+    one = [str(c) for c in bracket_one_closed(u, v, q, t, 3).coeffs]
+    for flags, expected in (([], one), (["--normalized"], ["1", "0", "0", "0"])):
+        printed = []
+        for word in ("1", "E0"):
+            code, out = run_cli(capsys, ["correlate", "--word", word, "--order", "3"] + flags)
+            assert code == 0
+            printed.append([c["coeff"] for c in json.loads(out)["series"]])
+        assert printed == [expected, expected]
 
 
 def test_environment_does_not_change_defaults(capsys, monkeypatch):

@@ -54,6 +54,13 @@ def test_eval_names_an_unbound_variable_in_a_factor():
         ((1 - q) * (1 - t)).eval({"q": Fraction(2)})
 
 
+def test_unknown_variable_is_an_exactalg_error():
+    for call in (lambda: RationalFunction.var("z"), lambda: LaurentPoly.var("z"),
+                 lambda: q.eval({"z": Fraction(1)}), lambda: LaurentPoly.var("q").degree("z")):
+        with pytest.raises(ExactAlgError, match="unknown variable 'z'"):
+            call()
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         q / (q - q)
@@ -251,6 +258,15 @@ def test_rf_sum_matches_pairwise():
         total = total + x
     assert rf_sum(vals) == total
     assert rf_sum([]).is_zero()
+
+
+def test_trial_division_follows_the_key_order():
+    """Trial division tries the denominator factors in key() order whatever
+    order a product merged them in: here 1 - q divides the numerator first,
+    so 1 - q^2 stays in the denominator."""
+    a, b = 1 / (1 - q), 1 / (1 - q ** 2)
+    for x in (a * b, b * a):
+        assert rf_sum([x, -q ** 2 * x]).canonical_str() == "(1 + q)/(1 - q^2)"
 
 
 def test_sampler_determinism_and_bounds():
@@ -516,6 +532,23 @@ def test_equal_polynomials_hash_equal(terms, rnd):
     a, b = _both(terms[::2])[0], _both(terms[1::2])[0]
     assert hash(a + b) == hash(b + a) == hash(p)
     assert hash(a * b) == hash(b * a)
+
+
+def _ratio(tn, td):
+    num, den = _both(tn)[0], _both(td)[0]
+    return RationalFunction.from_poly(num) / RationalFunction.from_poly(den or LaurentPoly.const(1))
+
+
+@given(_terms, _terms, _terms, _terms)
+@settings(max_examples=100, deadline=None)
+def test_factor_map_holds_no_zero_exponent_and_products_commute(ta, tb, tc, td):
+    a, b = _ratio(ta, tb), _ratio(tc, td)
+    values = [a, b, a * b, b * a, -a, rf_sum([a, b, a * b]), rf_sum([a, -a])]
+    if b:
+        values += [a / b, a * b / b, b.inverse(), b * b.inverse()]
+    for f in values:
+        assert 0 not in f.fac.values()
+    assert (a * b).canonical_str() == (b * a).canonical_str()
 
 
 def test_package_exports_resolve():

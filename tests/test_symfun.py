@@ -23,6 +23,15 @@ def sf(basis, terms):
 # conversions
 # ---------------------------------------------------------------------------
 
+def test_m_p_conversion_rejects_a_key_that_is_not_a_partition():
+    with pytest.raises(SymFunError, match=r"not a partition: \(1, 2\)"):
+        to_p(sf("m", {(1, 2): 1}))
+    with pytest.raises(SymFunError, match=r"not a partition: \(0, 2\)"):
+        basis_convert(sf("p", {(0, 2): 1}), "m")
+    e1, p1 = SymmetricFunction.generator("e", 1), SymmetricFunction.generator("p", 1)
+    assert e1 == p1 and not e1 == p1.scale(2)
+
+
 def test_degree_one_conversions():
     p1 = SymmetricFunction.generator("p", 1)
     assert basis_convert(p1, "e").terms == {(1,): Fraction(1)}
