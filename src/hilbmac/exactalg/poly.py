@@ -212,13 +212,14 @@ def mono_str(a: int) -> str:
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int coefficients."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms: Dict[int, int]):
         """Takes ownership of terms, a fresh dict; zero coefficients are
         dropped."""
         self.terms = {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
         self._key = None
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -444,7 +445,9 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __str__(self) -> str:
         if not self.terms:

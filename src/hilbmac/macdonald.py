@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
 from .exactalg.series import TruncatedSeries
-from .partitions import (LazyTable, Partition, cells, enumerate_partitions,
-                         multiplicity_factorial, partitions_upto, z_factor)
+from .partitions import (LazyTable, Partition, cells, dominates, enumerate_partitions,
+                         is_partition, multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, merge_parts, to_p)
 
@@ -163,8 +163,9 @@ def _rearrangement_counts(kappa: Partition, rest: Partition,
 
 
 class MacdonaldTable:
-    """Fill-once cache of the integral forms J_mu = c_mu P_mu and of P_mu for
-    fixed scalars (q, t), c_mu = prod over cells (1 - q^a t^{l+1}).
+    """Cache of the integral forms J_mu = c_mu P_mu and of P_mu for fixed
+    scalars (q, t), c_mu = prod over cells (1 - q^a t^{l+1}), filled one
+    column per request over one operator matrix per degree.
 
     P_lam = m_lam + sum over strictly dominated mu of u_{lam mu} m_mu is the
     eigenvector of the stable degree-1 operator with eigenvalue
@@ -172,7 +173,10 @@ class MacdonaldTable:
     dominance-triangular with the eigenvalues on the diagonal, so a column
     starts at J[mu][mu] = c_mu and each later coefficient is one
     back-substitution step divided by a difference of eigenvalues (distinct
-    for distinct partitions).  One loop serves every scalar ring:
+    for distinct partitions).  Column mu reads only the rows kappa that mu
+    dominates; a degree's matrix and eigenvalues are built at its first
+    request and serve every column of that degree.  One loop serves every
+    scalar ring:
 
     - when q and t are signed Laurent monomials (the generators, q^-1, t^-1)
       the loop runs over LaurentPoly, where J's m-coefficients live
@@ -217,7 +221,7 @@ class MacdonaldTable:
         self._J: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): self._ring(one)})}
         self._P: Dict[Partition, SymmetricFunction] = {(): SymmetricFunction("m", {(): one})}
         self._P_p: Dict[Partition, SymmetricFunction] = {}
-        self._degrees_done = {0}
+        self._degrees: Dict[int, tuple] = {}
 
     def _ring(self, x):
         """x in the ring J is filled over."""
@@ -236,36 +240,42 @@ class MacdonaldTable:
             raise MacdonaldError(f"c vanishes at q = {self.q}, t = {self.t}")
         return x / product
 
-    def _fill_degree(self, n: int):
-        if n in self._degrees_done:
-            return
-        if n > self.degree_bound:
-            raise MacdonaldError(f"degree {n} above bound {self.degree_bound}")
-        q, t = self.q, self.t
-        order = enumerate_partitions(n)   # dominance-compatible, dominant first
-        pos = {lam: i for i, lam in enumerate(order)}
-        A = self._operator_matrix(order)
-        ev = {lam: self._ring(eigen_E(lam, q, t)) for lam in order}
-        for mu in order:
-            factors = [self._ring(f) for f in integral_factors(mu, q, t)[0]]
-            c_mu = functools.reduce(operator.mul, factors)
-            J: Dict[Partition, object] = {mu: c_mu}
-            for kappa in order[pos[mu] + 1:]:
-                pieces = [A[kappa][nu] * J[nu] for nu in J if nu in A[kappa]]
-                if not pieces:
-                    continue
-                s = scalar_sum(pieces)
-                if not s:
-                    continue
-                try:
-                    J[kappa] = s / (ev[mu] - ev[kappa])
-                except (ExactAlgError, ZeroDivisionError) as exc:
-                    raise MacdonaldError(f"J_{mu}: the m_{kappa} step does not divide "
-                                         f"by its eigenvalue difference") from exc
-            self._J[mu] = SymmetricFunction("m", J)
-            self._P[mu] = SymmetricFunction("m", {kappa: self._over(c, factors, c_mu)
-                                                  for kappa, c in J.items()})
-        self._degrees_done.add(n)
+    def _degree(self, n: int) -> tuple:
+        """(order, A, ev) of degree n: the dominance-compatible order, dominant
+        first, the operator's m-basis matrix and the eigenvalues, in the
+        fill's ring; built at the degree's first column request."""
+        if n not in self._degrees:
+            if n > self.degree_bound:
+                raise MacdonaldError(f"degree {n} above bound {self.degree_bound}")
+            order = enumerate_partitions(n)
+            A = self._operator_matrix(order)
+            ev = {lam: self._ring(eigen_E(lam, self.q, self.t)) for lam in order}
+            self._degrees[n] = (order, A, ev)
+        return self._degrees[n]
+
+    def _fill_column(self, mu: Partition):
+        """J_mu and P_mu by back-substitution over the partitions mu dominates."""
+        order, A, ev = self._degree(sum(mu))
+        factors = [self._ring(f) for f in integral_factors(mu, self.q, self.t)[0]]
+        c_mu = functools.reduce(operator.mul, factors)
+        J: Dict[Partition, object] = {mu: c_mu}
+        for kappa in order[order.index(mu) + 1:]:
+            if not dominates(mu, kappa):
+                continue
+            pieces = [A[kappa][nu] * J[nu] for nu in J if nu in A[kappa]]
+            if not pieces:
+                continue
+            s = scalar_sum(pieces)
+            if not s:
+                continue
+            try:
+                J[kappa] = s / (ev[mu] - ev[kappa])
+            except (ExactAlgError, ZeroDivisionError) as exc:
+                raise MacdonaldError(f"J_{mu}: the m_{kappa} step does not divide "
+                                     f"by its eigenvalue difference") from exc
+        self._J[mu] = SymmetricFunction("m", J)
+        self._P[mu] = SymmetricFunction("m", {kappa: self._over(c, factors, c_mu)
+                                              for kappa, c in J.items()})
 
     def _operator_matrix(self, order: List[Partition]) -> Dict[Partition, Dict[Partition, object]]:
         """The m-basis matrix of the degree-1 operator on the partitions of
@@ -302,24 +312,29 @@ class MacdonaldTable:
                     A[kappa][nu] = entry
         return A
 
+    def _column(self, mu) -> Partition:
+        """mu as a tuple, its column filled."""
+        mu = tuple(mu)
+        if not is_partition(mu):
+            raise MacdonaldError(f"not a partition: {mu!r}")
+        if mu not in self._J:
+            self._fill_column(mu)
+        return mu
+
     def J(self, mu: Partition) -> SymmetricFunction:
         """J_mu in the monomial basis, with coefficients in the fill's ring
         (LaurentPoly when q and t are signed Laurent monomials)."""
-        mu = tuple(mu)
-        self._fill_degree(sum(mu))
-        return self._J[mu]
+        return self._J[self._column(mu)]
 
     def P(self, mu: Partition) -> SymmetricFunction:
         """P_mu in the monomial basis."""
-        mu = tuple(mu)
-        self._fill_degree(sum(mu))
-        return self._P[mu]
+        return self._P[self._column(mu)]
 
     def P_in_p(self, mu: Partition) -> SymmetricFunction:
         """P_mu in the power-sum basis, converted on first request."""
-        mu = tuple(mu)
+        mu = self._column(mu)
         if mu not in self._P_p:
-            self._P_p[mu] = to_p(self.P(mu))
+            self._P_p[mu] = to_p(self._P[mu])
         return self._P_p[mu]
 
 

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries
-from .partitions import (Partition, enumerate_partitions, multiplicity_factorial,
+from .partitions import (Partition, enumerate_partitions, is_partition, multiplicity_factorial,
                          partitions_upto, set_partition_moebius, set_partitions, z_factor)
 
 BASES = ("p", "m", "e", "h")
@@ -190,11 +190,17 @@ def to_p(f: SymmetricFunction) -> SymmetricFunction:
     return _expand_products(f, e_in_p if f.basis == "e" else h_in_p, "p")
 
 
+def _check_partition(lam) -> None:
+    if not is_partition(lam):
+        raise SymFunError(f"not a partition: {lam!r}")
+
+
 def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFunction:
     """Expand each term c * prod_i g_{lam_i} of f, where expansion(n) lists
     the terms of g_n in the target basis."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
+        _check_partition(lam)
         acc: Dict[Partition, object] = {(): c}
         for part in lam:
             acc = _merge_product(acc, dict(expansion(part)))
@@ -207,13 +213,11 @@ def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
     """Apply the per-degree m <-> p transition matrix into basis to each term of f."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
+        _check_partition(lam)
         n = sum(lam)
         if n > M_DEGREE_BOUND:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
-        row = _transition_matrices(n)[basis].get(lam)
-        if row is None:
-            raise SymFunError(f"not a partition: {lam!r}")
-        for mu, w in row.items():
+        for mu, w in _transition_matrices(n)[basis][lam].items():
             v = c * w
             out[mu] = out.get(mu, v * 0) + v
     return SymmetricFunction(basis, out)

@@ -534,6 +534,21 @@ def test_equal_polynomials_hash_equal(terms, rnd):
     assert hash(a * b) == hash(b * a)
 
 
+@given(_terms, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_hash_is_kept_and_agrees_across_term_orders(terms, rnd):
+    """The hash is computed once per instance and kept; equal polynomials
+    built in different term orders hash equal before and after a first hash."""
+    p = _both(terms)[0]
+    items = list(p.terms.items())
+    rnd.shuffle(items)
+    first, second = LaurentPoly(dict(items)), LaurentPoly(dict(items[::-1]))
+    assert first._hash is None and second._hash is None
+    h = hash(first)
+    assert first._hash == h and second._hash is None
+    assert hash(second) == h == hash(first) == hash(second)
+
+
 def _ratio(tn, td):
     num, den = _both(tn)[0], _both(td)[0]
     return RationalFunction.from_poly(num) / RationalFunction.from_poly(den or LaurentPoly.const(1))

@@ -27,6 +27,7 @@ COMMANDS = {
     "symfun_alpha": ["symfun", "alpha", "--degree", "4"],
     "symfun_betagamma": ["symfun", "betagamma", "--degree", "3"],
     "macdonald_P": ["macdonald", "P", "--mu", "3,1"],
+    "macdonald_P_5_4": ["macdonald", "P", "--mu", "5,4"],
     "macdonald_norm": ["macdonald", "norm", "--mu", "3,1"],
     "macdonald_eigen": ["macdonald", "eigen", "--mu", "2,1", "--r", "2"],
     "macdonald_eps": ["macdonald", "eps", "--mu", "2,2"],

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hilbmac.macdonald import (MacdonaldError, MacdonaldTable, _m_at_q_minus_one
                                power_of, psi_decomposition,
                                sigma_decomposition, specialize_eps,
                                specialize_eps_via_p)
-from hilbmac.partitions import enumerate_partitions, partitions_upto
+from hilbmac.partitions import dominates, enumerate_partitions, partitions_upto
 from hilbmac.symfun import SymmetricFunction, basis_convert, inner_product_qt, to_p
 from oracles import (En_apply_power_sum, dn1_apply_power_sum,
                      eigen_E_r_finite, euler_tail, eval_p_basis,
@@ -101,6 +102,72 @@ def test_wrong_eigenvalue_makes_the_fill_raise(monkeypatch):
                         lambda lam, q, t: right(lam, q, t) + (q if lam == (2, 1) else 0))
     with pytest.raises(MacdonaldError):
         MacdonaldTable(q, t).P((3,))
+
+
+def _printed(f):
+    return {kappa: c.canonical_str() if isinstance(c, RationalFunction) else str(c)
+            for kappa, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("scalars, degree", [
+    ((q, t), 6),
+    ((q ** -1, t ** -1), 4),
+    (tuple(RationalSampler(61).point(["q", "t"]).values()), 8),
+], ids=["symbolic", "inverted", "point"])
+def test_a_column_alone_equals_the_whole_degree(scalars, degree):
+    """A fresh table asked only for P_mu and J_mu gives what a table asked
+    for every column of the degree, dominated columns first, gives."""
+    whole = MacdonaldTable(*scalars, degree_bound=degree)
+    for n in range(degree + 1):
+        for mu in reversed(enumerate_partitions(n)):
+            whole.P(mu)
+    for mu in partitions_upto(degree):
+        alone = MacdonaldTable(*scalars, degree_bound=degree)
+        P, J = alone.P(mu), alone.J(mu)
+        assert P == whole.P(mu) and J == whole.J(mu), mu
+        assert _printed(P) == _printed(whole.P(mu)) and _printed(J) == _printed(whole.J(mu)), mu
+
+
+def test_a_request_fills_one_column_over_one_matrix_per_degree(monkeypatch):
+    calls = {"integral_factors": 0, "_operator_matrix": 0}
+    factors, matrix = macdonald.integral_factors, MacdonaldTable._operator_matrix
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+    monkeypatch.setattr(macdonald, "integral_factors", counted("integral_factors", factors))
+    monkeypatch.setattr(MacdonaldTable, "_operator_matrix", counted("_operator_matrix", matrix))
+    MacdonaldTable(q, t).P((3, 2))
+    assert calls == {"integral_factors": 1, "_operator_matrix": 1}
+    table = MacdonaldTable(q, t)
+    for mu in enumerate_partitions(5):
+        table.P(mu)
+    assert calls == {"integral_factors": 8, "_operator_matrix": 2}
+
+
+def test_a_column_reads_only_the_rows_it_dominates(monkeypatch):
+    """(3, 1, 1, 1) comes before (2, 2, 2) in the order but does not
+    dominate it, so its column never reads that row of the matrix."""
+    read = []
+
+    class Rows(dict):
+        def __getitem__(self, kappa):
+            read.append(kappa)
+            return super().__getitem__(kappa)
+    matrix = MacdonaldTable._operator_matrix
+    monkeypatch.setattr(MacdonaldTable, "_operator_matrix", lambda self, order: Rows(matrix(self, order)))
+    mu = (3, 1, 1, 1)
+    MacdonaldTable(q, t).P(mu)
+    assert read and all(kappa != mu and dominates(mu, kappa) for kappa in read), read
+
+
+@pytest.mark.parametrize("key", [(1, 2), (-1,)])
+def test_a_key_that_is_not_a_partition_raises(table, key):
+    for request in (table.P, table.J, table.P_in_p):
+        with pytest.raises(MacdonaldError, match=re.escape(f"not a partition: {key!r}")):
+            request(key)
 
 
 def test_qt_inversion_symmetry(table):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,16 @@ def test_m_p_conversion_rejects_a_key_that_is_not_a_partition():
         basis_convert(sf("p", {(0, 2): 1}), "m")
     e1, p1 = SymmetricFunction.generator("e", 1), SymmetricFunction.generator("p", 1)
     assert e1 == p1 and not e1 == p1.scale(2)
+
+
+@pytest.mark.parametrize("basis, key", [("m", (-1,)), ("e", (1, 2)), ("h", (0, 2))])
+def test_every_conversion_rejects_a_key_that_is_not_a_partition(basis, key):
+    """Not a bare ValueError, not the expansion of the sorted key, not
+    accepted with a zero part."""
+    with pytest.raises(SymFunError, match=rf"not a partition: {re.escape(repr(key))}"):
+        to_p(sf(basis, {key: 1}))
+    with pytest.raises(SymFunError, match="not a partition"):
+        basis_convert(sf("p", {key: 1}), basis)
 
 
 def test_degree_one_conversions():
