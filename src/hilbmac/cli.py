@@ -11,7 +11,8 @@ their defaults, and each default is written once.  A subcommand offers only
 the common options it reads.  Argparse checks each option's range through its
 type function, and the handlers take the parsed namespace as it is.  Handlers
 report other bad input by raising argparse.ArgumentTypeError, which dispatch
-turns into a one-line usage error.
+turns into a one-line usage error; so does an exponent beyond the exact
+kernel's limit (ExponentOverflowError), such as a huge twist weight.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import acceptance
 from .correlators import (CLOSED_FORMS, OPERATORS, bracket_bruteforce,
                           closed_form_series, operator_word, vertex_correlator)
+from .exactalg.poly import ExponentOverflowError
 from .exactalg.ratfun import RationalFunction
 from .exactalg.sampling import RationalSampler
 from .exactalg.series import TruncatedSeries, first_difference
@@ -182,12 +184,25 @@ def cmd_symfun(args) -> int:
     return 0
 
 
+#: the largest |mu| each `macdonald` command accepts.  For norm, eps and
+#: eigen the slowest shape measured at the bound (a hook about as wide as it
+#: is tall for norm and eps, a single column at --r EIGEN_R_BOUND for eigen)
+#: takes under 25 s on a 2-core x86_64 box, so every accepted input stays
+#: well within 60 s.
+MU_BOUNDS = {"P": M_DEGREE_BOUND, "norm": 48, "eps": 40, "eigen": 20}
+#: the largest --r that `macdonald eigen` accepts
+EIGEN_R_BOUND = 24
+
+
 def cmd_macdonald(args) -> int:
     q, t = RationalFunction.var("q"), RationalFunction.var("t")
     mu = args.mu
+    bound = MU_BOUNDS[args.what]
+    if sum(mu) > bound:
+        raise argparse.ArgumentTypeError(f"|mu| = {sum(mu)} exceeds {bound}")
+    if args.what == "eigen" and args.r > EIGEN_R_BOUND:
+        raise argparse.ArgumentTypeError(f"--r {args.r} exceeds {EIGEN_R_BOUND}")
     if args.what == "P":
-        if sum(mu) > M_DEGREE_BOUND:
-            raise argparse.ArgumentTypeError(f"|mu| = {sum(mu)} exceeds {M_DEGREE_BOUND}")
         P = MacdonaldTable(q, t).P(mu)
         payload = {"basis": "m", "mu": list(mu), "terms": _terms_payload(P.terms)}
     elif args.what == "norm":
@@ -433,7 +448,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, ExponentOverflowError) as exc:
         parser.error(str(exc))
 
 

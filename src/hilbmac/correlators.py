@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
+from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, scalar_dot,
+                              scalar_product, scalar_sum)
 from .exactalg.series import TruncatedSeries, expand_closed_form
-from .macdonald import POWER_OPERATIONS, cell_multiset, eigen_tildeE, tail_weights
+from .macdonald import (POWER_OPERATIONS, cell_multiset, eigen_tildeE, head_monomials,
+                        tail_weights)
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
                          multiplicity_factorial, set_partition_moebius, set_partitions)
 from .symfun import SymmetricFunction
@@ -54,8 +56,8 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         raise CorrelatorError("weight must be >= 0")
     if r == 0:
         return identity_op(q, t)
-    weights = tail_weights(r, t)
-    return DiagonalOperator(f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t, weights),
+    weights, monomials = tail_weights(r, t), head_monomials(q, t)
+    return DiagonalOperator(f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t, weights, monomials),
                             expansion=(((r,), one_like(q)),))
 
 
@@ -153,30 +155,24 @@ def chart_series(t1, t2, u, v, order: int,
 
     extra(mu, cells(mu)) maps each key to the factors that multiply the base
     at that key, and the Q^n coefficient at a key sums over |mu| = n.  Cell
-    factors are computed once per call for each (a', l') or (a, l).
+    factors are computed once per call for each (a', l') or (a, l): the
+    twist pair's product and the inverse of the tangent pair's, so the base
+    is one scalar_product.
     """
     one = one_like(t1)
-    twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_,
-                                      1 - v / (t1 ** l_ * t2 ** a_)))
-    tangent = LazyTable(lambda a, l: (1 - t1 ** (-l) * t2 ** (a + 1),
-                                      1 - t1 ** (l + 1) * t2 ** (-a)))
+    twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_)
+                      * (1 - v / (t1 ** l_ * t2 ** a_)))
+    tangent = LazyTable(lambda a, l: 1 / ((1 - t1 ** (-l) * t2 ** (a + 1))
+                                          * (1 - t1 ** (l + 1) * t2 ** (-a))))
     coeffs: Dict[object, List] = {}
     for n in range(order + 1):
         terms: Dict[object, List] = {}
         for mu in iter_partitions(n):
             cs = cells(mu)
-            num = den = one
-            for c in cs:
-                f1, f2 = twist[c.coarm, c.coleg]
-                d1, d2 = tangent[c.arm, c.leg]
-                num = num * f1 * f2
-                den = den * d1 * d2
-            base = num / den
+            base = scalar_product([one] + [twist[c.coarm, c.coleg] for c in cs]
+                                  + [tangent[c.arm, c.leg] for c in cs])
             for key, factors in extra(mu, cs).items():
-                term = base
-                for f in factors:
-                    term = term * f
-                terms.setdefault(key, []).append(term)
+                terms.setdefault(key, []).append(scalar_product([base, *factors]))
         for key, vals in terms.items():
             coeffs.setdefault(key, []).append(scalar_sum(vals))
     return {key: TruncatedSeries(c) for key, c in coeffs.items()}
@@ -293,18 +289,21 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
 
     def contract(state, factor):
         """The state times a factor, where factor(exponents) yields the
-        surviving (exponents, Q-shift, coefficient) terms of one entry."""
-        new: Dict[Tuple[int, ...], List] = {}
+        surviving (exponents, Q-shift, coefficient) terms of one entry.
+        Each target coefficient is one scalar_dot over its products, in
+        visiting order."""
+        pairs: Dict[Tuple[int, ...], List[List]] = {}
         for expv, ser in state.items():
             for ne, dq, c in factor(expv):
                 if not c:
                     continue
-                if ne not in new:
-                    new[ne] = [zero] * (N + 1)
-                tgt = new[ne]
+                if ne not in pairs:
+                    pairs[ne] = [[] for _ in range(N + 1)]
+                tgt = pairs[ne]
                 for n in range(N + 1 - dq):
                     if ser[n]:
-                        tgt[n + dq] = tgt[n + dq] + ser[n] * c
+                        tgt[n + dq].append((ser[n], c))
+        new = {k: [scalar_dot(p, zero) for p in s] for k, s in pairs.items()}
         return {k: s for k, s in new.items() if any(s)}
 
     state = {(0,) * R: [one] + [zero] * N}

@@ -4,13 +4,14 @@ truncated power series, and seeded rational-point sampling."""
 from .poly import BASE_ALPHABET, ExponentOverflowError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, exact_scalars, generators, one_like,
-                     rf, rf_sum, scalar_sum)
+                     rf, rf_sum, scalar_dot, scalar_product, scalar_sum)
 from .sampling import RationalSampler
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
     "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
-    "RationalFunction", "rf", "rf_sum", "scalar_sum", "one_like", "exact_scalars",
+    "RationalFunction", "rf", "rf_sum", "scalar_sum", "scalar_dot", "scalar_product",
+    "one_like", "exact_scalars",
     "generators",
     "ExactAlgError", "DivisionByZero", "PoleError",
     "TruncatedSeries", "SeriesError", "expand_closed_form", "geometric",

@@ -14,7 +14,8 @@ absolute value) never spills into a neighbouring field.  A product checks
 its operands: when no operand exponent exceeds EXPONENT_LIMIT // 2 in
 absolute value, no product exponent can exceed the limit, and only
 otherwise is each result monomial checked.  Other constructions (shifts,
-quotients) check each result monomial.  Only this module builds or reads
+quotients) check each result monomial, and powers (mono_pow, check_power)
+check their base before the power is formed.  Only this module builds or reads
 monomials: other modules pass them to its functions.
 
 Two orders serve two jobs:
@@ -40,6 +41,7 @@ Coefficients are arbitrary-precision Python ints.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -154,6 +156,51 @@ def _past_half(monos) -> bool:
     for m in monos:
         spill |= m + _HALF_BIAS
     return bool(spill & _HALF_SPILL)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_masks(b: int) -> Tuple[int, int]:
+    """(bias, spill) for B = 2**b: a monomial m with no spill bit in
+    m + bias has every exponent in (-B, B]."""
+    return _each_field(1 << b), _each_field(_FIELD_MASK ^ ((2 << b) - 1))
+
+
+def _check_scaled(monos, n: int) -> None:
+    """Raise ExponentOverflowError if n >= 1 times an exponent of the
+    monomials exceeds EXPONENT_LIMIT in absolute value, before anything is
+    multiplied.  One mask test against the largest power of two B with
+    B*n <= EXPONENT_LIMIT; the exact rule runs only when the test flags a
+    field."""
+    b = EXPONENT_LIMIT.bit_length() - 1 - (n - 1).bit_length()
+    if b >= 0:
+        bias, mask = _bound_masks(b)
+        spill = 0
+        for m in monos:
+            spill |= m + bias
+        if not spill & mask:
+            return
+    for m in monos:
+        for k, e in _decode(m):
+            if abs(e) * n > EXPONENT_LIMIT:
+                raise ExponentOverflowError(
+                    f"exponent {e} times {n} exceeds limit for var {BASE_ALPHABET[k]}")
+
+
+def mono_pow(a: int, n: int) -> int:
+    """a**n for n >= 0; ExponentOverflowError before the power is formed if
+    an exponent of it would exceed EXPONENT_LIMIT."""
+    if n > 1:
+        _check_scaled((a,), n)
+    return a * n
+
+
+def check_power(p: "LaurentPoly", n: int) -> None:
+    """Raise ExponentOverflowError if p**n (n >= 0) would have an exponent
+    beyond EXPONENT_LIMIT: the largest |exponent| of p**n is n times that
+    of p, reached at a vertex of p's Newton polytope, whose coefficient in
+    p**n cannot cancel."""
+    if n > 1:
+        _check_scaled(p.terms, n)
 
 
 def mono_mul(a: int, b: int) -> int:

@@ -28,8 +28,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, mono_eval,
-                   mono_inv, mono_mul, poly_pow, var_index)
+from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, check_power,
+                   mono_eval, mono_inv, mono_mul, mono_pow, poly_pow, var_index)
 
 
 class DivisionByZero(ExactAlgError):
@@ -158,14 +158,21 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, n: int):
+        """x**n with no loop: the constants, the monomial and every factor's
+        exponent are raised at once.  ExponentOverflowError comes before any
+        power is formed when an exponent of the monomial or of a factor's
+        expansion would exceed EXPONENT_LIMIT."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = RationalFunction.from_int(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return RationalFunction.from_int(1)
+        mono = mono_pow(self.mono, n)
+        fac = {p: k * n for p, k in self.fac.items()}
+        for p, k in fac.items():
+            check_power(p, abs(k))
+        return RationalFunction(self.nc ** n, self.dc ** n, mono, fac)
 
     def __neg__(self):
         return RationalFunction(-self.nc, self.dc, self.mono, self.fac)
@@ -347,14 +354,92 @@ def scalar_sum(values):
     """Sum ints, Fractions, RationalFunctions or series of them.
 
     Rational functions go through rf_sum; anything that is not a scalar
-    (a TruncatedSeries, say) is added as a left fold, term by term.
+    (a TruncatedSeries, say) is added as a left fold, term by term.  Ints
+    and Fractions take scalar_dot's integer path and give a Fraction.
     """
     vals = list(values)
     if any(isinstance(v, RationalFunction) for v in vals):
         return rf_sum(vals)
     if vals and not isinstance(vals[0], (int, Fraction)):
         return functools.reduce(operator.add, vals)
-    return sum(vals, Fraction(0))
+    return scalar_dot([(v, 1) for v in vals], Fraction(0))
+
+
+def scalar_dot(pairs, zero):
+    """zero + a0*b0 + a1*b1 + ... over the (a, b) pairs, in their order.
+
+    When zero and every operand are ints or Fractions, the terms are added
+    as integer numerators over one running denominator (the lcm of the term
+    denominators) and one Fraction is made at the end, so the sum reduces
+    once; it is an int when zero and every operand are ints.  Any other
+    ring (RationalFunction, a modular scalar) runs the left fold above,
+    operation for operation.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return zero
+    kind = type(zero)
+    if kind is int or kind is Fraction:
+        frac = kind is Fraction
+        num, den = zero.numerator, zero.denominator
+        for a, b in pairs:
+            kind = type(a)
+            if kind is Fraction:
+                an, ad, frac = a.numerator, a.denominator, True
+            elif kind is int:
+                an, ad = a, 1
+            else:
+                break
+            kind = type(b)
+            if kind is Fraction:
+                bn, bd, frac = b.numerator, b.denominator, True
+            elif kind is int:
+                bn, bd = b, 1
+            else:
+                break
+            n = an * bn
+            if not n:
+                continue
+            d = ad * bd
+            if d == den:
+                num += n
+            else:
+                g = math.gcd(den, d)
+                s = d // g
+                num = num * s + n * (den // g)
+                den *= s
+        else:
+            return Fraction(num, den) if frac else num
+    out = zero
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+def scalar_product(values):
+    """The product of the values, a left fold in their order; 1 when there
+    are none.
+
+    When every value is an int or a Fraction, the numerators and the
+    denominators are multiplied as integers and one Fraction is made at the
+    end; the product is an int when every value is.  Any other ring
+    (RationalFunction, a modular scalar) runs the left fold."""
+    values = list(values)
+    num = den = 1
+    frac = False
+    for x in values:
+        kind = type(x)
+        if kind is Fraction:
+            num *= x.numerator
+            den *= x.denominator
+            frac = True
+        elif kind is int:
+            num *= x
+        else:
+            break
+    else:
+        return Fraction(num, den) if frac else num
+    return functools.reduce(operator.mul, values)
 
 
 def one_like(x):

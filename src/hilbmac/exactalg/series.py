@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .poly import LaurentPoly
-from .ratfun import RationalFunction, one_like
+from .ratfun import RationalFunction, one_like, scalar_dot
 
 
 class SeriesError(ArithmeticError):
@@ -90,13 +90,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs])
         a, b = self._align(other)
-        n = a.order
         zero = a.zero_coeff() + b.zero_coeff() * 0
-        out = [zero] * (n + 1)
-        for i, x in enumerate(a.coeffs):
-            for j in range(0, n - i + 1):
-                out[i + j] = out[i + j] + x * b.coeffs[j]
-        return TruncatedSeries(out)
+        x, y = a.coeffs, b.coeffs
+        return TruncatedSeries([scalar_dot([(x[i], y[k - i]) for i in range(k + 1)], zero)
+                                for k in range(len(x))])
 
     __rmul__ = __mul__
 

@@ -467,14 +467,20 @@ def tail_weights(r: int, t) -> LazyTable:
     return LazyTable(at_length)
 
 
-def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = None):
+def head_monomials(q, t) -> LazyTable:
+    """At (m, j), the monomial q^m t^{-j} of a part m in row j."""
+    return LazyTable(lambda m, j: q ** m * t ** (-j))
+
+
+def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = None,
+                 monomials: Optional[LazyTable] = None):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
     finite head product times the Euler-summed tail.
 
-    weights is tail_weights(r, t), built here when it is not given; an
-    operator passes its own table, which lives as long as the operator.
-    Within the call the head is built only to e_min(l, r), the entries the
-    sum reads."""
+    weights is tail_weights(r, t) and monomials is head_monomials(q, t),
+    each built here when it is not given; an operator passes its own
+    tables, which live as long as the operator.  Within the call the head
+    is built only to e_min(l, r), the entries the sum reads."""
     q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
@@ -482,8 +488,10 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
         return one_like(q)
     if weights is None:
         weights = tail_weights(r, t)
+    if monomials is None:
+        monomials = head_monomials(q, t)
     l = len(mu)
-    head = _elementary_list([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
+    head = _elementary_list([monomials[m, j] for j, m in enumerate(mu, start=1)],
                             one_like(q), min(l, r))
     tail = weights[l]
     return scalar_sum([head[r - n] * tail[n] for n in range(r + 1) if r - n < len(head)])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hilbmac.cli import dispatch, resolve_mode
+from hilbmac.cli import EIGEN_R_BOUND, MU_BOUNDS, dispatch, resolve_mode
 from hilbmac.correlators import bracket_one_closed
 from hilbmac.exactalg import generators
 
@@ -220,6 +220,17 @@ def test_verify_all_json_is_one_document(capsys):
     ["macdonald", "P", "--mu", "1,2"],
     ["chi", "--twist", "1"],
     ["correlate", "--word", "E1,"],
+    # exponents past the kernel's limit, refused before any power is formed
+    ["chi", "--insert", "psi:2:1,0", "--twist", "9999999999999999999,0", "--order", "1"],
+    ["verify", "main", "--A", "9999999999999999999,1", "--order", "1"],
+    # a huge part, and the first size above each command's bound
+    ["macdonald", "norm", "--mu", "99999999999999999999"],
+    ["macdonald", "eps", "--mu", "99999999999999999999"],
+    ["macdonald", "eigen", "--mu", "99999999999999999999"],
+    ["macdonald", "norm", "--mu", str(MU_BOUNDS["norm"] + 1)],
+    ["macdonald", "eps", "--mu", str(MU_BOUNDS["eps"] + 1)],
+    ["macdonald", "eigen", "--mu", str(MU_BOUNDS["eigen"] + 1)],
+    ["macdonald", "eigen", "--mu", "1", "--r", str(EIGEN_R_BOUND + 1)],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -228,6 +239,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("what", sorted(MU_BOUNDS))
+def test_macdonald_size_bounds_are_named(capsys, what):
+    bound = MU_BOUNDS[what]
+    with pytest.raises(SystemExit):
+        dispatch(["macdonald", what, "--mu", f"{bound},1"])
+    assert f"|mu| = {bound + 1} exceeds {bound}" in capsys.readouterr().err
 
 
 def test_identity_word_is_E0(capsys):

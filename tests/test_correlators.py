@@ -131,6 +131,21 @@ def test_bruteforce_cell_tables_against_vertex_engine_at_order_8():
             vertex_correlator(word, u, v, q, t, 8), seed
 
 
+def test_evaluated_engines_equal_the_symbolic_series_at_a_point():
+    """The Fraction routes share their sums and products (scalar_dot,
+    scalar_product), so a fault there could break both alike; the symbolic
+    bracket folds its RationalFunctions instead and is evaluated at the
+    point afterwards."""
+    pt = RationalSampler(23, magnitude=30).point(["q", "t", "u", "v"])
+    q, t, u, v = pt["q"], pt["t"], pt["u"], pt["v"]
+    word = [tilde_e_op(2, q, t), tilde_e_op(1, q, t)]
+    symbolic = bracket_bruteforce([tilde_e_op(2, qs, ts), tilde_e_op(1, qs, ts)],
+                                  us, vs, qs, ts, 5)
+    want = [c.eval(pt) for c in symbolic.coeffs]
+    assert list(bracket_bruteforce(word, u, v, q, t, 5).coeffs) == want
+    assert list(vertex_correlator(word, u, v, q, t, 5, primed=False).coeffs) == want
+
+
 def test_symbolic_bruteforce_prints_the_same_when_repeated():
     """The stored cell factors are shared by every partition of a call; none
     is changed in place, so the same call made twice prints the same."""

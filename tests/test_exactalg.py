@@ -618,3 +618,36 @@ def test_random_expression_trees_against_fraction_oracle():
             continue
         assert lhs == rhs
         checked += 1
+
+
+POWER_BASES = {
+    "constant": lambda: RationalFunction.from_fraction(Fraction(-6, 35)),
+    "monomial": lambda: -3 * q ** 2 * t ** -1 / 4,
+    "factors": lambda: (2 * q * t ** -3 * (1 - q) ** 2 * (1 + q * t)
+                        / (9 * (1 - t) * (u - q) ** 3)),
+}
+
+
+@pytest.mark.parametrize("base", sorted(POWER_BASES))
+@pytest.mark.parametrize("n", range(-6, 7))
+def test_power_is_the_repeated_product(base, n):
+    """x**n raises nc, dc, the monomial and each factor's exponent at once;
+    value, print and factor map are those of the repeated product."""
+    x = POWER_BASES[base]()
+    factor = x if n >= 0 else x.inverse()
+    want = RationalFunction.from_int(1)
+    for _ in range(abs(n)):
+        want = want * factor
+    got = x ** n
+    assert got == want and got.canonical_str() == want.canonical_str()
+    assert list(got.fac.items()) == list(want.fac.items())
+    assert (got.nc, got.dc, got.mono) == (want.nc, want.dc, want.mono)
+
+
+@pytest.mark.parametrize("make", [lambda n: q ** n, lambda n: (q * t ** -2) ** -n,
+                                  lambda n: (1 - q * t) ** n, lambda n: 2 / (1 + u) ** n])
+def test_a_huge_power_raises_before_it_is_formed(make):
+    with pytest.raises(ExponentOverflowError):
+        make(9999999999999999999)
+    with pytest.raises(ExponentOverflowError):
+        make(EXPONENT_LIMIT + 1)

@@ -6,13 +6,18 @@ the library used to come back as a float coefficient and break exact
 comparisons.
 """
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbmac as hb
 from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
+from hilbmac.exactalg.ratfun import scalar_dot, scalar_product, scalar_sum
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
 from hilbmac.symfun import SymmetricFunction
@@ -204,3 +209,85 @@ def test_vacuum_eigenvalues_are_the_zero_of_the_scalars_ring(kind):
                                        for op in ("psi", "lambda", "sigma") for m in (1, 2)]
     assert [type(v) for v in values] == [type(q)] * len(values)
     assert not any(values)
+
+
+# ---------------------------------------------------------------------------
+# scalar_dot and scalar_product against the left fold
+# ---------------------------------------------------------------------------
+
+def _fold_dot(pairs, zero):
+    out = zero
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+def _fold_product(values):
+    return functools.reduce(operator.mul, values, 1) if values else 1
+
+
+RATIONALS = st.one_of(st.integers(-30, 30),
+                      st.fractions(min_value=-30, max_value=30, max_denominator=60))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS), max_size=12),
+       st.sampled_from([0, Fraction(0), Fraction(3, 7), -2]))
+def test_scalar_dot_is_the_left_fold_on_ints_and_fractions(pairs, zero):
+    got, want = scalar_dot(pairs, zero), _fold_dot(pairs, zero)
+    assert got == want and type(got) is type(want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, max_size=12))
+def test_scalar_product_is_the_left_fold_on_ints_and_fractions(values):
+    got, want = scalar_product(values), _fold_product(values)
+    assert got == want and type(got) is type(want)
+
+
+def test_scalar_dot_and_product_edge_cases():
+    assert scalar_dot([], Fraction(0)) == 0 and type(scalar_dot([], Fraction(0))) is Fraction
+    assert scalar_dot([], 5) == 5 and type(scalar_dot([], 5)) is int
+    assert scalar_dot([(2, 3), (-4, 5)], 0) == -14 and type(scalar_dot([(2, 3)], 0)) is int
+    assert scalar_dot([(0, Fraction(1, 3)), (Fraction(1, 2), 0)], 0) == 0
+    assert scalar_dot([(Fraction(1, 6), 1), (Fraction(1, 10), 1), (Fraction(-1, 15), 1)],
+                      Fraction(0)) == Fraction(1, 5)
+    assert scalar_product([]) == 1 and type(scalar_product([2, -3])) is int
+    assert scalar_product([Fraction(2, 3), 0, Fraction(5, 7)]) == 0
+    assert scalar_product([Fraction(-2, 3), Fraction(9, 4)]) == Fraction(-3, 2)
+    assert scalar_sum([1, 2]) == 3 and type(scalar_sum([1, 2])) is Fraction
+
+
+RF_POOL = [2, Fraction(-1, 3), RationalFunction.var("q"), 1 - RationalFunction.var("t"),
+           (1 - RationalFunction.var("q")) / (1 - RationalFunction.var("q") * RationalFunction.var("t")),
+           RationalFunction.var("t") ** -2 / (1 + RationalFunction.var("q")) ** 2,
+           (3 - RationalFunction.var("q")) * RationalFunction.var("t") / 5]
+
+
+def _same_rf(x, y):
+    return (x.canonical_str() == y.canonical_str()
+            and list(x.fac.items()) == list(y.fac.items())
+            and (x.nc, x.dc, x.mono) == (y.nc, y.dc, y.mono))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(RF_POOL), st.sampled_from(RF_POOL)),
+                min_size=1, max_size=5))
+def test_scalar_dot_and_product_fold_rational_functions(pairs):
+    """Operands may start with ints and Fractions; the fold still runs from
+    zero over every pair, so the factor maps come out as the fold's."""
+    zero = RationalFunction.from_int(0)
+    assert _same_rf(scalar_dot(pairs, zero), _fold_dot(pairs, zero))
+    values = [x for pair in pairs for x in pair] + [RationalFunction.var("t")]
+    assert _same_rf(scalar_product(values), functools.reduce(operator.mul, values))
+
+
+def test_scalar_dot_and_product_fold_a_modular_ring():
+    pairs = [(1, 2), (ModP(3), Fraction(1, 2)), (Fraction(2, 5), ModP(7))]
+    got = scalar_dot(pairs, Fraction(0))
+    assert type(got) is ModP and got == _fold_dot(pairs, Fraction(0))
+    assert got == ModP.of(2 + Fraction(3, 2) + Fraction(14, 5))
+    values = [Fraction(2, 3), ModP(5), 4]
+    got = scalar_product(values)
+    assert type(got) is ModP and got == ModP.of(Fraction(40, 3))
+    assert type(scalar_dot([(ModP(2), ModP(3))], ModP(0))) is ModP
