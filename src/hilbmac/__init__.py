@@ -9,8 +9,8 @@ checking runs either fully symbolically or at seeded random rational points.
 
 from .partitions import (CellStat, Partition, cells, conjugate,
                          enumerate_partitions, hooks, nekrasov_okounkov_check)
-from .exactalg import (RationalFunction, RationalSampler, TruncatedSeries,
-                       expand_closed_form, generators)
+from .exactalg import (HilbmacError, RationalFunction, RationalSampler,
+                       TruncatedSeries, expand_closed_form, generators)
 from .symfun import (SymmetricFunction, alpha_coefficients, basis_convert,
                      beta_gamma_coefficients, inner_product_hall,
                      inner_product_qt, omega)

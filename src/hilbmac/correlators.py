@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg.ratfun import (RationalFunction, exact_scalars, one_like, scalar_dot,
-                              scalar_product, scalar_sum)
-from .exactalg.series import TruncatedSeries, expand_closed_form
+from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, exact_scalars,
+                       expand_closed_form, one_like, scalar_dot, scalar_product, scalar_sum)
 from .macdonald import (POWER_OPERATIONS, cell_multiset, eigen_tildeE, head_monomials,
                         tail_weights)
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
@@ -26,8 +25,13 @@ from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
 from .symfun import SymmetricFunction
 
 
-class CorrelatorError(ValueError):
+class CorrelatorError(HilbmacError, ValueError):
     pass
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise CorrelatorError(f"order must be >= 0, got {order}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,9 @@ OPERATORS = {"E": tilde_e_op, "Psi": psi_op, "Lambda": lambda_op, "Sigma": sigma
 
 def operator_word(spec: Sequence[Tuple[str, int]], q, t) -> List[DiagonalOperator]:
     """The operators of a word given as (operator name, weight) pairs."""
+    for name, _ in spec:
+        if name not in OPERATORS:
+            raise CorrelatorError(f"unknown operator {name!r}; known: {', '.join(OPERATORS)}")
     return [OPERATORS[name](m, q, t) for name, m in spec]
 
 
@@ -107,6 +114,7 @@ def operator_word(spec: Sequence[Tuple[str, int]], q, t) -> List[DiagonalOperato
 
 def bracket_one_closed(u, v, q, t, order: int) -> TruncatedSeries:
     """<1>_{u,v} = exp( sum Q^n/n (1-u^n)(1-v^n)/((1-q^n)(1-t^-n)) )."""
+    _check_order(order)
     zero = u * 0
     log_terms = [zero]
     for n in range(1, order + 1):
@@ -159,6 +167,7 @@ def chart_series(t1, t2, u, v, order: int,
     twist pair's product and the inverse of the tangent pair's, so the base
     is one scalar_product.
     """
+    _check_order(order)
     one = one_like(t1)
     twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_)
                       * (1 - v / (t1 ** l_ * t2 ** a_)))
@@ -258,6 +267,7 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     rests on the Q-grading invariant, checked at every extraction boundary;
     a violation raises CorrelatorError.
     """
+    _check_order(order)
     weights = [w for w in weights if w]
     R = sum(weights)
     zero = u * 0
@@ -480,6 +490,8 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
     total degree D; G = sum t_n dF/dt_n - F.  Polynomials are returned as
     sparse maps from sorted label tuples to coefficients.
     """
+    if D < 0:
+        raise CorrelatorError(f"total degree D must be >= 0, got {D}")
     Z: Dict[Tuple, object] = {(): Fraction(1)}
     for word, val in table.items():
         if not word or len(word) > D:

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: Laurent polynomials, rational functions,
 truncated power series, and seeded rational-point sampling."""
 
-from .poly import BASE_ALPHABET, ExponentOverflowError, LaurentPoly
+from .poly import BASE_ALPHABET, ExponentOverflowError, HilbmacError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, exact_scalars, generators, one_like,
                      rf, rf_sum, scalar_dot, scalar_product, scalar_sum)
@@ -13,7 +13,7 @@ __all__ = [
     "RationalFunction", "rf", "rf_sum", "scalar_sum", "scalar_dot", "scalar_product",
     "one_like", "exact_scalars",
     "generators",
-    "ExactAlgError", "DivisionByZero", "PoleError",
+    "HilbmacError", "ExactAlgError", "DivisionByZero", "PoleError",
     "TruncatedSeries", "SeriesError", "expand_closed_form", "geometric",
     "RationalSampler",
 ]

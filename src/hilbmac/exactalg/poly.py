@@ -71,26 +71,31 @@ def _each_field(x: int) -> int:
     return sum(x << s for s in _SHIFT)
 
 
+@functools.lru_cache(maxsize=None)
+def _bound_masks(b: int) -> Tuple[int, int]:
+    """(bias, spill) for B = 2**b: a monomial m with no spill bit in
+    m + bias has every exponent in (-B, B]."""
+    return _each_field(1 << b), _each_field(_FIELD_MASK ^ ((2 << b) - 1))
+
+
 #: every field's sign bit; a difference with none set has all fields >= 0
 _SIGNS = _each_field(_HALF)
-#: plus _LIMIT_BIAS, the field of an exponent in (-LIMIT, LIMIT] becomes an
-#: unsigned digit below 2**63, with no _SPILL bit and no borrow
-_LIMIT_BIAS = _each_field(EXPONENT_LIMIT)
-_SPILL = _each_field(_FIELD_MASK ^ (2 * EXPONENT_LIMIT - 1))
+_LIMIT_BIAS, _SPILL = _bound_masks(EXPONENT_LIMIT.bit_length() - 1)
+_HALF_BIAS, _HALF_SPILL = _bound_masks(EXPONENT_LIMIT.bit_length() - 2)
 #: plus _OFFSET, every in-range field becomes an unsigned digit below _HALF
 _OFFSET = _each_field(2 * EXPONENT_LIMIT)
 _FIELDS = _each_field(_FIELD_MASK)
-#: as _LIMIT_BIAS and _SPILL for half the limit: a monomial with no _HALF_SPILL
-#: bit after adding _HALF_BIAS has every exponent in (-LIMIT/2, LIMIT/2]
-_HALF_BIAS = _each_field(EXPONENT_LIMIT // 2)
-_HALF_SPILL = _each_field(_FIELD_MASK ^ (EXPONENT_LIMIT - 1))
 
 
-class ExponentOverflowError(ArithmeticError):
+class HilbmacError(Exception):
+    """Root of every library error; each subclass keeps a builtin base too."""
+
+
+class ExponentOverflowError(HilbmacError, ArithmeticError):
     """A Laurent exponent left the supported machine-integer range."""
 
 
-class ExactAlgError(ArithmeticError):
+class ExactAlgError(HilbmacError, ArithmeticError):
     pass
 
 
@@ -156,13 +161,6 @@ def _past_half(monos) -> bool:
     for m in monos:
         spill |= m + _HALF_BIAS
     return bool(spill & _HALF_SPILL)
-
-
-@functools.lru_cache(maxsize=None)
-def _bound_masks(b: int) -> Tuple[int, int]:
-    """(bias, spill) for B = 2**b: a monomial m with no spill bit in
-    m + bias has every exponent in (-B, B]."""
-    return _each_field(1 << b), _each_field(_FIELD_MASK ^ ((2 << b) - 1))
 
 
 def _check_scaled(monos, n: int) -> None:

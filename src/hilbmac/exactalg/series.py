@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .poly import LaurentPoly
+from .poly import HilbmacError, LaurentPoly
 from .ratfun import RationalFunction, one_like, scalar_dot
 
 
-class SeriesError(ArithmeticError):
+class SeriesError(HilbmacError, ArithmeticError):
     pass
 
 

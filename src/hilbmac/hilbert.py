@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .correlators import (bracket_one_closed, chart_series, power_op,
                           vertex_correlator)
-from .exactalg.ratfun import exact_scalars, one_like, scalar_sum
+from .exactalg import HilbmacError, exact_scalars, one_like, scalar_sum
 from .exactalg.series import TruncatedSeries, first_difference, geometric
 from .macdonald import POWER_OPERATIONS
 from .partitions import LazyTable, Partition
@@ -30,7 +30,7 @@ from .partitions import LazyTable, Partition
 Weight = Tuple[int, int]
 
 
-class HilbertError(ValueError):
+class HilbertError(HilbmacError, ValueError):
     pass
 
 

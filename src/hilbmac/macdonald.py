@@ -16,16 +16,16 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exactalg import HilbmacError, TruncatedSeries
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
                               one_like, poly_over, scalar_sum)
-from .exactalg.series import TruncatedSeries
 from .partitions import (LazyTable, Partition, cells, dominates, enumerate_partitions,
                          is_partition, multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
                      beta_gamma_coefficients, merge_parts, to_p)
 
 
-class MacdonaldError(ValueError):
+class MacdonaldError(HilbmacError, ValueError):
     pass
 
 

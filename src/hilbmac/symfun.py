@@ -15,15 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exactalg.ratfun import RationalFunction, exact_scalars, one_like, scalar_sum
-from .exactalg.series import TruncatedSeries
+from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, exact_scalars,
+                       one_like, scalar_sum)
 from .partitions import (Partition, enumerate_partitions, is_partition, multiplicity_factorial,
                          partitions_upto, set_partition_moebius, set_partitions, z_factor)
 
 BASES = ("p", "m", "e", "h")
 
 
-class SymFunError(ValueError):
+class SymFunError(HilbmacError, ValueError):
     pass
 
 

@@ -3,9 +3,14 @@ import json
 
 import pytest
 
+import hilbmac
 from hilbmac.cli import EIGEN_R_BOUND, MU_BOUNDS, dispatch, resolve_mode
-from hilbmac.correlators import bracket_one_closed
-from hilbmac.exactalg import generators
+from hilbmac.correlators import CorrelatorError, bracket_one_closed
+from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError,
+                              PoleError, SeriesError, generators)
+from hilbmac.hilbert import HilbertError
+from hilbmac.macdonald import MacdonaldError
+from hilbmac.symfun import SymFunError
 
 
 def run_cli(capsys, argv):
@@ -239,6 +244,20 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("error, builtin", [
+    (SymFunError, ValueError), (CorrelatorError, ValueError),
+    (HilbertError, ValueError), (MacdonaldError, ValueError),
+    (ExactAlgError, ArithmeticError), (PoleError, ArithmeticError),
+    (DivisionByZero, ArithmeticError), (SeriesError, ArithmeticError),
+    (ExponentOverflowError, ArithmeticError),
+])
+def test_every_library_error_is_a_hilbmac_error(error, builtin):
+    """dispatch maps the one root to exit 2; callers that catch the builtin
+    base keep working."""
+    assert issubclass(error, hilbmac.HilbmacError)
+    assert issubclass(error, builtin)
 
 
 @pytest.mark.parametrize("what", sorted(MU_BOUNDS))

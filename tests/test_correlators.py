@@ -18,8 +18,8 @@ from hilbmac.correlators import (CLOSED_FORMS, CorrelatorError,
                                  closed_form_series, connected_correlators,
                                  correlators_from_Z,
                                  disconnected_from_connected, fqft_layer,
-                                 identity_op, lambda_op, power_op, psi_op,
-                                 set_partitions,
+                                 identity_op, lambda_op, operator_word, power_op,
+                                 psi_op, set_partitions,
                                  sigma_op, tilde_e_op, vertex_correlator)
 from hilbmac.exactalg import (RationalFunction, RationalSampler,
                               TruncatedSeries, expand_closed_form, generators)
@@ -360,6 +360,16 @@ def test_fqft_trivial_and_single_correlator():
     assert res.Z[("1", "1")] == c * c / 2
     assert res.F == {("1",): c}
     assert res.G == {}
+
+
+def test_fqft_negative_degree_is_a_correlator_error():
+    with pytest.raises(CorrelatorError, match="D must be >= 0"):
+        fqft_layer({("a",): Fraction(2)}, -1)
+
+
+def test_unknown_operator_names_the_known_ones():
+    with pytest.raises(CorrelatorError, match="'Foo'; known: E, Psi, Lambda, Sigma"):
+        operator_word([("E", 1), ("Foo", 1)], qs, ts)
 
 
 def test_fqft_entropy_and_roundtrip():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbmac.correlators import bracket_one_closed, closed_form_series
-from hilbmac.exactalg import RationalSampler, generators
+from hilbmac.correlators import (bracket_bruteforce, bracket_one_closed, closed_form_series,
+                                 tilde_e_op, vertex_correlator, vertex_tilde_bracket)
+from hilbmac.exactalg import HilbmacError, RationalSampler, generators
 from hilbmac.hilbert import (BundleInsertion, HilbertError, ToricInsertion,
                              chi_C2_series, chi_surface,
                              chi_via_correlators, load_surface, main_identity_rhs,
@@ -292,3 +293,35 @@ def test_single_chart_lambda1_reduces_to_closed_form(pt):
     q, t = t2, 1 / t1
     cf = closed_form_series("Psi1", 3, {"q": q, "t": t, "u": u, "v": v})
     assert ratio == cf * (t1 * t2)
+
+
+NEGATIVE_ORDER_ROUTES = {
+    "bracket_bruteforce": lambda p, n: bracket_bruteforce(
+        [tilde_e_op(1, p["t2"], 1 / p["t1"])], p["u"], p["v"], p["t2"], 1 / p["t1"], n),
+    "vertex_correlator": lambda p, n: vertex_correlator(
+        [tilde_e_op(1, p["t2"], 1 / p["t1"])], p["u"], p["v"], p["t2"], 1 / p["t1"], n),
+    "vertex_tilde_bracket": lambda p, n: vertex_tilde_bracket(
+        [1], p["u"], p["v"], p["t2"], 1 / p["t1"], n),
+    "bracket_one_closed": lambda p, n: bracket_one_closed(
+        p["u"], p["v"], p["t2"], 1 / p["t1"], n),
+    "closed_form_series": lambda p, n: closed_form_series("E1", n),
+    "chi_C2_series": lambda p, n: chi_C2_series(
+        [], (0, 0), p["u"], p["v"], n, p["t1"], p["t2"]),
+    "chi_via_correlators": lambda p, n: chi_via_correlators(
+        [], (0, 0), p["u"], p["v"], n, p["t1"], p["t2"]),
+    "verify_main_identity": lambda p, n: verify_main_identity(
+        (0, 0), n, p["u"], p["v"], p["t1"], p["t2"]),
+    "toric_chi_series": lambda p, n: toric_chi_series(
+        load_surface("P2"), [], None, p["u"], p["v"], n, p["t1"], p["t2"]),
+    "toric_correlator_checks": lambda p, n: toric_correlator_checks(
+        load_surface("P2"), n, p["u"], p["v"], p["t1"], p["t2"]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NEGATIVE_ORDER_ROUTES))
+def test_negative_order_is_a_library_error(pt, route):
+    """Every series route refuses order -1 with the library's error and
+    still accepts order 0."""
+    assert NEGATIVE_ORDER_ROUTES[route](pt, 0) is not None
+    with pytest.raises(HilbmacError):
+        NEGATIVE_ORDER_ROUTES[route](pt, -1)
