@@ -29,7 +29,7 @@ from .correlators import (CLOSED_FORMS, bracket_bruteforce, closed_form_series,
                           operator_word, vertex_correlator)
 from .exactalg import HilbmacError, RationalFunction, RationalSampler
 from .exactalg.series import TruncatedSeries, first_difference
-from .hilbert import (BundleInsertion, chi_C2_series, load_surface,
+from .hilbert import (TORIC_CHECKS, BundleInsertion, chi_C2_series, load_surface,
                       toric_correlator_checks, verify_main_identity)
 from .macdonald import (MacdonaldTable, b_norm, eigen_E_r, eigen_tildeE,
                         specialize_eps)
@@ -422,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("toric-check", ("--order", "--seed", "--trials"),
                    help="toric-surface correlator identities")
     p.add_argument("--surface", default="P2")
-    p.add_argument("--which", default="all",
-                   choices=["all", "lambda1", "lambda11", "connected",
-                            "lambda2", "denominator_formula"])
+    p.add_argument("--which", default="all", choices=["all", *TORIC_CHECKS])
     p.set_defaults(func=cmd_toric_check)
 
     p = add_parser("verify-all", ("--seed", "--trials"), help="run the full verification suite")

@@ -244,10 +244,9 @@ def base_bracket_series(k: int, u, v, order: int) -> TruncatedSeries:
 # the iterated constant-term engine
 # ---------------------------------------------------------------------------
 
-def _check_grading(state: Dict[Tuple[int, ...], List], order: int) -> bool:
+def _check_grading(state: Dict[Tuple[int, ...], Dict[int, object]]) -> bool:
     """Q-grading bound: a positive exponent k in any variable forces Q-valuation >= k."""
-    return all(max(expv, default=0) <= next((i for i, c in enumerate(ser) if c), order + 1)
-               for expv, ser in state.items())
+    return all(max(expv, default=0) <= min(ser) for expv, ser in state.items())
 
 
 def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> TruncatedSeries:
@@ -258,14 +257,14 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     indices; extraction runs z_R down to z_1.  All series expansions follow
     the fixed conventions; composition cross-factors couple each earlier-block
     variable (negative powers) with each later-block variable (positive
-    powers).  Extraction is a contraction: the state maps the exponents of
-    the variables not yet extracted, z_i last, to a Q-series, and each factor
-    of z_i yields per state entry, with z_i-exponent e, only the terms that
-    survive the constant term in z_i: fq[n] z_i^n Q^n (n <= N), then per
-    lower partner z_j coeff[m] z_j^m z_i^-m (m <= min(N, e)), then the single
-    v-factor term fv[e] z_i^-e, after which z_i is dropped.  Termination
-    rests on the Q-grading invariant, checked at every extraction boundary;
-    a violation raises CorrelatorError.
+    powers).  Extraction is a contraction: the state maps the exponents of the
+    variables not yet extracted, z_i last, to their nonzero Q-coefficients by
+    order, and each factor of z_i yields per state entry, with z_i-exponent e,
+    only the terms that survive the constant term in z_i: fq[n] z_i^n Q^n
+    (n <= N), then per lower partner z_j coeff[m] z_j^m z_i^-m (m <= min(N, e)),
+    then the single v-factor term fv[e] z_i^-e, after which z_i is dropped.
+    Termination rests on the Q-grading invariant, checked at every extraction
+    boundary; a violation raises CorrelatorError.
     """
     _check_order(order)
     weights = [w for w in weights if w]
@@ -276,8 +275,6 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     for w in weights:
         for a in range(1, w + 1):
             prefactor = prefactor * (t ** (-a) / (1 - t ** (-a)))
-    if R == 0:
-        return TruncatedSeries.constant(prefactor, order)
 
     N = order
     fq, fv = _depth_one_factors(u, v, N, N)
@@ -301,24 +298,22 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
         """The state times a factor, where factor(exponents) yields the
         surviving (exponents, Q-shift, coefficient) terms of one entry.
         Each target coefficient is one scalar_dot over its products, in
-        visiting order."""
-        pairs: Dict[Tuple[int, ...], List[List]] = {}
+        visiting order; only nonzero sums are kept."""
+        pairs: Dict[Tuple[int, ...], Dict[int, List]] = {}
         for expv, ser in state.items():
             for ne, dq, c in factor(expv):
-                if not c:
-                    continue
-                if ne not in pairs:
-                    pairs[ne] = [[] for _ in range(N + 1)]
-                tgt = pairs[ne]
-                for n in range(N + 1 - dq):
-                    if ser[n]:
-                        tgt[n + dq].append((ser[n], c))
-        new = {k: [scalar_dot(p, zero) for p in s] for k, s in pairs.items()}
-        return {k: s for k, s in new.items() if any(s)}
+                if c:
+                    tgt = pairs.setdefault(ne, {})
+                    for n, a in ser.items():
+                        if n + dq <= N:
+                            tgt.setdefault(n + dq, []).append((a, c))
+        new = {k: {n: x for n, p in s.items() if (x := scalar_dot(p, zero))}
+               for k, s in pairs.items()}
+        return {k: s for k, s in new.items() if s}
 
-    state = {(0,) * R: [one] + [zero] * N}
+    state = {(0,) * R: {0: one}}
     for i in range(R, 0, -1):
-        if not _check_grading(state, N):
+        if not _check_grading(state):
             raise CorrelatorError("Q-grading invariant violated entering extraction")
         state = contract(state, lambda e: [(e[:-1] + (e[-1] + n,), n, fq[n])
                                            for n in range(N + 1)])
@@ -327,12 +322,10 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
                 (e[:j - 1] + (e[j - 1] + m,) + e[j:-1] + (e[-1] - m,), 0, coeff[m])
                 for m in range(min(N, e[-1]) + 1)])
         state = contract(state, lambda e: [(e[:-1], 0, fv[e[-1]])] if e[-1] <= N else [])
-    if not _check_grading(state, N):
+    if not _check_grading(state):
         raise CorrelatorError("Q-grading invariant violated after extraction")
-    result = state.get(())
-    if result is None:
-        return TruncatedSeries.constant(zero, order)
-    return TruncatedSeries(result) * prefactor
+    result = state.get((), {})
+    return TruncatedSeries([result.get(n, zero) for n in range(N + 1)]) * prefactor
 
 
 def _expand_word(word: Sequence[DiagonalOperator]) -> List[Tuple[object, Tuple[int, ...]]]:

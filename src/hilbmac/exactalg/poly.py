@@ -138,19 +138,26 @@ def _pack(pairs) -> int:
     return sum(e * _VAR[k] for k, e in pairs)
 
 
-def _check(monos) -> None:
-    """Raise ExponentOverflowError if an exponent of the monomials exceeds
-    EXPONENT_LIMIT in absolute value.  One mask test over all of them; the
-    exact rule is applied only when the test flags a field."""
-    spill = 0
-    for m in monos:
-        spill |= m + _LIMIT_BIAS
-    if spill & _SPILL:
+def _check(monos, n: int = 1) -> None:
+    """Raise ExponentOverflowError if n >= 1 times an exponent of the
+    monomials exceeds EXPONENT_LIMIT in absolute value, so that a power is
+    checked before it is formed.  One mask test over all of them, against
+    the largest power of two B with B*n <= EXPONENT_LIMIT; the exact rule
+    runs only when the test flags a field."""
+    b = EXPONENT_LIMIT.bit_length() - 1 - (n - 1).bit_length()
+    if b >= 0:
+        bias, mask = (_LIMIT_BIAS, _SPILL) if n == 1 else _bound_masks(b)
+        spill = 0
         for m in monos:
-            for k, e in _decode(m):
-                if abs(e) > EXPONENT_LIMIT:
-                    raise ExponentOverflowError(
-                        f"exponent {e} exceeds limit for var {BASE_ALPHABET[k]}")
+            spill |= m + bias
+        if not spill & mask:
+            return
+    times = "" if n == 1 else f" times {n}"
+    for m in monos:
+        for k, e in _decode(m):
+            if abs(e) * n > EXPONENT_LIMIT:
+                raise ExponentOverflowError(
+                    f"exponent {e}{times} exceeds limit for var {BASE_ALPHABET[k]}")
 
 
 def _past_half(monos) -> bool:
@@ -163,32 +170,11 @@ def _past_half(monos) -> bool:
     return bool(spill & _HALF_SPILL)
 
 
-def _check_scaled(monos, n: int) -> None:
-    """Raise ExponentOverflowError if n >= 1 times an exponent of the
-    monomials exceeds EXPONENT_LIMIT in absolute value, before anything is
-    multiplied.  One mask test against the largest power of two B with
-    B*n <= EXPONENT_LIMIT; the exact rule runs only when the test flags a
-    field."""
-    b = EXPONENT_LIMIT.bit_length() - 1 - (n - 1).bit_length()
-    if b >= 0:
-        bias, mask = _bound_masks(b)
-        spill = 0
-        for m in monos:
-            spill |= m + bias
-        if not spill & mask:
-            return
-    for m in monos:
-        for k, e in _decode(m):
-            if abs(e) * n > EXPONENT_LIMIT:
-                raise ExponentOverflowError(
-                    f"exponent {e} times {n} exceeds limit for var {BASE_ALPHABET[k]}")
-
-
 def mono_pow(a: int, n: int) -> int:
     """a**n for n >= 0; ExponentOverflowError before the power is formed if
     an exponent of it would exceed EXPONENT_LIMIT."""
     if n > 1:
-        _check_scaled((a,), n)
+        _check((a,), n)
     return a * n
 
 
@@ -198,7 +184,7 @@ def check_power(p: "LaurentPoly", n: int) -> None:
     of p, reached at a vertex of p's Newton polytope, whose coefficient in
     p**n cannot cancel."""
     if n > 1:
-        _check_scaled(p.terms, n)
+        _check(p.terms, n)
 
 
 def mono_mul(a: int, b: int) -> int:

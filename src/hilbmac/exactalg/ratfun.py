@@ -51,7 +51,7 @@ class RationalFunction:
     of expanded numerators and denominators yields equal polynomials.
     """
 
-    __slots__ = ("nc", "dc", "mono", "fac", "_expanded")
+    __slots__ = ("nc", "dc", "mono", "fac")
 
     def __init__(self, nc: int, dc: int, mono: int, fac: Dict[LaurentPoly, int]):
         if dc == 0:
@@ -68,7 +68,6 @@ class RationalFunction:
         self.dc = dc
         self.mono = mono
         self.fac = fac
-        self._expanded = None
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -206,12 +205,9 @@ class RationalFunction:
         gcd of all integer coefficients across num and den is 1, monomial
         prefactor folded into the numerator).
         """
-        if self._expanded is None:
-            fac = self.fac.items()
-            num = _expand((p, k) for p, k in fac if k > 0)
-            den = _expand((p, -k) for p, k in fac if k < 0)
-            self._expanded = (num.mono_shift(self.mono).scale(self.nc), den.scale(self.dc))
-        return self._expanded
+        num = _expand((p, k) for p, k in self.fac.items() if k > 0)
+        den = _expand((p, -k) for p, k in self.fac.items() if k < 0)
+        return num.mono_shift(self.mono).scale(self.nc), den.scale(self.dc)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -291,6 +291,10 @@ def chi_surface(surface: Surface, bundle: Optional[str], t1, t2, extra=None):
     return scalar_sum(pieces)
 
 
+#: the identities toric_correlator_checks reports, in report order
+TORIC_CHECKS = ("lambda1", "lambda11", "connected", "lambda2", "denominator_formula")
+
+
 @dataclass
 class ToricCheckReport:
     details: Dict[str, str]      # check name -> "ok" | "MISMATCH"
@@ -381,8 +385,6 @@ def toric_correlator_checks(surface: Surface, order: int, u, v, t1, t2) -> Toric
         product = product * bracket_one_closed(u, v, t2i, 1 / t1i, order)
     denominator_ok = (base == product)
 
-    return ToricCheckReport({
-        name: "ok" if ok else "MISMATCH"
-        for name, ok in (("lambda1", lambda1_ok), ("lambda11", lambda11_ok),
-                         ("connected", connected_ok), ("lambda2", lambda2_ok),
-                         ("denominator_formula", denominator_ok))})
+    oks = (lambda1_ok, lambda11_ok, connected_ok, lambda2_ok, denominator_ok)
+    return ToricCheckReport({name: "ok" if ok else "MISMATCH"
+                             for name, ok in zip(TORIC_CHECKS, oks)})

@@ -397,7 +397,6 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     more q^n - 1.
     """
     q, t = exact_scalars(q, t)
-    mult_series = LazyTable(lambda k: _mult_series_coeff(k, t))
     g = to_p(f)
     dmax = g.degree()
     shift = LazyTable(lambda n: q ** n - 1)
@@ -422,7 +421,7 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
     for k in range(dmax + 1):
         if not shifted[k]:
             continue
-        for kappa, mc in mult_series[k]:
+        for kappa, mc in _mult_series_coeff(k, t):
             for rest, c in shifted[k].items():
                 key = merge_parts(kappa, rest)
                 v = mc * c

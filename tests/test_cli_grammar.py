@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbmac.cli import dispatch
+from hilbmac.hilbert import TORIC_CHECKS
 
 HUGE = 10 ** 20
 
@@ -94,8 +95,7 @@ def verify_argv(draw):
 
 @st.composite
 def toric_check_argv(draw):
-    which = mostly(["all", "lambda1", "lambda11", "connected", "lambda2", "denominator_formula"],
-                   ["bogus"])
+    which = mostly(["all", *TORIC_CHECKS], ["bogus"])
     return ["toric-check", "--surface=" + draw(mostly(["P2", "P1xP1", "C2"], ["XX"])),
             "--which=" + draw(which), "--order=" + draw(orders), "--trials=" + draw(trials)]
 

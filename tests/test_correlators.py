@@ -218,10 +218,21 @@ def test_operator_without_kernel_is_rejected(point):
         vertex_correlator([bad], u, v, q, t, 3)
 
 
+def test_grading_check_reads_the_lowest_order_of_a_sparse_state():
+    """The engine's state maps exponents to {Q-order: nonzero coefficient};
+    an entry passes when no exponent exceeds its lowest order, in whatever
+    order the orders were inserted."""
+    one = Fraction(1)
+    assert correlators._check_grading({(): {0: one}})
+    assert correlators._check_grading({(2, 0): {3: one, 2: one}, (0, -1): {0: one}})
+    assert not correlators._check_grading({(0, 1): {1: one}, (2, 0): {4: one, 1: one}})
+    assert not correlators._check_grading({(1,): {0: one}})
+
+
 GRADING_VIOLATION = """
 from fractions import Fraction
 from hilbmac import correlators as C
-C._check_grading = lambda state, order: False
+C._check_grading = lambda state: False
 try:
     C.vertex_tilde_bracket([1], Fraction(2), Fraction(3), Fraction(5), Fraction(7), 2)
 except C.CorrelatorError:
@@ -233,7 +244,7 @@ raise SystemExit(1)
 def test_grading_violation_raises_also_under_python_O(point, monkeypatch):
     q, t, u, v = point["q"], point["t"], point["u"], point["v"]
     with monkeypatch.context() as m:
-        m.setattr(correlators, "_check_grading", lambda state, order: False)
+        m.setattr(correlators, "_check_grading", lambda state: False)
         with pytest.raises(CorrelatorError, match="Q-grading"):
             vertex_correlator([tilde_e_op(1, q, t)], u, v, q, t, 3)
     # python -O strips assert statements; the check must survive it
