@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, exact_scalars,
-                       expand_closed_form, one_like, scalar_dot, scalar_product, scalar_sum)
+from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, clear_denominators,
+                       exact_scalars, expand_closed_form, one_like, scalar_product,
+                       scalar_sum)
 from .macdonald import (POWER_OPERATIONS, cell_multiset, eigen_tildeE, head_monomials,
                         tail_weights)
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
@@ -263,8 +264,15 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     only the terms that survive the constant term in z_i: fq[n] z_i^n Q^n
     (n <= N), then per lower partner z_j coeff[m] z_j^m z_i^-m (m <= min(N, e)),
     then the single v-factor term fv[e] z_i^-e, after which z_i is dropped.
-    Termination rests on the Q-grading invariant, checked at every extraction
-    boundary; a violation raises CorrelatorError.
+    Termination rests on the Q-grading invariant, checked on entering each
+    extraction; a violation raises CorrelatorError.
+
+    When the four coefficient tables (fq, fv and the two pair factors) are
+    Fractions, each is cleared once to integer numerators over its own
+    denominator: the state then holds ints over one common denominator D,
+    which each contraction multiplies by its table's denominator, and each
+    result coefficient is made once as Fraction(x, D).  Any other ring runs
+    the same contractions on the tables as they are.
     """
     _check_order(order)
     weights = [w for w in weights if w]
@@ -283,48 +291,61 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     x_coeff = [one] + [-(1 - q) * (1 - t ** -1)
                        * scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
                        for m in range(1, N + 1)]
+    # each table as (denominator, entries): integer numerators over one
+    # denominator when every table clears, else the entries over 1
+    tables = [clear_denominators(c) for c in (fq, fv, g_coeff, x_coeff)]
+    cleared = None not in tables
+    if cleared:
+        one = 1
+    else:
+        tables = [(1, c) for c in (fq, fv, g_coeff, x_coeff)]
+    (fq_den, fq), (fv_den, fv), g_table, x_table = tables
 
     blocks = [range(R - end + 1, R - end + w + 1)
               for w, end in zip(weights, itertools.accumulate(weights))]
-    # variable -> its lower partners with the pair factor's coefficients: the
+    # variable -> its lower partners with the pair factor's table: the
     # earlier variables of its block, then every variable of the later blocks
-    partners: Dict[int, List[Tuple[int, List]]] = {}
+    partners: Dict[int, List[Tuple[int, Tuple[int, List]]]] = {}
     for bi, b in enumerate(blocks):
         later = [j for lo_block in blocks[bi + 1:] for j in lo_block]
         for pos, i in enumerate(b):
-            partners[i] = [(j, g_coeff) for j in b[:pos]] + [(j, x_coeff) for j in later]
+            partners[i] = [(j, g_table) for j in b[:pos]] + [(j, x_table) for j in later]
 
     def contract(state, factor):
         """The state times a factor, where factor(exponents) yields the
         surviving (exponents, Q-shift, coefficient) terms of one entry.
-        Each target coefficient is one scalar_dot over its products, in
-        visiting order; only nonzero sums are kept."""
-        pairs: Dict[Tuple[int, ...], Dict[int, List]] = {}
+        Each target coefficient is accumulated as x + a*c in visiting order,
+        starting from its first product; only nonzero sums are kept."""
+        new: Dict[Tuple[int, ...], Dict[int, object]] = {}
         for expv, ser in state.items():
             for ne, dq, c in factor(expv):
                 if c:
-                    tgt = pairs.setdefault(ne, {})
+                    tgt = new.setdefault(ne, {})
                     for n, a in ser.items():
-                        if n + dq <= N:
-                            tgt.setdefault(n + dq, []).append((a, c))
-        new = {k: {n: x for n, p in s.items() if (x := scalar_dot(p, zero))}
-               for k, s in pairs.items()}
+                        n += dq
+                        if n <= N:
+                            tgt[n] = tgt[n] + a * c if n in tgt else a * c
+        new = {k: {n: x for n, x in s.items() if x} for k, s in new.items()}
         return {k: s for k, s in new.items() if s}
 
     state = {(0,) * R: {0: one}}
+    D = 1
     for i in range(R, 0, -1):
         if not _check_grading(state):
             raise CorrelatorError("Q-grading invariant violated entering extraction")
         state = contract(state, lambda e: [(e[:-1] + (e[-1] + n,), n, fq[n])
                                            for n in range(N + 1)])
-        for j, coeff in partners[i]:
+        D *= fq_den
+        for j, (den, coeff) in partners[i]:
             state = contract(state, lambda e: [
                 (e[:j - 1] + (e[j - 1] + m,) + e[j:-1] + (e[-1] - m,), 0, coeff[m])
                 for m in range(min(N, e[-1]) + 1)])
+            D *= den
         state = contract(state, lambda e: [(e[:-1], 0, fv[e[-1]])] if e[-1] <= N else [])
-    if not _check_grading(state):
-        raise CorrelatorError("Q-grading invariant violated after extraction")
+        D *= fv_den
     result = state.get((), {})
+    if cleared:
+        result = {n: Fraction(x, D) for n, x in result.items()}
     return TruncatedSeries([result.get(n, zero) for n in range(N + 1)]) * prefactor
 
 

@@ -412,6 +412,21 @@ def scalar_dot(pairs, zero):
     return out
 
 
+def clear_denominators(values):
+    """(d, [v * d for v in values]) with d the least common denominator, when
+    every value is an int or a Fraction: integer numerators over one
+    denominator, so a sum-and-product recurrence on them runs on ints and
+    each of its results is made a Fraction once.  None for any other ring
+    (RationalFunction, a modular scalar), whose values are left alone."""
+    d = 1
+    for v in values:
+        kind = type(v)
+        if kind is not Fraction and kind is not int:
+            return None
+        d = math.lcm(d, v.denominator)
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def scalar_product(values):
     """The product of the values, a left fold in their order; 1 when there
     are none.

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import HilbmacError, TruncatedSeries
-from .exactalg.ratfun import (ExactAlgError, RationalFunction, exact_scalars,
-                              one_like, poly_over, scalar_sum)
+from .exactalg.ratfun import (ExactAlgError, RationalFunction, clear_denominators,
+                              exact_scalars, one_like, poly_over, scalar_sum)
 from .partitions import (LazyTable, Partition, cells, dominates, enumerate_partitions,
                          is_partition, multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
@@ -60,12 +60,25 @@ def cell_multiset(lam: Partition, q, t) -> List:
 
 def _elementary_list(values: Sequence, one, k: int) -> List:
     """e_0..e_k of a finite multiset: the z^0..z^k coefficients of
-    prod_w (1 + w z), with one the unit of the values' ring."""
-    es = [one] + [one * 0] * k
-    for n, w in enumerate(values, start=1):
-        for i in range(min(k, n), 0, -1):
+    prod_w (1 + w z), with one the unit of the values' ring.
+
+    When one and every value are ints or Fractions, the recurrence runs on
+    the values' integer numerators over their common denominator d, and
+    e_i is made once as a Fraction over d^i; the types are the pairwise
+    fold's: ints from ints, and Fractions for e_1..e_min(k, n) when one or
+    any value is a Fraction.  Any other ring runs the fold, operation for
+    operation."""
+    top = min(k, len(values))
+    cleared = clear_denominators(values) if type(one) in (int, Fraction) else None
+    d, ws = cleared or (1, values)
+    unit = 1 if cleared else one
+    es = [unit] + [unit * 0] * top
+    for n, w in enumerate(ws, start=1):
+        for i in range(min(top, n), 0, -1):
             es[i] = es[i] + es[i - 1] * w
-    return es
+    if cleared and (type(one) is Fraction or any(type(w) is Fraction for w in values)):
+        es = [one] + [Fraction(e, d ** i) for i, e in enumerate(es[1:], start=1)]
+    return es + [one * 0] * (k - top)
 
 
 def elementary_of(values: Sequence, k: int):

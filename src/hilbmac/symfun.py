@@ -145,9 +145,11 @@ def _p_in_generators(n: int, target: str) -> Tuple[Tuple[Partition, Fraction], .
 # m <-> p transition matrices (per-degree, exact, cached)
 # ---------------------------------------------------------------------------
 
-#: highest degree converted through the monomial basis; bounds the
-#: transition matrices built for input from outside the program (degree 10: the
-#: Bell(10) = 115975 set partitions, about 1 s and 17 MiB as a whole process).
+#: highest degree converted through the monomial basis, and to or from e and
+#: h; bounds the transition matrices built for input from outside the program
+#: (degree 10: the Bell(10) = 115975 set partitions, about 1 s and 17 MiB as a
+#: whole process) and the expansions through the alpha table and the p-basis
+#: sums over partitions.
 M_DEGREE_BOUND = 10
 
 
@@ -197,10 +199,15 @@ def _check_partition(lam) -> None:
 
 def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFunction:
     """Expand each term c * prod_i g_{lam_i} of f, where expansion(n) lists
-    the terms of g_n in the target basis."""
+    the terms of g_n in the target basis; a term of degree above
+    M_DEGREE_BOUND raises SymFunError before any expansion is built."""
     out: Dict[Partition, object] = {}
     for lam, c in f.terms.items():
         _check_partition(lam)
+        n = sum(lam)
+        if n > M_DEGREE_BOUND:
+            raise SymFunError(f"{f.basis} to {basis} conversion degree {n} "
+                              f"above bound {M_DEGREE_BOUND}")
         acc: Dict[Partition, object] = {(): c}
         for part in lam:
             acc = _merge_product(acc, dict(expansion(part)))
@@ -226,9 +233,11 @@ def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
 def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
     """Convert between the p/m/e/h bases, always through p.
 
-    Conversions through the monomial basis stop at degree M_DEGREE_BOUND:
-    the transition matrices are built per degree.  e and h are reached by
-    expanding each p_n through the alpha table (_p_in_generators).
+    Conversions through the monomial basis, and to or from e and h, stop at
+    degree M_DEGREE_BOUND: the transition matrices are built per degree, e
+    and h are reached by expanding each p_n through the alpha table
+    (_p_in_generators), and left through sums over the partitions of each
+    part (e_in_p, h_in_p).
     """
     if target not in BASES:
         raise SymFunError(f"unknown basis {target!r}")

@@ -236,6 +236,10 @@ def test_verify_all_json_is_one_document(capsys):
     ["macdonald", "eps", "--mu", str(MU_BOUNDS["eps"] + 1)],
     ["macdonald", "eigen", "--mu", str(MU_BOUNDS["eigen"] + 1)],
     ["macdonald", "eigen", "--mu", "1", "--r", str(EIGEN_R_BOUND + 1)],
+    ["symfun", "convert", "--to", "e", "--input",
+     '{"basis": "p", "terms": [{"partition": [100000000000000000000], "coeff": 1}]}'],
+    ["symfun", "convert", "--to", "p", "--input",
+     '{"basis": "h", "terms": [{"partition": [100000000000000000000], "coeff": 1}]}'],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

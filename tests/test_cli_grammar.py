@@ -4,7 +4,9 @@ through dispatch in process.  Every draw exits 0 or 1 with JSON on stdout,
 or 2 with one `error:` line and no traceback.
 
 Draws stay small where an accepted input can still run without end: --order
-<= 2, --degree <= 3, word and insertion powers <= 3.  Huge twist and
+<= 2, --degree <= 3, word and insertion powers <= 3.  A convert term may
+have a huge part, since every conversion that expands a term refuses one
+above its degree bound.  Huge twist and
 insertion weights appear in symbolic mode only (auto is symbolic below order
 6), since a huge power of a Fraction in evaluate mode runs on, and so does a
 huge word weight.
@@ -108,6 +110,8 @@ def symfun_argv(draw):
     terms = [{"partition": _parts(draw, [1, 2, 3], [-1, 0, True]),
               "coeff": draw(mostly(["1", "-2/3", 2], ["1/0", "x", True, 0.5]))}
              for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        terms.insert(0, {"partition": [HUGE], "coeff": "1"})
     data = {"basis": draw(mostly(["p", "m", "e", "h"], ["x"])), "terms": terms}
     return ["symfun", "convert", "--to=" + draw(mostly(["p", "m", "e", "h"], ["q"])),
             "--input=" + draw(mostly([json.dumps(data)], ["{}", "[]", "not json"]))]

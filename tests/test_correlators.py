@@ -119,6 +119,20 @@ def test_power_op_rejects_an_unknown_operation():
         power_op("x", 1, 2, 3)
 
 
+def test_evaluated_engine_coefficients_are_fractions(point):
+    """The engine runs on integer numerators over one denominator at a
+    Fraction point and makes every coefficient a Fraction, zeros and the
+    empty word's 1 included."""
+    q, t, u, v = point["q"], point["t"], point["u"], point["v"]
+    for weights in ([], [2], [1, 1], [3, 1]):
+        series = correlators.vertex_tilde_bracket(weights, u, v, q, t, 4)
+        assert [type(c) for c in series.coeffs] == [Fraction] * 5, weights
+    for spec in ([("E", 2)], [("Psi", 2)], [("Lambda", 3)], [("Sigma", 2), ("E", 1)]):
+        for primed in (True, False):
+            series = vertex_correlator(operator_word(spec, q, t), u, v, q, t, 4, primed=primed)
+            assert [type(c) for c in series.coeffs] == [Fraction] * 5, (spec, primed)
+
+
 def test_bruteforce_cell_tables_against_vertex_engine_at_order_8():
     """From order 8 on many cells share (a, l) but not (a', l'), and the
     reverse, so a cell factor stored under the wrong key changes the sum.

@@ -7,17 +7,20 @@ comparisons.
 """
 
 import functools
+import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbmac as hb
+from hilbmac import macdonald
 from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
-from hilbmac.exactalg.ratfun import scalar_dot, scalar_product, scalar_sum
+from hilbmac.exactalg.ratfun import clear_denominators, scalar_dot, scalar_product, scalar_sum
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
 from hilbmac.symfun import SymmetricFunction
@@ -243,6 +246,54 @@ def test_scalar_dot_is_the_left_fold_on_ints_and_fractions(pairs, zero):
 def test_scalar_product_is_the_left_fold_on_ints_and_fractions(values):
     got, want = scalar_product(values), _fold_product(values)
     assert got == want and type(got) is type(want)
+
+
+def _fold_elementary(values, one, k):
+    """e_0..e_k by the pairwise recurrence, one add and one multiply at a time."""
+    es = [one] + [one * 0] * k
+    for n, w in enumerate(values, start=1):
+        for i in range(min(k, n), 0, -1):
+            es[i] = es[i] + es[i - 1] * w
+    return es
+
+
+def _same_values_and_types(got, want):
+    return got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.just(Fraction(0)), RATIONALS), max_size=8),
+       st.sampled_from([1, Fraction(1)]), st.integers(0, 10))
+def test_elementary_recurrence_on_integer_numerators_is_the_pairwise_fold(values, one, k):
+    """_elementary_list clears the values' denominators and runs on ints;
+    elementary_of and complete_of, which read it, give what the fold gives."""
+    assert _same_values_and_types(macdonald._elementary_list(values, one, k),
+                                  _fold_elementary(values, one, k))
+    got = [macdonald.elementary_of(values, k), macdonald.complete_of(values, k)]
+    with mock.patch.object(macdonald, "_elementary_list", _fold_elementary):
+        want = [macdonald.elementary_of(values, k), macdonald.complete_of(values, k)]
+    assert _same_values_and_types(got, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, max_size=8))
+def test_clear_denominators_gives_integer_numerators_over_the_lcm(values):
+    d, numerators = clear_denominators(values)
+    assert [type(n) for n in numerators] == [int] * len(values)
+    assert [Fraction(n, d) for n in numerators] == values
+    assert all(d % Fraction(v).denominator == 0 for v in values)
+    assert math.gcd(d, *numerators) == 1
+
+
+def test_clear_denominators_leaves_other_rings_alone():
+    q = RationalFunction.var("q")
+    assert clear_denominators([]) == (1, [])
+    assert clear_denominators([Fraction(1, 6), 2, Fraction(-3, 4)]) == (12, [2, 24, -9])
+    for values in ([Fraction(1, 2), q], [ModP(3)], [True], [0.5]):
+        assert clear_denominators(values) is None
+    values = [Fraction(1, 2), ModP(3), Fraction(2, 3)]
+    assert _same_values_and_types(macdonald._elementary_list(values, Fraction(1), 3),
+                                  _fold_elementary(values, Fraction(1), 3))
 
 
 def test_scalar_dot_and_product_edge_cases():

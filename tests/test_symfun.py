@@ -139,6 +139,17 @@ def test_degree_bound_on_monomial_conversion():
         basis_convert(sf("m", {(11,): 1}), "p")
 
 
+@pytest.mark.parametrize("src, tgt", [("p", "e"), ("p", "h"), ("e", "p"), ("h", "p"),
+                                      ("e", "h"), ("h", "e")])
+def test_degree_bound_on_e_and_h_conversion(src, tgt):
+    """A term of degree above the bound is refused before its expansion is
+    built, even with a part of 10^20; degree 10 still converts."""
+    assert basis_convert(sf(src, {(10,): 1}), tgt)
+    for key in ((6, 5), (10 ** 20,)):
+        with pytest.raises(SymFunError, match="above bound 10"):
+            basis_convert(sf(src, {key: 1}), tgt)
+
+
 def test_mixed_basis_operations_rejected():
     with pytest.raises(SymFunError):
         sf("p", {(1,): 1}) + sf("e", {(1,): 1})
