@@ -12,6 +12,7 @@ RationalFunctions; the series variable is always Q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -19,8 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, clear_denominators,
                        exact_scalars, expand_closed_form, one_like, scalar_product,
                        scalar_sum)
-from .macdonald import (POWER_OPERATIONS, cell_multiset, eigen_tildeE, head_monomials,
-                        tail_weights)
+from .macdonald import POWER_OPERATIONS, eigen_tildeE, head_monomials, tail_weights
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
                          multiplicity_factorial, set_partition_moebius, set_partitions)
 from .symfun import SymmetricFunction
@@ -79,9 +79,12 @@ def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
     cell_function, decomposition = POWER_OPERATIONS[operation]
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
+    # (a', l') -> the cell weight t^{-l'} q^{a'} of macdonald.cell_multiset
+    weights = LazyTable(lambda coarm, coleg: t ** (-coleg) * q ** coarm)
     return DiagonalOperator(
         f"{operation.capitalize()}{m}",
-        lambda mu: cell_function(cell_multiset(mu, q, t), m) if mu else q * 0,
+        lambda mu: (cell_function([weights[c.coarm, c.coleg] for c in cells(mu)], m)
+                    if mu else q * 0),
         expansion=expansion)
 
 
@@ -165,8 +168,10 @@ def chart_series(t1, t2, u, v, order: int,
     extra(mu, cells(mu)) maps each key to the factors that multiply the base
     at that key, and the Q^n coefficient at a key sums over |mu| = n.  Cell
     factors are computed once per call for each (a', l') or (a, l): the
-    twist pair's product and the inverse of the tangent pair's, so the base
-    is one scalar_product.
+    twist pair's product and the inverse of the tangent pair's.  A term is
+    one scalar_product of the twist factors, the tangent factors and the
+    key's factors, in that order; with several keys the base product of the
+    cell factors is formed once per mu and heads each key's product.
     """
     _check_order(order)
     one = one_like(t1)
@@ -179,10 +184,13 @@ def chart_series(t1, t2, u, v, order: int,
         terms: Dict[object, List] = {}
         for mu in iter_partitions(n):
             cs = cells(mu)
-            base = scalar_product([one] + [twist[c.coarm, c.coleg] for c in cs]
-                                  + [tangent[c.arm, c.leg] for c in cs])
-            for key, factors in extra(mu, cs).items():
-                terms.setdefault(key, []).append(scalar_product([base, *factors]))
+            keyed = extra(mu, cs)
+            base = ([one] + [twist[c.coarm, c.coleg] for c in cs]
+                    + [tangent[c.arm, c.leg] for c in cs])
+            if len(keyed) > 1:
+                base = [scalar_product(base)]
+            for key, factors in keyed.items():
+                terms.setdefault(key, []).append(scalar_product([*base, *factors]))
         for key, vals in terms.items():
             coeffs.setdefault(key, []).append(scalar_sum(vals))
     return {key: TruncatedSeries(c) for key, c in coeffs.items()}
@@ -271,7 +279,9 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     Fractions, each is cleared once to integer numerators over its own
     denominator: the state then holds ints over one common denominator D,
     which each contraction multiplies by its table's denominator, and each
-    result coefficient is made once as Fraction(x, D).  Any other ring runs
+    result coefficient is made once as Fraction(x, D).  After each
+    variable's extraction D and the state are divided by their gcd, so D
+    stays near the size of the result's denominators.  Any other ring runs
     the same contractions on the tables as they are.
     """
     _check_order(order)
@@ -343,6 +353,11 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
             D *= den
         state = contract(state, lambda e: [(e[:-1], 0, fv[e[-1]])] if e[-1] <= N else [])
         D *= fv_den
+        if cleared:
+            g = math.gcd(D, *(x for s in state.values() for x in s.values()))
+            if g > 1:
+                D //= g
+                state = {k: {n: x // g for n, x in s.items()} for k, s in state.items()}
     result = state.get((), {})
     if cleared:
         result = {n: Fraction(x, D) for n, x in result.items()}
@@ -512,7 +527,7 @@ def fqft_layer(table: Dict[Tuple, object], D: int) -> FqftResult:
             continue
         key = tuple(sorted(word))
         v = val * Fraction(1, multiplicity_factorial(key))
-        Z[key] = Z.get(key, v * 0) + v
+        Z[key] = Z[key] + v if key in Z else v
     # F = log Z as a series graded by word length; a sorted word reversed
     # is a p-basis key, and p-basis products merge keys as words multiply
     grades: List[Dict[Tuple, object]] = [{} for _ in range(D + 1)]

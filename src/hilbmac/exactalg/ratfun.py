@@ -361,6 +361,17 @@ def scalar_sum(values):
     return scalar_dot([(v, 1) for v in vals], Fraction(0))
 
 
+def scalar_sum_of_products(pairs):
+    """scalar_sum of the products a*b of the (a, b) pairs.  When every
+    operand is an int or a Fraction it is one scalar_dot from Fraction(0),
+    with no Fraction per product; any other ring forms the products in
+    their order and sums them as scalar_sum does."""
+    pairs = list(pairs)
+    if all(rational_scalars(pair) for pair in pairs):
+        return scalar_dot(pairs, Fraction(0))
+    return scalar_sum([a * b for a, b in pairs])
+
+
 def scalar_dot(pairs, zero):
     """zero + a0*b0 + a1*b1 + ... over the (a, b) pairs, in their order.
 
@@ -418,13 +429,17 @@ def clear_denominators(values):
     denominator, so a sum-and-product recurrence on them runs on ints and
     each of its results is made a Fraction once.  None for any other ring
     (RationalFunction, a modular scalar), whose values are left alone."""
-    d = 1
-    for v in values:
-        kind = type(v)
-        if kind is not Fraction and kind is not int:
-            return None
-        d = math.lcm(d, v.denominator)
+    if not rational_scalars(values):
+        return None
+    d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def rational_scalars(values) -> bool:
+    """Whether every value is an int or a Fraction (a bool is neither): the
+    values on which scalar_dot, scalar_product and clear_denominators run
+    on integers."""
+    return all(type(v) is int or type(v) is Fraction for v in values)
 
 
 def scalar_product(values):
@@ -455,7 +470,7 @@ def scalar_product(values):
 
 def one_like(x):
     """The unit of x's scalar ring: 1 as an int, Fraction or RationalFunction."""
-    return x * 0 + 1
+    return Fraction(1) if type(x) is Fraction else x * 0 + 1
 
 
 def exact_scalars(*values) -> tuple:

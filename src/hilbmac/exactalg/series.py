@@ -3,7 +3,9 @@
 Generic over the coefficient ring: Fractions for evaluated runs,
 RationalFunctions for symbolic runs, or any ring elements supporting
 +, -, * and (where needed) division.  Mixed-order arithmetic truncates
-to the smaller order.
+to the smaller order.  When every coefficient is an int or a Fraction, a
+product, a quotient and exp make each coefficient as one scalar_dot; any
+other ring runs them one operation at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .poly import HilbmacError, LaurentPoly
-from .ratfun import RationalFunction, one_like, scalar_dot
+from .ratfun import RationalFunction, one_like, rational_scalars, scalar_dot
 
 
 class SeriesError(HilbmacError, ArithmeticError):
@@ -104,6 +106,14 @@ class TruncatedSeries:
         n = a.order
         out: List = []
         lead = b.coeffs[0]
+        if rational_scalars(a.coeffs + b.coeffs):
+            # out_k = a_k / b_0 - sum_j (b_j / b_0) out_{k-j}, one scalar_dot each
+            inv = _divide(1, lead)
+            steps = [-c * inv for c in b.coeffs[1:]]
+            for k in range(n + 1):
+                out.append(scalar_dot([(a.coeffs[k], inv)]
+                                      + [(steps[j - 1], out[k - j]) for j in range(1, k + 1)], 0))
+            return TruncatedSeries(out)
         for k in range(n + 1):
             s = a.coeffs[k]
             for j in range(1, k + 1):
@@ -122,6 +132,13 @@ class TruncatedSeries:
         if self.coeffs[0]:
             raise SeriesError("exp needs vanishing constant term")
         n = self.order
+        if n and rational_scalars(self.coeffs):
+            # f = exp(g) solves f' = g' f: m f_m = sum_k k g_k f_{m-k}
+            kg = [k * c for k, c in enumerate(self.coeffs)]
+            f = [Fraction(1)]
+            for m in range(1, n + 1):
+                f.append(scalar_dot([(kg[k], f[m - k]) for k in range(1, m + 1)], 0) / m)
+            return TruncatedSeries(f)
         one = one_like(self.coeffs[0])
         out = TruncatedSeries.constant(one, n)
         term = TruncatedSeries.constant(one, n)

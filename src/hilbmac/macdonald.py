@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import HilbmacError, TruncatedSeries
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, clear_denominators,
-                              exact_scalars, one_like, poly_over, scalar_sum)
+                              exact_scalars, one_like, poly_over, scalar_sum,
+                              scalar_sum_of_products)
 from .partitions import (LazyTable, Partition, cells, dominates, enumerate_partitions,
                          is_partition, multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
@@ -91,8 +92,17 @@ def elementary_of(values: Sequence, k: int):
 
 
 def power_of(values: Sequence, m: int):
+    """p_m of a finite multiset.  When every value is an int or a Fraction
+    and m >= 0 it is the sum of the m-th powers of the integer numerators
+    over d^m, d their common denominator: an int from ints, else one
+    Fraction.  Any other ring runs the fold."""
     if not values:
         return Fraction(0)
+    cleared = clear_denominators(values) if m >= 0 else None
+    if cleared:
+        d, ns = cleared
+        s = sum(x ** m for x in ns)
+        return Fraction(s, d ** m) if any(type(w) is Fraction for w in values) else s
     out = values[0] * 0
     for w in values:
         out = out + w ** m
@@ -275,10 +285,7 @@ class MacdonaldTable:
         for kappa in order[order.index(mu) + 1:]:
             if not dominates(mu, kappa):
                 continue
-            pieces = [A[kappa][nu] * J[nu] for nu in J if nu in A[kappa]]
-            if not pieces:
-                continue
-            s = scalar_sum(pieces)
+            s = scalar_sum_of_products((A[kappa][nu], J[nu]) for nu in J if nu in A[kappa])
             if not s:
                 continue
             try:
@@ -429,7 +436,7 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
                     kept.append(part)
             key = tuple(sorted(kept, reverse=True))
             tgt = shifted[dropped]
-            tgt[key] = tgt.get(key, factor * 0) + factor
+            tgt[key] = tgt[key] + factor if key in tgt else factor
     out: Dict[Partition, object] = {}
     for k in range(dmax + 1):
         if not shifted[k]:
@@ -438,9 +445,9 @@ def apply_E(f: SymmetricFunction, q, t) -> SymmetricFunction:
             for rest, c in shifted[k].items():
                 key = merge_parts(kappa, rest)
                 v = mc * c
-                out[key] = out.get(key, v * 0) + v
+                out[key] = out[key] + v if key in out else v
     for kappa, c in g.terms.items():
-        out[kappa] = out.get(kappa, c * 0) - c
+        out[kappa] = out[kappa] - c if kappa in out else -c
     scale = one_like(t) / (t - 1)
     return SymmetricFunction("p", {k: v * scale for k, v in out.items()})
 
@@ -492,7 +499,8 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
     weights is tail_weights(r, t) and monomials is head_monomials(q, t),
     each built here when it is not given; an operator passes its own
     tables, which live as long as the operator.  Within the call the head
-    is built only to e_min(l, r), the entries the sum reads."""
+    is built only to e_min(l, r), the entries the sum reads, and the sum of
+    head-tail products is one scalar_sum_of_products."""
     q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
@@ -506,7 +514,8 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
     head = _elementary_list([monomials[m, j] for j, m in enumerate(mu, start=1)],
                             one_like(q), min(l, r))
     tail = weights[l]
-    return scalar_sum([head[r - n] * tail[n] for n in range(r + 1) if r - n < len(head)])
+    return scalar_sum_of_products((head[r - n], tail[n])
+                                  for n in range(r + 1) if r - n < len(head))
 
 
 def eigen_E_r(mu: Partition, r: int, q, t):
@@ -579,7 +588,7 @@ def _power_decomposition(m: int, q, t, symmetric: bool):
                     c = c * Fraction((-1) ** m)
                 for part in nu:
                     c = c * shifted[part]
-                acc[mu] = acc.get(mu, c * 0) + c
+                acc[mu] = acc[mu] + c if mu in acc else c
     const = acc.pop((), Fraction(0))
     return [(c, mu) for mu, c in sorted(acc.items())], const
 

@@ -38,7 +38,7 @@ def _merge_product(a: Dict[Partition, object], b: Dict[Partition, object]) -> Di
         for kb, vb in b.items():
             k = merge_parts(ka, kb)
             v = va * vb
-            d[k] = d.get(k, v * 0) + v
+            d[k] = d[k] + v if k in d else v
     return d
 
 
@@ -73,7 +73,7 @@ class SymmetricFunction:
             raise SymFunError("mixed-basis addition; convert first")
         d = dict(self.terms)
         for k, v in other.terms.items():
-            d[k] = d.get(k, v * 0) + v
+            d[k] = d[k] + v if k in d else v
         return SymmetricFunction(self.basis, d)
 
     def __neg__(self) -> "SymmetricFunction":
@@ -212,7 +212,7 @@ def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFu
         for part in lam:
             acc = _merge_product(acc, dict(expansion(part)))
         for k, v in acc.items():
-            out[k] = out.get(k, v * 0) + v
+            out[k] = out[k] + v if k in out else v
     return SymmetricFunction(basis, out)
 
 
@@ -226,7 +226,7 @@ def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
         for mu, w in _transition_matrices(n)[basis][lam].items():
             v = c * w
-            out[mu] = out.get(mu, v * 0) + v
+            out[mu] = out[mu] + v if mu in out else v
     return SymmetricFunction(basis, out)
 
 

@@ -6,7 +6,8 @@ value reduced further or less far before it prints, shows here.  They do
 not pin the order of the arithmetic.  Sums are put over a factored common
 denominator before they print, so reordered terms usually print the same
 bytes, and a test that must catch reordering has to compare something else:
-test_vertex_engine_factor_maps compares the engine's factor maps, hashed.
+test_vertex_engine_factor_maps compares the factor maps of the engine's
+series and of the localization sums, hashed.
 A file is re-captured only when its output changes on purpose, with the
 reason in CHANGES.md.
 """
@@ -18,9 +19,10 @@ from pathlib import Path
 import pytest
 
 from hilbmac.cli import dispatch, parse_word
-from hilbmac.correlators import operator_word, vertex_correlator
+from hilbmac.correlators import bracket_bruteforce, operator_word, vertex_correlator
 from hilbmac.exactalg import generators
-from hilbmac.hilbert import BundleInsertion, chi_via_correlators
+from hilbmac.hilbert import (BundleInsertion, ToricInsertion, chi_C2_series, chi_via_correlators,
+                             load_surface, toric_chi_series)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -116,7 +118,8 @@ FACTOR_MAP_WORDS = [("E2", 4, True), ("E2", 4, False), ("E1,E1", 4, True),
                     ("E1,E1", 4, False), ("E1,E2", 4, True), ("E1,E2", 4, False),
                     ("Psi3", 3, True), ("Psi3", 3, False), ("Lambda3,E1", 3, True),
                     ("E1", 6, True)]
-#: label -> the series as a function of the generators q, t, u, v, t1, t2
+#: label -> the series as a function of the generators q, t, u, v, t1, t2;
+#: the engine's words, then the localization route
 FACTOR_MAP_CASES = {
     **{f"{word} order {order}{'' if primed else ' unprimed'}":
        (lambda q, t, u, v, t1, t2, word=word, order=order, primed=primed: vertex_correlator(
@@ -124,6 +127,21 @@ FACTOR_MAP_CASES = {
        for word, order, primed in FACTOR_MAP_WORDS},
     "chi psi:2:1,0 twist 1,-1 order 3": lambda q, t, u, v, t1, t2: chi_via_correlators(
         [BundleInsertion("psi", 2, (1, 0))], (1, -1), u, v, 3, t1, t2),
+    # the localization route: chart_series multiplies each mu's twist
+    # factors, then its tangent factors, then the key's factors
+    **{f"bruteforce {word} order 3": (
+        lambda q, t, u, v, t1, t2, word=word: bracket_bruteforce(
+            operator_word(parse_word(word), q, t), u, v, q, t, 3, primed=True))
+       for word in ("E1", "Psi2", "Lambda2", "Sigma2")},
+    "bruteforce E2 order 3 unprimed": lambda q, t, u, v, t1, t2: bracket_bruteforce(
+        operator_word(parse_word("E2"), q, t), u, v, q, t, 3),
+    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3":
+        lambda q, t, u, v, t1, t2: chi_C2_series(
+            [BundleInsertion("psi", 2, (1, 0)), BundleInsertion("lambda", 1, (0, 1)),
+             BundleInsertion("sigma", 2, (0, 0))], (1, 0), u, v, 3, t1, t2),
+    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": lambda q, t, u, v, t1, t2: toric_chi_series(
+        load_surface("P2"), [ToricInsertion("L1", "lambda"), ToricInsertion("L1", "sigma")],
+        None, u, v, 2, t1, t2)[(1, 1)],
 }
 
 #: label -> the first 16 hex digits of the sha256 of factor_maps(series)
@@ -139,6 +157,13 @@ FACTOR_MAP_DIGESTS = {
     "Lambda3,E1 order 3": "c01155373c8576c4",
     "E1 order 6": "05e3717565f070ee",
     "chi psi:2:1,0 twist 1,-1 order 3": "b3812e9a96d1911a",
+    "bruteforce E1 order 3": "a2c980c22c0ebdfd",
+    "bruteforce Psi2 order 3": "6353a1625d74c03b",
+    "bruteforce Lambda2 order 3": "621e2de6fcca2afb",
+    "bruteforce Sigma2 order 3": "8d207462a9a3cbe8",
+    "bruteforce E2 order 3 unprimed": "abeb394c2a35bd9b",
+    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3": "a6835b4eabb8e640",
+    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": "0e41c58abc9f4689",
 }
 
 
@@ -153,8 +178,10 @@ def factor_maps(series) -> str:
 
 @pytest.mark.parametrize("label", list(FACTOR_MAP_CASES))
 def test_vertex_engine_factor_maps(label):
-    """The engine's symbolic sums and products in a fixed order: a reordered
-    contraction prints the same bytes above but builds other factor maps."""
+    """The engine's and the localization sums' symbolic sums and products in
+    a fixed order: a reordered contraction, or a chart term that multiplies
+    its cell factors in another order, prints the same bytes above but
+    builds other factor maps."""
     series = FACTOR_MAP_CASES[label](*generators("q", "t", "u", "v", "t1", "t2"))
     digest = hashlib.sha256(factor_maps(series).encode()).hexdigest()[:16]
     assert digest == FACTOR_MAP_DIGESTS[label]

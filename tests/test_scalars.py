@@ -342,3 +342,127 @@ def test_scalar_dot_and_product_fold_a_modular_ring():
     got = scalar_product(values)
     assert type(got) is ModP and got == ModP.of(Fraction(40, 3))
     assert type(scalar_dot([(ModP(2), ModP(3))], ModP(0))) is ModP
+
+
+# ---------------------------------------------------------------------------
+# series exp and division, power sums, complete and tilde-E eigenvalues
+# against the one-operation fold
+# ---------------------------------------------------------------------------
+
+def _fold_series_mul(x, y):
+    zero = x[0] * 0 + y[0] * 0
+    return [_fold_dot([(x[i], y[k - i]) for i in range(k + 1)], zero) for k in range(len(x))]
+
+
+def _fold_exp(g):
+    """exp(g) as sum_k g^k / k!, each power one more folded series product."""
+    one = g[0] * 0 + 1
+    out = term = [one] + [one * 0] * (len(g) - 1)
+    for k in range(1, len(g)):
+        term = _fold_series_mul(term, g)
+        out = [a + b * Fraction(1, math.factorial(k)) for a, b in zip(out, term)]
+    return out
+
+
+def _fold_divide(a, b):
+    """a / b by back-substitution, one subtraction at a time; int / int is a
+    Fraction."""
+    out = []
+    for k in range(len(a)):
+        s = a[k]
+        for j in range(1, k + 1):
+            s = s - b[j] * out[k - j]
+        out.append(Fraction(s, b[0]) if type(s) is int and type(b[0]) is int else s / b[0])
+    return out
+
+
+def _fold_power(values, m):
+    if not values:
+        return Fraction(0)
+    out = values[0] * 0
+    for w in values:
+        out = out + w ** m
+    return out
+
+
+def _fold_complete(values, k):
+    if not values:
+        return Fraction(int(k == 0))
+    es = _fold_elementary(values, values[0] * 0 + 1, k)
+    zero = es[0] * 0
+    return _fold_divide([zero + 1] + [zero] * k, [-e if i % 2 else e for i, e in enumerate(es)])[k]
+
+
+def _fold_tilde_e(mu, r, q, t):
+    if r == 0:
+        return Fraction(1)
+    head = _fold_elementary([q ** m * t ** (-j) for j, m in enumerate(mu, start=1)],
+                            Fraction(1), min(len(mu), r))
+    tail = macdonald.tail_weights(r, t)[len(mu)]
+    return _fold_dot([(head[r - n], tail[n]) for n in range(r + 1) if r - n < len(head)],
+                     Fraction(0))
+
+
+def _same(got, want):
+    return _same_values_and_types([got], [want])
+
+
+ZEROS_AND_RATIONALS = st.one_of(st.just(0), st.just(Fraction(0)), RATIONALS)
+UNITS = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=60)).filter(bool)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([0, Fraction(0)]), st.lists(ZEROS_AND_RATIONALS, max_size=7))
+def test_series_exp_by_its_recurrence_is_the_power_sum_fold(zero, tail):
+    """exp runs m f_m = sum k g_k f_(m-k) at ints and Fractions; an order-0
+    series keeps its unit's type."""
+    g = [zero] + tail
+    got = TruncatedSeries(g).exp().coeffs
+    assert _same_values_and_types(list(got), _fold_exp(g))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(ZEROS_AND_RATIONALS, min_size=1, max_size=7), UNITS,
+       st.lists(ZEROS_AND_RATIONALS, max_size=7))
+def test_series_division_by_scalar_dot_is_the_back_substitution_fold(a, lead, rest):
+    b = ([lead] + rest + [0] * len(a))[:len(a)]
+    got = (TruncatedSeries(a) / TruncatedSeries(b)).coeffs
+    assert _same_values_and_types(list(got), _fold_divide(a, b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(ZEROS_AND_RATIONALS, max_size=8), st.integers(0, 7), st.integers(0, 7))
+def test_power_and_complete_of_are_the_folds(values, m, k):
+    assert _same(macdonald.power_of(values, m), _fold_power(values, m))
+    assert _same(macdonald.complete_of(values, k), _fold_complete(values, k))
+
+
+def test_power_of_at_a_negative_exponent_runs_the_fold():
+    values = [Fraction(2, 3), -4, Fraction(-1, 5)]
+    assert _same(macdonald.power_of(values, -2), _fold_power(values, -2))
+    assert _same(macdonald.power_of([2, -4], 3), -56)
+
+
+PARTITIONS = st.lists(st.integers(1, 4), max_size=5).map(lambda ps: tuple(sorted(ps, reverse=True)))
+NON_ROOTS = UNITS.filter(lambda x: x not in (1, -1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(PARTITIONS, st.integers(0, 5), UNITS, NON_ROOTS)
+def test_tilde_e_eigenvalue_by_scalar_dot_is_the_fold(mu, r, q, t):
+    assert _same(macdonald.eigen_tildeE(mu, r, q, t), _fold_tilde_e(mu, r, Fraction(q), Fraction(t)))
+
+
+def test_modular_series_and_cell_functions_run_the_fold():
+    g = [ModP(0), ModP(3), Fraction(1, 2), ModP(5)]
+    assert [type(c) for c in TruncatedSeries(g).exp().coeffs] == [ModP] * 4
+    assert TruncatedSeries(g).exp() == TruncatedSeries(_fold_exp(g))
+    a, b = [Fraction(1, 3), ModP(2), 4], [ModP(7), Fraction(2, 5), 1]
+    assert TruncatedSeries(a) / TruncatedSeries(b) == TruncatedSeries(_fold_divide(a, b))
+    values = [ModP(3), Fraction(1, 2), 5]
+    for got, want in [(macdonald.power_of(values, 3), _fold_power(values, 3)),
+                      (macdonald.complete_of(values, 3), _fold_complete(values, 3))]:
+        assert type(got) is ModP and got == want
+    q, t = ModP.of(Fraction(2, 3)), ModP.of(Fraction(5, 7))
+    got = macdonald.eigen_tildeE((3, 1), 2, q, t)
+    assert type(got) is ModP and got == _fold_tilde_e((3, 1), 2, Fraction(2, 3), Fraction(5, 7))
