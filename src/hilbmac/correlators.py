@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, clear_denominators,
-                       exact_scalars, expand_closed_form, one_like, scalar_product,
-                       scalar_sum)
+                       exact_scalars, expand_closed_form, one_like, rational_scalars,
+                       scalar_product, scalar_sum)
 from .macdonald import POWER_OPERATIONS, eigen_tildeE, head_monomials, tail_weights
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
                          multiplicity_factorial, set_partition_moebius, set_partitions)
@@ -119,6 +119,7 @@ def operator_word(spec: Sequence[Tuple[str, int]], q, t) -> List[DiagonalOperato
 def bracket_one_closed(u, v, q, t, order: int) -> TruncatedSeries:
     """<1>_{u,v} = exp( sum Q^n/n (1-u^n)(1-v^n)/((1-q^n)(1-t^-n)) )."""
     _check_order(order)
+    u, v, q, t = exact_scalars(u, v, q, t)
     zero = u * 0
     log_terms = [zero]
     for n in range(1, order + 1):
@@ -168,17 +169,34 @@ def chart_series(t1, t2, u, v, order: int,
     extra(mu, cells(mu)) maps each key to the factors that multiply the base
     at that key, and the Q^n coefficient at a key sums over |mu| = n.  Cell
     factors are computed once per call for each (a', l') or (a, l): the
-    twist pair's product and the inverse of the tangent pair's.  A term is
-    one scalar_product of the twist factors, the tangent factors and the
-    key's factors, in that order; with several keys the base product of the
-    cell factors is formed once per mu and heads each key's product.
+    twist pair's product and the inverse of the tangent pair's; at rational
+    t1, t2, u, v each is one Fraction made from integer powers of their
+    numerators and denominators.  A term is one scalar_product of the twist
+    factors, the tangent factors and the key's factors, in that order; with
+    several keys the base product of the cell factors is formed once per mu
+    and heads each key's product.
     """
     _check_order(order)
+    t1, t2, u, v = exact_scalars(t1, t2, u, v)
     one = one_like(t1)
-    twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_)
-                      * (1 - v / (t1 ** l_ * t2 ** a_)))
-    tangent = LazyTable(lambda a, l: 1 / ((1 - t1 ** (-l) * t2 ** (a + 1))
-                                          * (1 - t1 ** (l + 1) * t2 ** (-a))))
+    if rational_scalars((t1, t2, u, v)):
+        (n1, d1), (n2, d2) = t1.as_integer_ratio(), t2.as_integer_ratio()
+        (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
+
+        def twist_at(a_, l_):
+            wn, wd = n1 ** l_ * n2 ** a_, d1 ** l_ * d2 ** a_     # w = wn / wd
+            return Fraction((du * wd - nu * wn) * (dv * wn - nv * wd), du * dv * wd * wn)
+
+        def tangent_at(a, l):
+            x, y = n1 ** l * d2 ** (a + 1), d1 ** (l + 1) * n2 ** a
+            return Fraction(x * y, (x - d1 ** l * n2 ** (a + 1)) * (y - n1 ** (l + 1) * d2 ** a))
+
+        twist, tangent = LazyTable(twist_at), LazyTable(tangent_at)
+    else:
+        twist = LazyTable(lambda a_, l_: (1 - u * t1 ** l_ * t2 ** a_)
+                          * (1 - v / (t1 ** l_ * t2 ** a_)))
+        tangent = LazyTable(lambda a, l: 1 / ((1 - t1 ** (-l) * t2 ** (a + 1))
+                                              * (1 - t1 ** (l + 1) * t2 ** (-a))))
     coeffs: Dict[object, List] = {}
     for n in range(order + 1):
         terms: Dict[object, List] = {}

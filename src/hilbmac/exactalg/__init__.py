@@ -4,15 +4,15 @@ truncated power series, and seeded rational-point sampling."""
 from .poly import BASE_ALPHABET, ExponentOverflowError, HilbmacError, LaurentPoly
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, clear_denominators, exact_scalars, generators,
-                     one_like, rf, rf_sum, scalar_dot, scalar_product, scalar_sum,
-                     scalar_sum_of_products)
+                     one_like, rational_scalars, rf, rf_sum, scalar_dot, scalar_product,
+                     scalar_sum, scalar_sum_of_products)
 from .sampling import RationalSampler
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
     "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
     "RationalFunction", "rf", "rf_sum", "scalar_sum", "scalar_dot", "scalar_product",
-    "scalar_sum_of_products", "clear_denominators",
+    "scalar_sum_of_products", "clear_denominators", "rational_scalars",
     "one_like", "exact_scalars",
     "generators",
     "HilbmacError", "ExactAlgError", "DivisionByZero", "PoleError",

@@ -56,7 +56,18 @@ def b_norm(lam: Partition, q, t):
 
 def cell_multiset(lam: Partition, q, t) -> List:
     """The finite multiset {t^{-l'(s)} q^{a'(s)} : s in lam}, row-major."""
+    q, t = exact_scalars(q, t)
     return [t ** (-c.coleg) * q ** c.coarm for c in cells(lam)]
+
+
+def _elementary_recurrence(ws: Sequence, unit, top: int) -> List:
+    """e_0..e_top of ws, unit the 1 of their ring, by the recurrence
+    e_i <- e_i + e_(i-1) w, one add and one multiply at a time."""
+    es = [unit] + [unit * 0] * top
+    for n, w in enumerate(ws, start=1):
+        for i in range(min(top, n), 0, -1):
+            es[i] = es[i] + es[i - 1] * w
+    return es
 
 
 def _elementary_list(values: Sequence, one, k: int) -> List:
@@ -71,14 +82,13 @@ def _elementary_list(values: Sequence, one, k: int) -> List:
     operation."""
     top = min(k, len(values))
     cleared = clear_denominators(values) if type(one) in (int, Fraction) else None
-    d, ws = cleared or (1, values)
-    unit = 1 if cleared else one
-    es = [unit] + [unit * 0] * top
-    for n, w in enumerate(ws, start=1):
-        for i in range(min(top, n), 0, -1):
-            es[i] = es[i] + es[i - 1] * w
-    if cleared and (type(one) is Fraction or any(type(w) is Fraction for w in values)):
-        es = [one] + [Fraction(e, d ** i) for i, e in enumerate(es[1:], start=1)]
+    if cleared is None:
+        es = _elementary_recurrence(values, one, top)
+    else:
+        d, ns = cleared
+        es = _elementary_recurrence(ns, 1, top)
+        if type(one) is Fraction or any(type(w) is Fraction for w in values):
+            es = [one] + [Fraction(e, d ** i) for i, e in enumerate(es[1:], start=1)]
     return es + [one * 0] * (k - top)
 
 
@@ -301,7 +311,10 @@ class MacdonaldTable:
         """The m-basis matrix of the degree-1 operator on the partitions of
         one degree, E m_nu = sum_kappa A[kappa][nu] m_kappa, in the fill's
         ring, by the closed formula of the class docstring.  The rearrangement
-        counts are tabulated for this call only."""
+        counts are tabulated for this call only.  At rational (q, t) the loop
+        runs on the integer numerators of the q powers (over d_q) and of the
+        weights (over d_w), and each entry, linear in both, is made once as
+        a Fraction over d_q d_w; any other ring runs it on its own values."""
         one = self._ring(one_like(self.q))
         q, t_inv = self._ring(self.q), self._ring(1 / self.t)
         n = sum(order[0])
@@ -311,6 +324,11 @@ class MacdonaldTable:
         for _ in range(n):
             q_powers.append(q_powers[-1] * q)
             weights.append(weights[-1] * (one - t_inv))
+        cleared_q, cleared_w = clear_denominators(q_powers), clear_denominators(weights)
+        scale = None
+        if cleared_q and cleared_w:
+            (dq, q_powers), (dw, weights) = cleared_q, cleared_w
+            zero, scale = 0, dq * dw
         at_q_minus_one = {beta: _m_at_q_minus_one(beta, q_powers) for beta in partitions_upto(n)}
         counts: Dict[Tuple[Partition, Partition], Dict[int, int]] = {}
         A: Dict[Partition, Dict[Partition, object]] = {kappa: {} for kappa in order}
@@ -329,7 +347,7 @@ class MacdonaldTable:
                 for j, v in by_j.items():
                     entry = entry + weights[j] * v
                 if entry:
-                    A[kappa][nu] = entry
+                    A[kappa][nu] = Fraction(entry, scale) if scale else entry
         return A
 
     def _column(self, mu) -> Partition:
@@ -476,6 +494,7 @@ def tail_weights(r: int, t) -> LazyTable:
     n = 0..r: the part of E~_r's eigenvalue at mu that depends on mu only
     through its length.  One table serves every mu of one operator; the
     Euler tails are computed at its first lookup, once per table."""
+    (t,) = exact_scalars(t)
     tails: List = []
 
     def at_length(l: int) -> List:
@@ -488,6 +507,7 @@ def tail_weights(r: int, t) -> LazyTable:
 
 def head_monomials(q, t) -> LazyTable:
     """At (m, j), the monomial q^m t^{-j} of a part m in row j."""
+    q, t = exact_scalars(q, t)
     return LazyTable(lambda m, j: q ** m * t ** (-j))
 
 
@@ -499,8 +519,11 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
     weights is tail_weights(r, t) and monomials is head_monomials(q, t),
     each built here when it is not given; an operator passes its own
     tables, which live as long as the operator.  Within the call the head
-    is built only to e_min(l, r), the entries the sum reads, and the sum of
-    head-tail products is one scalar_sum_of_products."""
+    is built only to e_min(l, r), the entries the sum reads.  When the head
+    and the tail are ints or Fractions, the head's e_i are integers E_i over
+    d^i and the tail integers T_n over d_T, and the eigenvalue is made once
+    as sum E_(r-n) T_n d^n / (d^r d_T); any other ring sums the head-tail
+    products as one scalar_sum_of_products."""
     q, t = exact_scalars(q, t)
     if r < 0:
         raise MacdonaldError("weight must be >= 0")
@@ -511,11 +534,17 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
     if monomials is None:
         monomials = head_monomials(q, t)
     l = len(mu)
-    head = _elementary_list([monomials[m, j] for j, m in enumerate(mu, start=1)],
-                            one_like(q), min(l, r))
+    values = [monomials[m, j] for j, m in enumerate(mu, start=1)]
     tail = weights[l]
-    return scalar_sum_of_products((head[r - n], tail[n])
-                                  for n in range(r + 1) if r - n < len(head))
+    top = min(l, r)
+    cleared_head, cleared_tail = clear_denominators(values), clear_denominators(tail)
+    if cleared_head and cleared_tail:
+        (d, ns), (dt, ts) = cleared_head, cleared_tail
+        es = _elementary_recurrence(ns, 1, top)
+        return Fraction(sum(es[r - n] * ts[n] * d ** n for n in range(r - top, r + 1)),
+                        d ** r * dt)
+    head = _elementary_list(values, one_like(q), top)
+    return scalar_sum_of_products((head[r - n], tail[n]) for n in range(r - top, r + 1))
 
 
 def eigen_E_r(mu: Partition, r: int, q, t):

@@ -16,9 +16,10 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, exact_scalars,
-                       one_like, scalar_sum)
-from .partitions import (Partition, enumerate_partitions, is_partition, multiplicity_factorial,
-                         partitions_upto, set_partition_moebius, set_partitions, z_factor)
+                       one_like, scalar_dot, scalar_sum)
+from .partitions import (LazyTable, Partition, enumerate_partitions, is_partition,
+                         multiplicity_factorial, partitions_upto, set_partition_moebius,
+                         set_partitions, z_factor)
 
 BASES = ("p", "m", "e", "h")
 
@@ -217,17 +218,21 @@ def _expand_products(f: SymmetricFunction, expansion, basis: str) -> SymmetricFu
 
 
 def _transition(f: SymmetricFunction, basis: str) -> SymmetricFunction:
-    """Apply the per-degree m <-> p transition matrix into basis to each term of f."""
-    out: Dict[Partition, object] = {}
+    """Apply the per-degree m <-> p transition matrix into basis to each term
+    of f.  The (c, w) pairs of each target mu, in f's term order, are summed
+    as one scalar_dot from the first product: one Fraction per target when
+    every coefficient is an int or a Fraction, and the left fold of the
+    products for any other ring."""
+    pairs: Dict[Partition, list] = {}
     for lam, c in f.terms.items():
         _check_partition(lam)
         n = sum(lam)
         if n > M_DEGREE_BOUND:
             raise SymFunError(f"monomial conversion degree {n} above bound {M_DEGREE_BOUND}")
         for mu, w in _transition_matrices(n)[basis][lam].items():
-            v = c * w
-            out[mu] = out[mu] + v if mu in out else v
-    return SymmetricFunction(basis, out)
+            pairs.setdefault(mu, []).append((c, w))
+    return SymmetricFunction(basis, {mu: scalar_dot(ps[1:], ps[0][0] * ps[0][1])
+                                     for mu, ps in pairs.items()})
 
 
 def basis_convert(f: SymmetricFunction, target: str) -> SymmetricFunction:
@@ -272,9 +277,11 @@ def inner_product_hall(f: SymmetricFunction, g: SymmetricFunction):
 
 
 def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
-    """<p_lam, p_mu>_{q,t} = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    """<p_lam, p_mu>_{q,t} = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i}).
+    1 - q^k and 1 - t^k are formed once per call for each part k."""
     q, t = exact_scalars(q, t)
     a, b = to_p(f), to_p(g)
+    num, den = LazyTable(lambda k: 1 - q ** k), LazyTable(lambda k: 1 - t ** k)
     terms = []
     for lam, ca in a.terms.items():
         cb = b.terms.get(lam)
@@ -282,8 +289,8 @@ def inner_product_qt(f: SymmetricFunction, g: SymmetricFunction, q, t):
             continue
         v = ca * cb * z_factor(lam)
         for part in lam:
-            v = v * (1 - q ** part)
-            v = v / (1 - t ** part)
+            v = v * num[part]
+            v = v / den[part]
         terms.append(v)
     return scalar_sum(terms)
 

@@ -7,7 +7,9 @@ not pin the order of the arithmetic.  Sums are put over a factored common
 denominator before they print, so reordered terms usually print the same
 bytes, and a test that must catch reordering has to compare something else:
 test_vertex_engine_factor_maps compares the factor maps of the engine's
-series and of the localization sums, hashed.
+series and of the localization sums, hashed, and
+test_macdonald_table_factor_maps those of the symbolic table's
+p-expansions, operator matrices and (q,t) Gram entries.
 A file is re-captured only when its output changes on purpose, with the
 reason in CHANGES.md.
 """
@@ -23,6 +25,9 @@ from hilbmac.correlators import bracket_bruteforce, operator_word, vertex_correl
 from hilbmac.exactalg import generators
 from hilbmac.hilbert import (BundleInsertion, ToricInsertion, chi_C2_series, chi_via_correlators,
                              load_surface, toric_chi_series)
+from hilbmac.macdonald import MacdonaldTable
+from hilbmac.partitions import enumerate_partitions
+from hilbmac.symfun import inner_product_qt
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -167,13 +172,17 @@ FACTOR_MAP_DIGESTS = {
 }
 
 
+def factor_map(c) -> tuple:
+    """A rational function's constants, monomial and factor map, the factors
+    and each factor's terms in the order the arithmetic put them there."""
+    return (c.nc, c.dc, c.mono, [(list(p.terms.items()), k) for p, k in c.fac.items()])
+
+
 def factor_maps(series) -> str:
-    """Each coefficient's constants, monomial and factor map, the factors and
-    each factor's terms in the order the arithmetic put them there.  Sorted
-    terms would not do: a contraction that visits its state in reverse
-    leaves every factor map equal up to the order of the terms."""
-    return repr([(c.nc, c.dc, c.mono, [(list(p.terms.items()), k) for p, k in c.fac.items()])
-                 for c in series.coeffs])
+    """Each coefficient's factor_map.  Sorted terms would not do: a
+    contraction that visits its state in reverse leaves every factor map
+    equal up to the order of the terms."""
+    return repr([factor_map(c) for c in series.coeffs])
 
 
 @pytest.mark.parametrize("label", list(FACTOR_MAP_CASES))
@@ -185,3 +194,60 @@ def test_vertex_engine_factor_maps(label):
     series = FACTOR_MAP_CASES[label](*generators("q", "t", "u", "v", "t1", "t2"))
     digest = hashlib.sha256(factor_maps(series).encode()).hexdigest()[:16]
     assert digest == FACTOR_MAP_DIGESTS[label]
+
+
+def _operator_matrices(q, t, top: int, entry) -> list:
+    """The table's operator matrix at each degree 1..top, rows and entries in
+    the order it builds them, each entry read by entry."""
+    table = MacdonaldTable(q, t)
+    return [[(kappa, [(nu, entry(e)) for nu, e in row.items()])
+             for kappa, row in table._operator_matrix(enumerate_partitions(n)).items()]
+            for n in range(1, top + 1)]
+
+
+def _p_expansions(q, t, top: int) -> list:
+    table = MacdonaldTable(q, t)
+    return [(mu, [(k, factor_map(c)) for k, c in table.P_in_p(mu).terms.items()])
+            for n in range(1, top + 1) for mu in enumerate_partitions(n)]
+
+
+def _qt_gram(q, t, degrees) -> list:
+    table = MacdonaldTable(q, t)
+    return [(lam, mu, factor_map(inner_product_qt(table.P_in_p(lam), table.P_in_p(mu), q, t)))
+            for n in degrees for lam in enumerate_partitions(n) for mu in enumerate_partitions(n)]
+
+
+#: label -> the value as a function of the generators q, t: the symbolic
+#: table's p-expansions (L1 m -> p transition), its operator matrix over
+#: LaurentPoly and over rational functions (L2), and <P_lam, P_mu>_{q,t}
+TABLE_FACTOR_MAP_CASES = {
+    "P_in_p to degree 4": lambda q, t: _p_expansions(q, t, 4),
+    "Laurent operator matrix to degree 5": lambda q, t: _operator_matrices(
+        q, t, 5, lambda e: list(e.terms.items())),
+    "Laurent operator matrix at 1/q to degree 5": lambda q, t: _operator_matrices(
+        1 / q, t, 5, lambda e: list(e.terms.items())),
+    "rational operator matrix to degree 3": lambda q, t: _operator_matrices(
+        (1 - q) / (1 + t), t ** 2 / (1 - q), 3, factor_map),
+    "qt Gram of P to degree 3": lambda q, t: _qt_gram(q, t, (1, 2, 3)),
+    "qt Gram of P at degree 4": lambda q, t: _qt_gram(q, t, (4,)),
+}
+
+#: label -> the first 16 hex digits of the sha256 of the value's repr
+TABLE_FACTOR_MAP_DIGESTS = {
+    "P_in_p to degree 4": "7513510b11c32476",
+    "Laurent operator matrix to degree 5": "f02e851d740d9a62",
+    "Laurent operator matrix at 1/q to degree 5": "7c1b399fc5aaf271",
+    "rational operator matrix to degree 3": "e5f0ef54a61dd267",
+    "qt Gram of P to degree 3": "dbcdc7e58e54d7db",
+    "qt Gram of P at degree 4": "db8436e25034ee4d",
+}
+
+
+@pytest.mark.parametrize("label", list(TABLE_FACTOR_MAP_CASES))
+def test_macdonald_table_factor_maps(label):
+    """The symbolic table's sums and products in a fixed order: a transition,
+    an operator matrix or a Gram entry that adds or multiplies in another
+    order can print the same value but builds other factor maps or terms."""
+    value = TABLE_FACTOR_MAP_CASES[label](*generators("q", "t"))
+    digest = hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+    assert digest == TABLE_FACTOR_MAP_DIGESTS[label]

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbmac as hb
-from hilbmac import macdonald
+from hilbmac import correlators, macdonald, symfun
 from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
 from hilbmac.exactalg.ratfun import clear_denominators, scalar_dot, scalar_product, scalar_sum
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
+from hilbmac.partitions import enumerate_partitions
 from hilbmac.symfun import SymmetricFunction
 
 
@@ -448,7 +449,7 @@ NON_ROOTS = UNITS.filter(lambda x: x not in (1, -1))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(PARTITIONS, st.integers(0, 5), UNITS, NON_ROOTS)
+@given(PARTITIONS, st.integers(0, 5), ZEROS_AND_RATIONALS, NON_ROOTS)
 def test_tilde_e_eigenvalue_by_scalar_dot_is_the_fold(mu, r, q, t):
     assert _same(macdonald.eigen_tildeE(mu, r, q, t), _fold_tilde_e(mu, r, Fraction(q), Fraction(t)))
 
@@ -466,3 +467,120 @@ def test_modular_series_and_cell_functions_run_the_fold():
     q, t = ModP.of(Fraction(2, 3)), ModP.of(Fraction(5, 7))
     got = macdonald.eigen_tildeE((3, 1), 2, q, t)
     assert type(got) is ModP and got == _fold_tilde_e((3, 1), 2, Fraction(2, 3), Fraction(5, 7))
+
+
+# ---------------------------------------------------------------------------
+# the operator matrix, the m -> p transition, the chart's cell factors and
+# the tilde-E eigenvalue on integer numerators, against the fold
+# ---------------------------------------------------------------------------
+
+def _folded_matrix(q, t, n):
+    """The operator matrix as the loop builds it on the table's own values,
+    with no denominator cleared."""
+    with mock.patch.object(macdonald, "clear_denominators", lambda values: None):
+        return macdonald.MacdonaldTable(q, t)._operator_matrix(enumerate_partitions(n))
+
+
+def _same_matrix(got, want):
+    return (list(got) == list(want)
+            and all(_same_values_and_types(list(got[k].items()), list(want[k].items()))
+                    for k in got))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ZEROS_AND_RATIONALS, UNITS, st.integers(1, 4))
+def test_operator_matrix_on_integer_numerators_is_the_fold(q, t, n):
+    got = macdonald.MacdonaldTable(q, t)._operator_matrix(enumerate_partitions(n))
+    assert _same_matrix(got, _folded_matrix(q, t, n))
+
+
+def _fold_transition(f, basis):
+    """f's transition into basis, one product and one add per matrix entry."""
+    out = {}
+    for lam, c in f.terms.items():
+        for mu, w in symfun._transition_matrices(sum(lam))[basis][lam].items():
+            v = c * w
+            out[mu] = out[mu] + v if mu in out else v
+    return SymmetricFunction(basis, out)
+
+
+M_TERMS = st.dictionaries(st.sampled_from([lam for n in range(5) for lam in enumerate_partitions(n)]),
+                          ZEROS_AND_RATIONALS, max_size=8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(M_TERMS, st.sampled_from("mp"))
+def test_transition_by_scalar_dot_is_the_fold(terms, source):
+    f = SymmetricFunction(source, terms)
+    target = "p" if source == "m" else "m"
+    got, want = symfun._transition(f, target), _fold_transition(f, target)
+    assert _same_values_and_types(list(got.terms.items()), list(want.terms.items()))
+
+
+def _chart(t1, t2, u, v):
+    """Two-key chart series at order 3, or the exception it raises."""
+    def extra(mu, cs):
+        return {(): [], "arms": [sum(c.arm for c in cs) - 1]}
+    try:
+        series = correlators.chart_series(t1, t2, u, v, 3, extra)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return {key: list(s.coeffs) for key, s in series.items()}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS)
+def test_chart_cell_factors_on_integer_numerators_are_the_fold(t1, t2, u, v):
+    """At rational points, poles and zero tangent weights included, each
+    cell factor made as one Fraction gives the series the generic factors
+    give, or raises as they do."""
+    got = _chart(t1, t2, u, v)
+    with mock.patch.object(correlators, "rational_scalars", lambda values: False):
+        want = _chart(t1, t2, u, v)
+    assert got == want
+    if want is not ZeroDivisionError:
+        assert all(_same_values_and_types(got[k], want[k]) for k in want)
+
+
+def test_integer_paths_run_the_fold_over_a_prime_field():
+    q, t = Fraction(2, 3), Fraction(5, 7)
+    mq, mt = ModP.of(q), ModP.of(t)
+    got = macdonald.MacdonaldTable(mq, mt)._operator_matrix(enumerate_partitions(4))
+    want = macdonald.MacdonaldTable(q, t)._operator_matrix(enumerate_partitions(4))
+    assert list(got) == list(want)
+    for kappa in want:
+        assert list(got[kappa]) == list(want[kappa])
+        assert all(type(x) is ModP and x == want[kappa][nu] for nu, x in got[kappa].items())
+    f = SymmetricFunction("m", {(2, 1): ModP(3), (1, 1, 1): Fraction(1, 2), (3,): 4})
+    got, want = symfun._transition(f, "p"), _fold_transition(f, "p")
+    assert _same_values_and_types(list(got.terms.items()), list(want.terms.items()))
+    assert type(got.terms[(2, 1)]) is ModP
+    u, v = Fraction(3, 11), Fraction(13, 17)
+    extra = lambda mu, cs: {(): []}    # noqa: E731
+    got = correlators.chart_series(mq, mt, ModP.of(u), ModP.of(v), 3, extra)[()]
+    assert [type(c) for c in got.coeffs] == [ModP] * 4
+    assert got == correlators.chart_series(q, t, u, v, 3, extra)[()].map(ModP.of)
+
+
+# ---------------------------------------------------------------------------
+# int scalars give the Fractions that Fraction scalars give
+# ---------------------------------------------------------------------------
+
+INT_CALLS = {
+    "chart_series": lambda *x: correlators.chart_series(
+        *x, 2, lambda mu, cs: {(): []})[()].coeffs,
+    "bracket_one_closed": lambda *x: correlators.bracket_one_closed(*x, 2).coeffs,
+    "tail_weights": lambda q, t, u, v: macdonald.tail_weights(2, t)[3],
+    "head_monomials": lambda q, t, u, v: [macdonald.head_monomials(q, t)[m, j]
+                                          for m in (0, 2) for j in (1, 3)],
+    "cell_multiset": lambda q, t, u, v: macdonald.cell_multiset((3, 1), q, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+def test_int_scalars_give_the_fraction_result(name):
+    ints = (5, 7, 2, 3)
+    got = INT_CALLS[name](*ints)
+    want = INT_CALLS[name](*map(Fraction, ints))
+    assert [type(x) for x in got] == [Fraction] * len(got)
+    assert got == want
