@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: Laurent polynomials, rational functions,
 truncated power series, and seeded rational-point sampling."""
 
-from .poly import BASE_ALPHABET, ExponentOverflowError, HilbmacError, LaurentPoly
+from .poly import (BASE_ALPHABET, DomainError, ExponentOverflowError, HilbmacError,
+                   LaurentPoly)
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, clear_denominators, exact_scalars, generators,
                      one_like, rational_scalars, rf, rf_sum, scalar_dot, scalar_product,
@@ -15,7 +16,7 @@ __all__ = [
     "scalar_sum_of_products", "clear_denominators", "rational_scalars",
     "one_like", "exact_scalars",
     "generators",
-    "HilbmacError", "ExactAlgError", "DivisionByZero", "PoleError",
+    "HilbmacError", "ExactAlgError", "DivisionByZero", "PoleError", "DomainError",
     "TruncatedSeries", "SeriesError", "expand_closed_form", "geometric",
     "RationalSampler",
 ]

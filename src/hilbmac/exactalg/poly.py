@@ -14,9 +14,10 @@ absolute value) never spills into a neighbouring field.  A product checks
 its operands: when no operand exponent exceeds EXPONENT_LIMIT // 2 in
 absolute value, no product exponent can exceed the limit, and only
 otherwise is each result monomial checked.  Other constructions (shifts,
-quotients) check each result monomial, and powers (mono_pow, check_power)
-check their base before the power is formed.  Only this module builds or reads
-monomials: other modules pass them to its functions.
+add_shifted's shifted sums, quotients) check each result monomial, and
+powers (mono_pow, check_power) check their base before the power is formed.
+Only this module builds or reads monomials: other modules pass them to its
+functions.
 
 Two orders serve two jobs:
   - integer comparison of the packed ints is graded by signed degree, then
@@ -101,6 +102,11 @@ class ExactAlgError(HilbmacError, ArithmeticError):
 
 class PoleError(ExactAlgError):
     """Evaluation point lies on a pole; caller should retry elsewhere."""
+
+
+class DomainError(HilbmacError, ValueError):
+    """An argument outside the range a routine accepts: a negative count,
+    order or power, or a sampler that has nothing left to draw."""
 
 
 _INDEX = {n: i for i, n in enumerate(BASE_ALPHABET)}
@@ -354,7 +360,9 @@ class LaurentPoly:
         exponents.  The integer content carries the sign that makes the
         primitive part's lowest term positive.  The shifted terms lie on the
         nonnegative cone, where the integer order and mono_key agree, so the
-        lowest term is the least packed int.
+        lowest term is the least packed int.  With content 1 the shifted
+        terms are not copied again, and with no monomial content either the
+        primitive part is the operand itself.
         """
         if self.is_zero():
             return 0, MONO_ONE, LaurentPoly({})
@@ -374,7 +382,12 @@ class LaurentPoly:
         g = math.gcd(*shifted.values())
         if shifted[min(shifted)] < 0:
             g = -g
-        prim = LaurentPoly({m: c // g for m, c in shifted.items()})
+        if g != 1:
+            prim = LaurentPoly({m: c // g for m, c in shifted.items()})
+        elif mono:
+            prim = LaurentPoly(shifted)
+        else:
+            prim = self
         return g, mono, prim
 
     def leading(self) -> Tuple[int, int]:
@@ -538,13 +551,39 @@ def _divide_binomial(num: Dict[int, int], divisor: Dict[int, int]):
 
 
 def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:
+    """p**n for n >= 0 by repeated squaring, started at the lowest set bit
+    of n: p**1 is p itself, with no product by one; p**0 is const(1)."""
     if n < 0:
-        raise ValueError("poly_pow needs n >= 0")
-    out = LaurentPoly.const(1)
-    base = p
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base if n > 1 else base
+        raise DomainError("poly_pow needs n >= 0")
+    if n == 0:
+        return LaurentPoly.const(1)
+    while not n & 1:
+        p = p * p
         n >>= 1
+    out = p
+    while n > 1:
+        p = p * p
+        n >>= 1
+        if n & 1:
+            out = out * p
     return out
+
+
+def add_shifted(acc: Dict[int, int], p: LaurentPoly, mono: int, c: int) -> None:
+    """acc += c * mono * p in place, term by term, for acc a dict of terms
+    and c != 0: a term that cancels leaves acc, and a new term goes to the
+    end, as p + q orders its terms.  A shifted monomial beyond
+    EXPONENT_LIMIT raises ExponentOverflowError, as mono_shift does, with
+    one mask test over all of them after the terms are added."""
+    get = acc.get
+    spill = 0
+    for m, x in p.terms.items():
+        m += mono
+        spill |= m + _LIMIT_BIAS
+        x = get(m, 0) + c * x
+        if x:
+            acc[m] = x
+        else:
+            del acc[m]
+    if spill & _SPILL:
+        _check([m + mono for m in p.terms])

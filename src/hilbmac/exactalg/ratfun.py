@@ -18,6 +18,12 @@ Trial division takes the numerator's primitive part once: an exact quotient
 by a factor is already primitive with a positive first term and is kept as
 it is.  The tracked factors are mostly binomials, which
 LaurentPoly.divide_exact divides without a heap.
+
+A sum (rf_sum) multiplies only where a cofactor has two factors or a power:
+a product starts from its first factor, never from one, and each cofactor's
+terms are added, shifted and scaled, straight into the one numerator.  Most
+two-term sums share their denominator, so their cofactors are single
+factors and the sum multiplies no polynomials at all.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import operator
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, check_power,
-                   mono_eval, mono_inv, mono_mul, mono_pow, poly_pow, var_index)
+from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, add_shifted,
+                   check_power, mono_eval, mono_inv, mono_mul, mono_pow, poly_pow,
+                   var_index)
 
 
 class DivisionByZero(ExactAlgError):
@@ -37,11 +44,13 @@ class DivisionByZero(ExactAlgError):
 
 
 def _expand(factors) -> LaurentPoly:
-    """The product of p**k over the (factor, exponent) pairs, each k > 0."""
-    out = LaurentPoly.const(1)
+    """The product of p**k over the (factor, exponent) pairs, each k > 0,
+    from the first pair's power on: one factor to the first power is
+    itself, with no product; no factors give const(1)."""
+    out = None
     for p, k in factors:
-        out = out * poly_pow(p, k)
-    return out
+        out = poly_pow(p, k) if out is None else out * poly_pow(p, k)
+    return LaurentPoly.const(1) if out is None else out
 
 
 class RationalFunction:
@@ -320,7 +329,11 @@ def rf_sum(values) -> RationalFunction:
     Expands and reduces once, which is substantially cheaper than a fold of
     two-term sums for long sums (inner products, partition sums).  Two-term
     addition is this function on a pair.  Each term's cofactor is expanded
-    in the order its factors come, unsorted: the product is exact.
+    in the order its factors come, unsorted: the product is exact, and
+    fewest terms first was measured to take more term pairs, not fewer.
+    The numerator is built in one pass: each cofactor's terms go straight
+    into one dict, shifted by the term's monomial and scaled by its share
+    of the common integer denominator, with no intermediate polynomial.
     """
     vals = [rf(v) for v in values]
     vals = [v for v in vals if v.nc != 0]
@@ -336,14 +349,14 @@ def rf_sum(values) -> RationalFunction:
     dc = 1
     for v in vals:
         dc = dc * v.dc // math.gcd(dc, v.dc)
-    num = LaurentPoly({})
+    num: Dict[int, int] = {}
     for v in vals:
         cofactor = dict(den)
         for p, k in v.fac.items():
             cofactor[p] = cofactor.get(p, 0) + k
         part = _expand((p, k) for p, k in cofactor.items() if k > 0)
-        num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
-    return _reduce_over(num, dc, den)
+        add_shifted(num, part, v.mono, v.nc * (dc // v.dc))
+    return _reduce_over(LaurentPoly(num), dc, den)
 
 
 def scalar_sum(values):

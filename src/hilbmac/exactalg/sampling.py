@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator
 
+from .poly import DomainError
+
 MAX_MAGNITUDE = 10 ** 6
 
 
@@ -30,7 +32,7 @@ class RationalSampler:
 
     def __init__(self, seed: int, magnitude: int = 1000):
         if not 3 <= magnitude <= MAX_MAGNITUDE:
-            raise ValueError(f"magnitude outside [3, {MAX_MAGNITUDE}]")
+            raise DomainError(f"magnitude outside [3, {MAX_MAGNITUDE}]")
         self.rng = random.Random(seed)
         self.magnitude = magnitude
 
@@ -47,15 +49,15 @@ class RationalSampler:
         """One value per name.  A value multiplicatively dependent on an
         earlier one (equal to it, say) is drawn again: a monomial
         x^i y^-j = 1 in two coordinates would put the point on a pole of the
-        brackets' cell weights 1 - q^a t^b.  Raises ValueError when no value
+        brackets' cell weights 1 - q^a t^b.  Raises DomainError when no value
         within the magnitude is independent of the earlier ones."""
         out: Dict[str, Fraction] = {}
         for n in names:
             f = self.fraction()
             while any(_dependent(f, g) for g in out.values()):
                 if all(any(_dependent(c, g) for g in out.values()) for c in self._values()):
-                    raise ValueError(f"no value up to magnitude {self.magnitude} is "
-                                     f"independent of {', '.join(map(str, out.values()))}")
+                    raise DomainError(f"no value up to magnitude {self.magnitude} is "
+                                      f"independent of {', '.join(map(str, out.values()))}")
                 f = self.fraction()
             out[n] = f
         return out

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
+from .exactalg.poly import DomainError
 from .exactalg.series import TruncatedSeries
 
 Partition = Tuple[int, ...]
@@ -46,7 +47,7 @@ def is_partition(parts) -> bool:
 def iter_partitions(n: int) -> Iterator[Partition]:
     """Yield partitions of n in reverse-lexicographic order."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
 
     def gen(m: int, maxpart: int) -> Iterator[Partition]:
         if m == 0:
@@ -205,7 +206,7 @@ def nekrasov_okounkov_check(m, N: int) -> bool:
     Right: prod_{n>=1} (1 - q^n)^{m^2 - 1}.  m is a rational parameter.
     """
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise DomainError("N must be >= 1")
     m = Fraction(m)
     m2 = m * m
     lhs = [Fraction(0)] * (N + 1)

@@ -12,16 +12,21 @@ Also a reference Laurent kernel over tuple monomials: a polynomial is a dict
 from a tuple of (variable index, exponent) pairs, sorted by index with
 nonzero exponents, to an int coefficient.  It multiplies, divides and
 prints term by term, with no packing, so it checks the packed kernel of
-hilbmac.exactalg.poly.
+hilbmac.exactalg.poly.  And a sum of rational functions that expands each
+cofactor as a whole polynomial before it adds it, which checks rf_sum's
+one-pass numerator.
 """
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hilbmac.exactalg import BASE_ALPHABET, TruncatedSeries, one_like
+from hilbmac.exactalg import (BASE_ALPHABET, LaurentPoly, RationalFunction, TruncatedSeries,
+                              one_like, rf)
+from hilbmac.exactalg.ratfun import _reduce_over
 from hilbmac.macdonald import MacdonaldError, elementary_of
 from hilbmac.partitions import Partition, iter_partitions
 from hilbmac.symfun import SymmetricFunction, to_p
@@ -306,3 +311,38 @@ def tuple_poly_str(a: TuplePoly) -> str:
         else:
             out.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
     return " ".join(out) or "0"
+
+
+# ---------------------------------------------------------------------------
+# a sum of rational functions, cofactor by cofactor
+# ---------------------------------------------------------------------------
+
+def rf_sum_fold(values) -> RationalFunction:
+    """The sum over the least common denominator, as rf_sum once formed it:
+    each cofactor is expanded from const(1) by repeated products, then
+    shifted by its value's monomial, scaled by its share of the integer
+    denominator and added to the numerator as a new polynomial.  The
+    numerator is reduced by the library's _reduce_over, so nc, dc, mono and
+    fac can be compared with rf_sum's exactly."""
+    vals = [v for v in map(rf, values) if v.nc != 0]
+    if not vals:
+        return RationalFunction.from_int(0)
+    if len(vals) == 1:
+        return vals[0]
+    den: Dict[LaurentPoly, int] = {}
+    for v in vals:
+        for p, k in v.fac.items():
+            if k < 0 and den.get(p, 0) < -k:
+                den[p] = -k
+    dc = math.lcm(*(v.dc for v in vals))
+    num = LaurentPoly({})
+    for v in vals:
+        cofactor = dict(den)
+        for p, k in v.fac.items():
+            cofactor[p] = cofactor.get(p, 0) + k
+        part = LaurentPoly.const(1)
+        for p, k in cofactor.items():
+            for _ in range(k):
+                part = part * p
+        num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
+    return _reduce_over(num, dc, den)

@@ -6,8 +6,9 @@ import pytest
 import hilbmac
 from hilbmac.cli import EIGEN_R_BOUND, MU_BOUNDS, dispatch, resolve_mode
 from hilbmac.correlators import CorrelatorError, bracket_one_closed
-from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError,
-                              PoleError, SeriesError, generators)
+from hilbmac.exactalg import (DivisionByZero, DomainError, ExactAlgError, ExponentOverflowError,
+                              PoleError, RationalSampler, SeriesError, generators)
+from hilbmac.exactalg.poly import LaurentPoly, poly_pow
 from hilbmac.hilbert import HilbertError
 from hilbmac.macdonald import MacdonaldError
 from hilbmac.symfun import SymFunError
@@ -255,13 +256,26 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     (HilbertError, ValueError), (MacdonaldError, ValueError),
     (ExactAlgError, ArithmeticError), (PoleError, ArithmeticError),
     (DivisionByZero, ArithmeticError), (SeriesError, ArithmeticError),
-    (ExponentOverflowError, ArithmeticError),
+    (ExponentOverflowError, ArithmeticError), (DomainError, ValueError),
 ])
 def test_every_library_error_is_a_hilbmac_error(error, builtin):
     """dispatch maps the one root to exit 2; callers that catch the builtin
     base keep working."""
     assert issubclass(error, hilbmac.HilbmacError)
     assert issubclass(error, builtin)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hilbmac.enumerate_partitions(-1),
+    lambda: hilbmac.nekrasov_okounkov_check(1, 0),
+    lambda: RationalSampler(0, 2),
+    lambda: RationalSampler(0, 3).point(["q", "t", "u"]),
+    lambda: poly_pow(LaurentPoly.var("q"), -1),
+], ids=["enumerate_partitions", "nekrasov_okounkov_check", "sampler_magnitude",
+        "sampler_point", "poly_pow"])
+def test_an_argument_out_of_range_raises_a_library_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("what", sorted(MU_BOUNDS))

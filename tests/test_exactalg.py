@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
-from hilbmac.exactalg.poly import EXPONENT_LIMIT, MONO_ONE, mono_key
+from hilbmac.exactalg.poly import EXPONENT_LIMIT, MONO_ONE, mono_key, poly_pow
 from hilbmac.exactalg.ratfun import poly_over
 
 import oracles
@@ -260,6 +260,83 @@ def test_rf_sum_matches_pairwise():
     assert rf_sum([]).is_zero()
 
 
+def _mono(exps):
+    """The packed monomial q^a t^b u^c for exps = (a, b, c)."""
+    m = LaurentPoly.const(1)
+    for name, e in zip("qtu", exps):
+        m = m * LaurentPoly.var(name, e)
+    return next(iter(m.terms))
+
+
+_one = LaurentPoly.const(1)
+_pq, _pt, _pu, _pv = (LaurentPoly.var(n) for n in "qtuv")
+#: primitive factors for the sums below: binomials with unit and other
+#: coefficients, one in two variables, and a three-term factor
+SUM_FACTORS = [x.primitive()[2] for x in (
+    _one - _pq, _one - _pt, _one - _pq * _pt, _pq + _pt * _pt,
+    _one.scale(2) - (_pq * _pt).scale(3), _one + _pq + _pu * _pv)]
+
+
+def _value(nc, dc, exps, fac):
+    return RationalFunction(nc, dc, _mono(exps), {SUM_FACTORS[i]: k for i, k in fac.items()})
+
+
+_sum_values = st.builds(_value, st.integers(-4, 4), st.integers(1, 6),
+                        st.tuples(*[st.integers(-3, 3)] * 3),
+                        st.dictionaries(st.integers(0, len(SUM_FACTORS) - 1),
+                                        st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=3))
+
+
+@st.composite
+def _sums(draw):
+    """2-5 values; or 1-2 values and their negatives, which cancel to 0."""
+    if draw(st.booleans()):
+        return draw(st.lists(_sum_values, min_size=2, max_size=5))
+    vals = draw(st.lists(_sum_values, min_size=1, max_size=2))
+    return draw(st.permutations(vals + [-x for x in vals]))
+
+
+def _exactly(x):
+    return x.nc, x.dc, x.mono, list(x.fac.items())
+
+
+@given(_sums())
+@example([_value(1, 2, (0, 0, 0), {0: 1, 1: -1}), _value(-3, 4, (1, 0, 0), {2: 1, 1: -1})])
+@example([_value(1, 1, (0, 0, 0), {3: 1, 0: -1, 1: -2}), _value(2, 3, (0, 1, 0), {1: -1, 2: -1})])
+@example([_value(1, 1, (0, 0, 0), {0: -2}), _value(5, 1, (0, 0, 0), {1: -1, 5: 2}),
+          _value(1, 1, (0, 0, 0), {4: -3})])
+@example([_value(3, 1, (0, 0, 0), {}), _value(-2, 5, (0, 0, 0), {}), _value(1, 1, (0, 0, 0), {})])
+@example([_value(1, 1, (-2, 0, -3), {0: 3, 1: -2}), _value(-1, 1, (0, -1, 0), {5: 2, 1: -3})])
+@example([_value(2, 3, (-1, 1, 0), {0: 2, 2: -1}), _value(-2, 3, (-1, 1, 0), {0: 2, 2: -1})])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_rf_sum_matches_the_fold_of_expanded_cofactors(vals):
+    """The one-pass numerator gives the old fold's value exactly: nc, dc,
+    the monomial and the factor map in its order.  The examples are a shared
+    denominator, a partly shared one, disjoint ones, constants, negative
+    shifts with powers, and a total cancellation."""
+    assert _exactly(rf_sum(vals)) == _exactly(oracles.rf_sum_fold(vals))
+
+
+def test_a_sum_over_one_denominator_multiplies_no_polynomials(monkeypatch):
+    """Each cofactor is one numerator factor to the first power, or none, so
+    the sum forms no product: in particular no product by one."""
+    den = (1 - q) * (1 - t) ** 2 * (1 - q * t)
+    vals = [(1 + q * u) / den, (2 - t * v) / den, 3 * q ** -2 / den, -(u + v) * t / den]
+    mul, calls = LaurentPoly.__mul__, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    total = rf_sum(vals)
+    pair = vals[0] + vals[1]
+    assert calls == []
+    monkeypatch.undo()
+    assert _exactly(total) == _exactly(oracles.rf_sum_fold(vals))
+    assert _exactly(pair) == _exactly(oracles.rf_sum_fold(vals[:2]))
+
+
 def test_trial_division_follows_the_key_order():
     """Trial division tries the denominator factors in key() order whatever
     order a product merged them in: here 1 - q divides the numerator first,
@@ -340,6 +417,12 @@ OVERFLOWS = {
                                       * (LaurentPoly.var("v") - LaurentPoly.var("q", HALF))),
     "half_operands_spill": lambda: (LaurentPoly.var("t", HALF + 1) * LaurentPoly.var("q")
                                     * LaurentPoly.var("t", HALF + 1)),
+    # rf_sum adds the cofactor (1 + q)(1 - t), shifted by q^LIMIT, into its
+    # numerator: the shift must be checked as mono_shift checks it.  In the
+    # second sum the term q^(LIMIT+1) cancels, so only that check sees it.
+    "sum_shift": lambda: RationalFunction.var("q", EXPONENT_LIMIT) * (1 + q) + 1 / (1 - t),
+    "sum_shift_cancelling": lambda: (RationalFunction.var("q", EXPONENT_LIMIT) * (1 + q)
+                                     + RationalFunction.var("q", EXPONENT_LIMIT) * (t - q)),
 }
 
 #: products of operands past half the limit that stay in range, so the check
@@ -519,6 +602,34 @@ def test_quotient_of_primitive_parts_is_primitive(ta, tb):
     assume(a and b)
     p, q_ = a.primitive()[2], b.primitive()[2]
     assert (p * q_).divide_exact(p).primitive() == (1, MONO_ONE, q_)
+
+
+@given(_terms)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_poly_pow_is_the_repeated_product(terms):
+    p = _both(terms)[0]
+    want = LaurentPoly.const(1)
+    for n in range(6):
+        got = poly_pow(p, n)
+        assert got == want and str(got) == str(want)
+        want = want * p
+    assert poly_pow(p, 1) is p
+
+
+@given(_terms)
+@example([(1, [0, 0, 0, 0, 0, 0]), (-1, [1, 0, 0, 0, 0, 0])])
+@example([(1, [1, 0, 0, 0, 0, 0]), (-1, [2, 0, 0, 0, 0, 0])])
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_primitive_copies_the_terms_only_when_it_must(terms):
+    """The primitive part equals the divided copy of the shifted terms, in
+    its term order; with content 1 and no monomial content it is the
+    operand itself."""
+    p = _both(terms)[0]
+    assume(p)
+    g, mono, prim = p.primitive()
+    copied = LaurentPoly({m - mono: c // g for m, c in p.terms.items()})
+    assert list(prim.terms.items()) == list(copied.terms.items())
+    assert (prim is p) == (g == 1 and mono == MONO_ONE)
 
 
 @given(_terms, st.randoms(use_true_random=False))
