@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, clear_denominators,
-                       exact_scalars, expand_closed_form, one_like, rational_scalars,
+from .exactalg import (HilbmacError, RationalFunction, TruncatedSeries, exact_scalars,
+                       expand_closed_form, one_like, power_ratio, rational_scalars,
                        scalar_product, scalar_sum)
-from .macdonald import POWER_OPERATIONS, eigen_tildeE, head_monomials, tail_weights
+from .macdonald import POWER_OPERATIONS, cell_weights, eigen_tildeE, tail_weights
 from .partitions import (CellStat, LazyTable, Partition, cells, iter_partitions,
                          multiplicity_factorial, set_partition_moebius, set_partitions)
 from .symfun import SymmetricFunction
@@ -61,7 +61,7 @@ def tilde_e_op(r: int, q, t) -> DiagonalOperator:
         raise CorrelatorError("weight must be >= 0")
     if r == 0:
         return identity_op(q, t)
-    weights, monomials = tail_weights(r, t), head_monomials(q, t)
+    weights, monomials = tail_weights(r, t), cell_weights(q, t)
     return DiagonalOperator(f"E{r}", lambda mu: eigen_tildeE(mu, r, q, t, weights, monomials),
                             expansion=(((r,), one_like(q)),))
 
@@ -79,8 +79,7 @@ def power_op(operation: str, m: int, q, t) -> DiagonalOperator:
     cell_function, decomposition = POWER_OPERATIONS[operation]
     terms, const = decomposition(m, q, t)
     expansion = tuple([(lam, c) for c, lam in terms] + [((), const)])
-    # (a', l') -> the cell weight t^{-l'} q^{a'} of macdonald.cell_multiset
-    weights = LazyTable(lambda coarm, coleg: t ** (-coleg) * q ** coarm)
+    weights = cell_weights(q, t)
     return DiagonalOperator(
         f"{operation.capitalize()}{m}",
         lambda mu: (cell_function([weights[c.coarm, c.coleg] for c in cells(mu)], m)
@@ -117,14 +116,23 @@ def operator_word(spec: Sequence[Tuple[str, int]], q, t) -> List[DiagonalOperato
 # ---------------------------------------------------------------------------
 
 def bracket_one_closed(u, v, q, t, order: int) -> TruncatedSeries:
-    """<1>_{u,v} = exp( sum Q^n/n (1-u^n)(1-v^n)/((1-q^n)(1-t^-n)) )."""
+    """<1>_{u,v} = exp( sum Q^n/n (1-u^n)(1-v^n)/((1-q^n)(1-t^-n)) ).
+
+    At rational u, v, q, t each log term is one Fraction from power_ratio's
+    integer powers; any other ring forms it as written."""
     _check_order(order)
     u, v, q, t = exact_scalars(u, v, q, t)
-    zero = u * 0
-    log_terms = [zero]
+    rational = rational_scalars((u, v, q, t))
+    log_terms = [u * 0]
     for n in range(1, order + 1):
-        log_terms.append(Fraction(1, n) * (1 - u ** n) * (1 - v ** n)
-                         / ((1 - q ** n) * (1 - t ** (-n))))
+        if rational:
+            (un, ud), (vn, vd), (qn, qd), (tn, td) = (
+                power_ratio(x) for x in ((u, n), (v, n), (q, n), (t, -n)))
+            log_terms.append(Fraction((ud - un) * (vd - vn) * qd * td,
+                                      n * ud * vd * (qd - qn) * (td - tn)))
+        else:
+            log_terms.append(Fraction(1, n) * (1 - u ** n) * (1 - v ** n)
+                             / ((1 - q ** n) * (1 - t ** (-n))))
     return TruncatedSeries(log_terms).exp()
 
 
@@ -169,27 +177,38 @@ def chart_series(t1, t2, u, v, order: int,
     extra(mu, cells(mu)) maps each key to the factors that multiply the base
     at that key, and the Q^n coefficient at a key sums over |mu| = n.  Cell
     factors are computed once per call for each (a', l') or (a, l): the
-    twist pair's product and the inverse of the tangent pair's; at rational
-    t1, t2, u, v each is one Fraction made from integer powers of their
-    numerators and denominators.  A term is one scalar_product of the twist
-    factors, the tangent factors and the key's factors, in that order; with
-    several keys the base product of the cell factors is formed once per mu
-    and heads each key's product.
+    twist pair's product and the inverse of the tangent pair's.
+
+    At rational t1, t2, u, v each cell factor is one reduced Fraction from
+    power_ratio's integer powers, kept as its (numerator, denominator), and
+    mu's base is the pair of their integer products, formed once for all
+    keys.  A key whose factors are ints and Fractions multiplies them in
+    and adds the term to the Q^n coefficient's numerator over a running lcm
+    of the denominators, so each coefficient is one Fraction.  A key with
+    any other factor takes the base as one Fraction and runs the generic
+    term and sum below on it.  In any other ring a term is one
+    scalar_product of the twist factors, the tangent factors and the key's
+    factors, in that order (with several keys the base product is formed
+    once per mu and heads each key's product), and a coefficient is one
+    scalar_sum of its terms.
     """
     _check_order(order)
     t1, t2, u, v = exact_scalars(t1, t2, u, v)
     one = one_like(t1)
-    if rational_scalars((t1, t2, u, v)):
-        (n1, d1), (n2, d2) = t1.as_integer_ratio(), t2.as_integer_ratio()
+    rational = rational_scalars((t1, t2, u, v))
+    if rational:
         (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
 
         def twist_at(a_, l_):
-            wn, wd = n1 ** l_ * n2 ** a_, d1 ** l_ * d2 ** a_     # w = wn / wd
-            return Fraction((du * wd - nu * wn) * (dv * wn - nv * wd), du * dv * wd * wn)
+            wn, wd = power_ratio((t1, l_), (t2, a_))     # w = wn / wd
+            f = Fraction((du * wd - nu * wn) * (dv * wn - nv * wd), du * dv * wd * wn)
+            return f.numerator, f.denominator
 
         def tangent_at(a, l):
-            x, y = n1 ** l * d2 ** (a + 1), d1 ** (l + 1) * n2 ** a
-            return Fraction(x * y, (x - d1 ** l * n2 ** (a + 1)) * (y - n1 ** (l + 1) * d2 ** a))
+            xn, xd = power_ratio((t1, -l), (t2, a + 1))
+            yn, yd = power_ratio((t1, l + 1), (t2, -a))
+            f = Fraction(xd * yd, (xd - xn) * (yd - yn))
+            return f.numerator, f.denominator
 
         twist, tangent = LazyTable(twist_at), LazyTable(tangent_at)
     else:
@@ -203,6 +222,15 @@ def chart_series(t1, t2, u, v, order: int,
         for mu in iter_partitions(n):
             cs = cells(mu)
             keyed = extra(mu, cs)
+            if rational:
+                bn = bd = 1
+                for c in cs:
+                    (wn, wd), (xn, xd) = twist[c.coarm, c.coleg], tangent[c.arm, c.leg]
+                    bn *= wn * xn
+                    bd *= wd * xd
+                for key, factors in keyed.items():
+                    terms.setdefault(key, []).append(_rational_term(bn, bd, factors))
+                continue
             base = ([one] + [twist[c.coarm, c.coleg] for c in cs]
                     + [tangent[c.arm, c.leg] for c in cs])
             if len(keyed) > 1:
@@ -210,8 +238,46 @@ def chart_series(t1, t2, u, v, order: int,
             for key, factors in keyed.items():
                 terms.setdefault(key, []).append(scalar_product([*base, *factors]))
         for key, vals in terms.items():
-            coeffs.setdefault(key, []).append(scalar_sum(vals))
+            coeffs.setdefault(key, []).append(_sum_terms(vals))
     return {key: TruncatedSeries(c) for key, c in coeffs.items()}
+
+
+def _rational_term(base_num: int, base_den: int, factors: Sequence):
+    """The term base_num/base_den * prod factors: an integer (numerator,
+    denominator) pair when every factor is an int or a Fraction, else the
+    generic scalar_product from the Fraction base_num/base_den."""
+    num, den = base_num, base_den
+    for f in factors:
+        kind = type(f)
+        if kind is Fraction:
+            num *= f.numerator
+            den *= f.denominator
+        elif kind is int:
+            num *= f
+        else:
+            return scalar_product([Fraction(base_num, base_den), *factors])
+    return num, den
+
+
+def _sum_terms(vals: List):
+    """One Q-coefficient of chart_series: the sum of integer pairs as one
+    Fraction, numerators added over a running lcm of the denominators; when
+    any term is another value, scalar_sum of the terms with each pair made a
+    Fraction."""
+    if any(type(x) is not tuple for x in vals):
+        return scalar_sum([Fraction(*x) if type(x) is tuple else x for x in vals])
+    num, den = 0, 1
+    for n, d in vals:
+        if not n:
+            continue
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            s = d // g
+            num = num * s + n * (den // g)
+            den *= s
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +359,44 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
     Termination rests on the Q-grading invariant, checked on entering each
     extraction; a violation raises CorrelatorError.
 
-    When the four coefficient tables (fq, fv and the two pair factors) are
-    Fractions, each is cleared once to integer numerators over its own
-    denominator: the state then holds ints over one common denominator D,
-    which each contraction multiplies by its table's denominator, and each
-    result coefficient is made once as Fraction(x, D).  After each
-    variable's extraction D and the state are divided by their gcd, so D
-    stays near the size of the result's denominators.  Any other ring runs
-    the same contractions on the tables as they are.
+    At rational u, v, q, t the prefactor is one Fraction and the four
+    coefficient tables (fq, fv and the two pair factors) are made directly
+    as integer numerators over one denominator each (_integer_tables): the
+    state then holds ints over one common denominator D, which each
+    contraction multiplies by its table's denominator, and each result
+    coefficient is made once as a Fraction of x times the prefactor's
+    numerator over D times its denominator.  After each variable's
+    extraction D and the state are divided by their gcd, so D stays near
+    the size of the result's denominators.  Any other ring builds the
+    tables as written and runs the same contractions on them.
     """
     _check_order(order)
+    u, v, q, t = exact_scalars(u, v, q, t)
     weights = [w for w in weights if w]
     R = sum(weights)
-    zero = u * 0
-    one = one_like(u)
-    prefactor = one
-    for w in weights:
-        for a in range(1, w + 1):
-            prefactor = prefactor * (t ** (-a) / (1 - t ** (-a)))
-
     N = order
-    fq, fv = _depth_one_factors(u, v, N, N)
-    g_coeff = [one] + [(t ** -1 - 1) * t ** (-(m - 1)) for m in range(1, N + 1)]
-    # exp(-sum (1-q^n)(1-t^-n)/n x^n) = 1 - sum (1-q)(1-t^-1) h_{m-1}(q, t^-1) x^m
-    x_coeff = [one] + [-(1 - q) * (1 - t ** -1)
-                       * scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
-                       for m in range(1, N + 1)]
-    # each table as (denominator, entries): integer numerators over one
-    # denominator when every table clears, else the entries over 1
-    tables = [clear_denominators(c) for c in (fq, fv, g_coeff, x_coeff)]
-    cleared = None not in tables
+    zero = u * 0
+    cleared = rational_scalars((u, v, q, t))
     if cleared:
-        one = 1
+        one = num = den = 1
+        for w in weights:
+            for a in range(1, w + 1):
+                n, d = power_ratio((t, -a))         # t^-a / (1 - t^-a) = n / (d - n)
+                num, den = num * n, den * (d - n)
+        prefactor = Fraction(num, den)
+        tables = _integer_tables(u, v, q, t, N)
     else:
+        one = one_like(u)
+        prefactor = one
+        for w in weights:
+            for a in range(1, w + 1):
+                prefactor = prefactor * (t ** (-a) / (1 - t ** (-a)))
+        fq, fv = _depth_one_factors(u, v, N, N)
+        g_coeff = [one] + [(t ** -1 - 1) * t ** (-(m - 1)) for m in range(1, N + 1)]
+        # exp(-sum (1-q^n)(1-t^-n)/n x^n) = 1 - sum (1-q)(1-t^-1) h_{m-1}(q, t^-1) x^m
+        x_coeff = [one] + [-(1 - q) * (1 - t ** -1)
+                           * scalar_sum([q ** a * t ** (-(m - 1 - a)) for a in range(m)])
+                           for m in range(1, N + 1)]
         tables = [(1, c) for c in (fq, fv, g_coeff, x_coeff)]
     (fq_den, fq), (fv_den, fv), g_table, x_table = tables
 
@@ -378,8 +449,38 @@ def vertex_tilde_bracket(weights: Sequence[int], u, v, q, t, order: int) -> Trun
                 state = {k: {n: x // g for n, x in s.items()} for k, s in state.items()}
     result = state.get((), {})
     if cleared:
-        result = {n: Fraction(x, D) for n, x in result.items()}
+        num, den = prefactor.numerator, D * prefactor.denominator
+        return TruncatedSeries([Fraction(result[n] * num, den) if n in result else zero
+                                for n in range(N + 1)])
     return TruncatedSeries([result.get(n, zero) for n in range(N + 1)]) * prefactor
+
+
+def _integer_tables(u, v, q, t, N: int) -> List[Tuple[int, List[int]]]:
+    """vertex_tilde_bracket's tables fq, fv, g and x at Fraction u, v, q, t,
+    each as (denominator, integer numerators of entries 0..N), built from
+    integer powers: with x = n_x / d_x for each scalar and s = t^-1,
+
+        fq_n = (-1)^(n-1) u^(n-1) (1 - u)       over d_u^N
+        fv_m = (-1)^m (1 - v)                   over d_v
+        g_m  = (s - 1) s^(m-1)                  over d_s^N
+        x_m  = -(1 - q)(1 - s) h_(m-1)(q, s)    over (d_q d_s)^N
+
+    and entry 0, the coefficient 1, the denominator itself.  Over
+    (d_q d_s)^k, h_k(q, s) = sum_(a<=k) q^a s^(k-a) is the integer
+    H_k = sum_(a<=k) (n_q d_s)^a (d_q n_s)^(k-a) = d_q n_s H_(k-1) + (n_q d_s)^k.
+    s is read only when N > 0, where t = 0 raises ZeroDivisionError as t^-1
+    does."""
+    (nu, du), (nv, dv), (nq, dq) = (x.as_integer_ratio() for x in (u, v, q))
+    ns, ds = power_ratio((t, -1)) if N else (1, 1)
+    fq = [du ** N] + [(-nu) ** (n - 1) * (du - nu) * du ** (N - n) for n in range(1, N + 1)]
+    fv = [dv] + [(-1) ** m * (dv - nv) for m in range(1, N + 1)]
+    g = [ds ** N] + [(ns - ds) * ns ** (m - 1) * ds ** (N - m) for m in range(1, N + 1)]
+    dx = dq * ds
+    x, h = [dx ** N], 1
+    for m in range(1, N + 1):
+        x.append(-(dq - nq) * (ds - ns) * h * dx ** (N - m))
+        h = dq * ns * h + (nq * ds) ** m
+    return [(du ** N, fq), (dv, fv), (ds ** N, g), (dx ** N, x)]
 
 
 def _expand_word(word: Sequence[DiagonalOperator]) -> List[Tuple[object, Tuple[int, ...]]]:

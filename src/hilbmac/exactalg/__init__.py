@@ -5,15 +5,15 @@ from .poly import (BASE_ALPHABET, DomainError, ExponentOverflowError, HilbmacErr
                    LaurentPoly)
 from .ratfun import (DivisionByZero, ExactAlgError, PoleError,
                      RationalFunction, clear_denominators, exact_scalars, generators,
-                     one_like, rational_scalars, rf, rf_sum, scalar_dot, scalar_product,
-                     scalar_sum, scalar_sum_of_products)
+                     one_like, power_ratio, rational_scalars, rf, rf_sum, scalar_dot,
+                     scalar_product, scalar_sum, scalar_sum_of_products)
 from .sampling import RationalSampler
 from .series import SeriesError, TruncatedSeries, expand_closed_form, geometric
 
 __all__ = [
     "BASE_ALPHABET", "LaurentPoly", "ExponentOverflowError",
     "RationalFunction", "rf", "rf_sum", "scalar_sum", "scalar_dot", "scalar_product",
-    "scalar_sum_of_products", "clear_denominators", "rational_scalars",
+    "scalar_sum_of_products", "clear_denominators", "power_ratio", "rational_scalars",
     "one_like", "exact_scalars",
     "generators",
     "HilbmacError", "ExactAlgError", "DivisionByZero", "PoleError", "DomainError",

@@ -448,6 +448,24 @@ def clear_denominators(values):
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def power_ratio(*powers) -> Tuple[int, int]:
+    """(n, d), integers with n / d the product of x ** k over the (x, k)
+    pairs, each x an int or a Fraction: integer powers of the numerators
+    and denominators, so a value built from them is made a Fraction once.
+    Neither is reduced, and d is negative where some x < 0 has k < 0.  An x
+    of 0 with k < 0 raises ZeroDivisionError, as x ** k does."""
+    n = d = 1
+    for x, k in powers:
+        a, b = x.numerator, x.denominator
+        if k < 0:
+            if not a:
+                raise ZeroDivisionError(f"Fraction({b ** -k}, 0)")
+            a, b, k = b, a, -k
+        n *= a ** k
+        d *= b ** k
+    return n, d
+
+
 def rational_scalars(values) -> bool:
     """Whether every value is an int or a Fraction (a bool is neither): the
     values on which scalar_dot, scalar_product and clear_denominators run

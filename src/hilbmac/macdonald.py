@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import HilbmacError, TruncatedSeries
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, clear_denominators,
-                              exact_scalars, one_like, poly_over, scalar_sum,
-                              scalar_sum_of_products)
+                              exact_scalars, one_like, poly_over, power_ratio,
+                              rational_scalars, scalar_sum, scalar_sum_of_products)
 from .partitions import (LazyTable, Partition, cells, dominates, enumerate_partitions,
                          is_partition, multiplicity_factorial, partitions_upto, z_factor)
 from .symfun import (M_DEGREE_BOUND, SymmetricFunction, alpha_coefficients,
@@ -38,8 +38,19 @@ def integral_factors(lam: Partition, q, t) -> Tuple[List, List]:
     """The cell factors of c_lam = prod (1 - q^a t^{l+1}), which turns P_lam
     into the integral form J_lam, and of c'_lam = prod (1 - q^{a+1} t^l).
     c_lam / c'_lam is b_lam, which b_norm computes on its own so that the
-    acceptance gate can compare the two."""
+    acceptance gate can compare the two.  At ints and Fractions each factor
+    1 - n/d, with n/d from power_ratio, is made once as Fraction(d - n, d),
+    an int when q and t are; any other ring forms it as written."""
     cs = cells(lam)
+    if rational_scalars((q, t)):
+        frac = Fraction in (type(q), type(t))
+
+        def one_minus(*powers):
+            n, d = power_ratio(*powers)
+            return Fraction(d - n, d) if frac else d - n
+
+        return ([one_minus((q, c.arm), (t, c.leg + 1)) for c in cs],
+                [one_minus((q, c.arm + 1), (t, c.leg)) for c in cs])
     return ([1 - q ** c.arm * t ** (c.leg + 1) for c in cs],
             [1 - q ** (c.arm + 1) * t ** c.leg for c in cs])
 
@@ -54,10 +65,22 @@ def b_norm(lam: Partition, q, t):
     return out
 
 
+def cell_weights(q, t) -> LazyTable:
+    """At (a', l'), the cell weight t^{-l'} q^{a'}: the weight of a cell of
+    coarm a' and coleg l' in cell_multiset, and at (m, j) the monomial
+    q^m t^{-j} of a part m in row j in eigen_tildeE's head.  At ints and
+    Fractions each weight is one Fraction from power_ratio's integer
+    powers; any other ring forms it as written."""
+    q, t = exact_scalars(q, t)
+    if rational_scalars((q, t)):
+        return LazyTable(lambda a_, l_: Fraction(*power_ratio((t, -l_), (q, a_))))
+    return LazyTable(lambda a_, l_: t ** (-l_) * q ** a_)
+
+
 def cell_multiset(lam: Partition, q, t) -> List:
     """The finite multiset {t^{-l'(s)} q^{a'(s)} : s in lam}, row-major."""
-    q, t = exact_scalars(q, t)
-    return [t ** (-c.coleg) * q ** c.coarm for c in cells(lam)]
+    weights = cell_weights(q, t)
+    return [weights[c.coarm, c.coleg] for c in cells(lam)]
 
 
 def _elementary_recurrence(ws: Sequence, unit, top: int) -> List:
@@ -505,18 +528,12 @@ def tail_weights(r: int, t) -> LazyTable:
     return LazyTable(at_length)
 
 
-def head_monomials(q, t) -> LazyTable:
-    """At (m, j), the monomial q^m t^{-j} of a part m in row j."""
-    q, t = exact_scalars(q, t)
-    return LazyTable(lambda m, j: q ** m * t ** (-j))
-
-
 def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = None,
                  monomials: Optional[LazyTable] = None):
     """e_r(q^{mu_1} t^{-1}, q^{mu_2} t^{-2}, ...): coefficient of z^r in the
     finite head product times the Euler-summed tail.
 
-    weights is tail_weights(r, t) and monomials is head_monomials(q, t),
+    weights is tail_weights(r, t) and monomials is cell_weights(q, t),
     each built here when it is not given; an operator passes its own
     tables, which live as long as the operator.  Within the call the head
     is built only to e_min(l, r), the entries the sum reads.  When the head
@@ -532,7 +549,7 @@ def eigen_tildeE(mu: Partition, r: int, q, t, weights: Optional[LazyTable] = Non
     if weights is None:
         weights = tail_weights(r, t)
     if monomials is None:
-        monomials = head_monomials(q, t)
+        monomials = cell_weights(q, t)
     l = len(mu)
     values = [monomials[m, j] for j, m in enumerate(mu, start=1)]
     tail = weights[l]

@@ -20,7 +20,8 @@ import hilbmac as hb
 from hilbmac import correlators, macdonald, symfun
 from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
-from hilbmac.exactalg.ratfun import clear_denominators, scalar_dot, scalar_product, scalar_sum
+from hilbmac.exactalg.ratfun import (clear_denominators, power_ratio, scalar_dot, scalar_product,
+                                     scalar_sum)
 from hilbmac.hilbert import BundleInsertion, ToricInsertion, load_surface
 from hilbmac.macdonald import specialize_eps_via_p
 from hilbmac.partitions import enumerate_partitions
@@ -556,10 +557,179 @@ def test_integer_paths_run_the_fold_over_a_prime_field():
     assert _same_values_and_types(list(got.terms.items()), list(want.terms.items()))
     assert type(got.terms[(2, 1)]) is ModP
     u, v = Fraction(3, 11), Fraction(13, 17)
+    mu_, mv = ModP.of(u), ModP.of(v)
     extra = lambda mu, cs: {(): []}    # noqa: E731
-    got = correlators.chart_series(mq, mt, ModP.of(u), ModP.of(v), 3, extra)[()]
-    assert [type(c) for c in got.coeffs] == [ModP] * 4
-    assert got == correlators.chart_series(q, t, u, v, 3, extra)[()].map(ModP.of)
+    series = {
+        "chart_series": lambda *x: correlators.chart_series(*x, 3, extra)[()],
+        "vertex_tilde_bracket": lambda *x: correlators.vertex_tilde_bracket([2, 1], *x, 3),
+        "bracket_one_closed": lambda *x: correlators.bracket_one_closed(*x, 3),
+    }
+    for name, run in series.items():
+        got = run(mq, mt, mu_, mv)
+        assert [type(c) for c in got.coeffs] == [ModP] * 4, name
+        assert got == run(q, t, u, v).map(ModP.of), name
+    for got, want in zip(macdonald.integral_factors((3, 1), mq, mt),
+                         macdonald.integral_factors((3, 1), q, t)):
+        assert [type(x) for x in got] == [ModP] * 4
+        assert got == [ModP.of(x) for x in want]
+    got = macdonald.cell_multiset((3, 1), mq, mt)
+    assert [type(x) for x in got] == [ModP] * 4
+    assert got == [ModP.of(x) for x in macdonald.cell_multiset((3, 1), q, t)]
+
+
+# ---------------------------------------------------------------------------
+# the vertex engine's tables, the log terms of <1>, the integral factors,
+# the cell weights and the localization sum from integer powers, against
+# the generic fold
+# ---------------------------------------------------------------------------
+
+def _outcome(run, *args):
+    """run(*args), or the class of the ArithmeticError it raises."""
+    try:
+        return run(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _folded(module, run, *args):
+    """run(*args) with module's integer paths off: the generic fold on the
+    same scalars."""
+    with mock.patch.object(module, "rational_scalars", lambda values: False):
+        return _outcome(run, *args)
+
+
+def _same_outcome(got, want):
+    """The same exception class, or the same values with the same types."""
+    if isinstance(want, type):
+        return got is want
+    return not isinstance(got, type) and _same_values_and_types(got, want)
+
+
+POWERS = st.lists(st.tuples(ZEROS_AND_RATIONALS, st.integers(-4, 4)), max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(POWERS)
+def test_power_ratio_is_the_product_of_powers(powers):
+    want = _outcome(lambda: _fold_product([Fraction(x) ** k for x, k in powers]))
+    got = _outcome(lambda: Fraction(*power_ratio(*powers)))
+    assert got == want
+    if not isinstance(want, type):
+        assert all(type(x) is int for x in power_ratio(*powers))
+
+
+def test_power_ratio_edge_cases():
+    assert power_ratio() == (1, 1)
+    assert power_ratio((Fraction(-2, 3), -3)) == (27, -8)
+    assert power_ratio((0, 0), (Fraction(0), 2)) == (0, 1)
+    with pytest.raises(ZeroDivisionError):
+        power_ratio((Fraction(2, 3), 1), (0, -1))
+
+
+WORD_WEIGHTS = st.lists(st.integers(0, 2), max_size=2)
+
+
+def _vertex(weights, u, v, q, t, order):
+    return list(correlators.vertex_tilde_bracket(weights, u, v, q, t, order).coeffs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(WORD_WEIGHTS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS,
+       ZEROS_AND_RATIONALS, st.integers(0, 3))
+def test_vertex_tables_from_integer_powers_are_the_fold(weights, u, v, q, t, order):
+    """Int and Fraction scalars, zeros and poles (t = 0, t^a = 1) included:
+    the tables built from integer powers give the generic tables' series,
+    or raise as they do."""
+    args = (weights, u, v, q, t, order)
+    assert _same_outcome(_outcome(_vertex, *args), _folded(correlators, _vertex, *args))
+
+
+@pytest.mark.parametrize("u, v, q, t", [
+    (0, Fraction(-3, 5), Fraction(7, 2), Fraction(-4, 9)),     # u = 0
+    (Fraction(-5, 3), 0, Fraction(-2, 7), 3),                   # v = 0
+    (2, 3, 1, Fraction(5, 7)),                                  # q = 1: x_m = 0
+    (2, 3, 5, 1),                                               # t = 1: pole
+    (2, 3, 5, -1),                                              # t^2 = 1: pole
+    (2, 3, 5, 0),                                               # t = 0
+])
+def test_vertex_tables_at_zeros_and_poles(u, v, q, t):
+    for weights, order in [([], 0), ([], 2), ([2], 0), ([1, 2], 3)]:
+        args = (weights, u, v, q, t, order)
+        assert _same_outcome(_outcome(_vertex, *args), _folded(correlators, _vertex, *args))
+
+
+def _one(u, v, q, t, order):
+    return list(correlators.bracket_one_closed(u, v, q, t, order).coeffs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS,
+       st.one_of(st.sampled_from([1, -1, Fraction(-1)]), ZEROS_AND_RATIONALS),
+       st.one_of(st.sampled_from([1, -1, 0]), ZEROS_AND_RATIONALS), st.integers(0, 4))
+def test_log_terms_of_one_from_integer_powers_are_the_fold(u, v, q, t, order):
+    """Poles q^n = 1 and t^n = 1, and t = 0, raise as the fold does."""
+    args = (u, v, q, t, order)
+    assert _same_outcome(_outcome(_one, *args), _folded(correlators, _one, *args))
+
+
+def _factors(mu, q, t):
+    c, c_prime = macdonald.integral_factors(mu, q, t)
+    return c + c_prime
+
+
+def _weights(mu, q, t):
+    table = macdonald.cell_weights(q, t)
+    head = [table[m, j] for j, m in enumerate(mu, start=1)]
+    return macdonald.cell_multiset(mu, q, t) + head + [macdonald.eigen_tildeE(mu, 2, q, t)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(PARTITIONS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS)
+def test_cell_factors_and_weights_from_integer_powers_are_the_fold(mu, q, t):
+    """The integral factors (ints from ints) and the cell weights, read as
+    cell_multiset and as eigen_tildeE's head monomials, give the fold's
+    values and types; t = 0 raises as t^-l' does."""
+    for run in (_factors, _weights):
+        assert _same_outcome(_outcome(run, mu, q, t), _folded(macdonald, run, mu, q, t))
+
+
+X = RationalFunction.var("q")
+
+
+def _keyed(mu, cs):
+    """Keys with Fraction, int and empty factors, and one whose factors are
+    a rational function when |mu| is odd, so a coefficient mixes integer
+    pairs with generic terms."""
+    n = len(cs)
+    return {(): [], "arms": [Fraction(sum(c.arm for c in cs) - 2, 3), -2],
+            "mixed": [Fraction(1, n + 1)] + ([X] if n % 2 else [3])}
+
+
+def _same_chart(got, want):
+    if set(got) != set(want):
+        return False
+    for key in want:
+        for x, y in zip(got[key].coeffs, want[key].coeffs, strict=True):
+            if isinstance(y, RationalFunction):
+                if not (isinstance(x, RationalFunction) and _same_rf(x, y)):
+                    return False
+            elif not _same_values_and_types([x], [y]):
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS)
+def test_localization_sum_on_integer_pairs_is_the_fold(t1, t2, u, v):
+    """Each coefficient of a key with rational factors is one Fraction of the
+    integer pairs; a key with a rational-function factor runs the generic
+    products and sum, factor maps included."""
+    run = lambda *x: correlators.chart_series(*x, 3, _keyed)   # noqa: E731
+    got, want = _outcome(run, t1, t2, u, v), _folded(correlators, run, t1, t2, u, v)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _same_chart(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +741,10 @@ INT_CALLS = {
         *x, 2, lambda mu, cs: {(): []})[()].coeffs,
     "bracket_one_closed": lambda *x: correlators.bracket_one_closed(*x, 2).coeffs,
     "tail_weights": lambda q, t, u, v: macdonald.tail_weights(2, t)[3],
-    "head_monomials": lambda q, t, u, v: [macdonald.head_monomials(q, t)[m, j]
+    "head_monomials": lambda q, t, u, v: [macdonald.cell_weights(q, t)[m, j]
                                           for m in (0, 2) for j in (1, 3)],
     "cell_multiset": lambda q, t, u, v: macdonald.cell_multiset((3, 1), q, t),
+    "vertex_tilde_bracket": lambda *x: correlators.vertex_tilde_bracket([1], *x, 2).coeffs,
 }
 
 
