@@ -22,7 +22,7 @@ from .correlators import (CLOSED_FORMS, bracket_bruteforce, base_bracket_series,
                           connected_correlators, disconnected_from_connected,
                           operator_word, power_op, tilde_e_op, vertex_correlator)
 from .exactalg.ratfun import (ExactAlgError, RationalFunction, generators, one_like,
-                              scalar_sum)
+                              scalar_product, scalar_sum)
 from .exactalg.sampling import RationalSampler
 from .exactalg.series import TruncatedSeries, expand_closed_form, first_difference
 from .hilbert import (BundleInsertion, chi_C2_series, chi_via_correlators,
@@ -305,7 +305,7 @@ def c09_sym_of_cells(seed, trials):
             eigen = LazyTable(lambda part: eigen_tildeE(lam, part, q, t))
             for operation, k, op in ops:
                 direct = op.eigenvalue(lam)
-                formula = scalar_sum([functools.reduce(operator.mul, [eigen[w] for w in ws], c)
+                formula = scalar_sum([scalar_product([c, *(eigen[w] for w in ws)])
                                       for ws, c in op.expansion])
                 if not direct == formula:
                     return False, f"{operation}^{k} at {lam}: {direct} != {formula}"

@@ -215,6 +215,14 @@ def mono_eval(a: int, point: Dict[int, Fraction]) -> Fraction:
     return val
 
 
+def mono_split(a: int, name: str) -> Tuple[int, int]:
+    """(e, rest): the exponent e of the named variable in monomial a, and a
+    with that variable taken out."""
+    i = var_index(name)
+    e = _exponent(a, i)
+    return e, a - e * _VAR[i]
+
+
 def mono_divides(a: int, b: int) -> bool:
     """True if monomial a divides b with nonnegative quotient exponents."""
     return not (a - b) & _SIGNS

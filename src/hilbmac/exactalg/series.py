@@ -13,8 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .poly import HilbmacError, LaurentPoly
-from .ratfun import RationalFunction, one_like, rational_scalars, scalar_dot
+from .poly import (MONO_ONE, HilbmacError, LaurentPoly, add_shifted, mono_inv, mono_mul,
+                   mono_pow, mono_split)
+from .ratfun import (RationalFunction, _expand, one_like, poly_over, rational_scalars,
+                     scalar_dot)
 
 
 class SeriesError(HilbmacError, ArithmeticError):
@@ -194,26 +196,81 @@ def geometric(ratio, order: int) -> TruncatedSeries:
 
 
 def expand_closed_form(f: RationalFunction, order: int) -> TruncatedSeries:
-    """Series expansion of a rational expression in the series variable Q.
+    """Series expansion of a rational function f in the series variable Q.
 
-    The denominator must have a nonzero coefficient at the lowest power of Q
-    (zeroth after monomial normalization); net negative valuation is an
-    error since the result is a power series.
+    f's factor map is read as it is.  Its constants, the Q-free part of its
+    monomial and every factor free of Q make one scalar C; only the factors
+    in Q are expanded, to a numerator N and a denominator D, each split by
+    powers of Q into N_k and d_k.  Factors are primitive, so N_0 and d0 are
+    nonzero and the valuation of f in Q is the Q-exponent e of its monomial;
+    a negative e is an error, since the result is a power series.  So
+    f = C Q^e N/D, and N/D = sum_k S_k Q^k with S_k = P_k / d0^(k+1):
+
+        P_0 = N_0,   P_k = N_k d0^k - sum_{j=1..k} d_j d0^(j-1) P_(k-j),
+
+    where every P_k is a Laurent polynomial, so no coefficient is a sum of
+    rational functions.  When d0 is one term c*m (every library closed
+    form: 1 symbolically, an integer at a rational point), the powers of d0
+    are integer scalings and monomial shifts, and S_k is P_k over
+    c^(k+1) m^(k+1), with no division; any other d0 is raised by products,
+    and P_k is reduced over k + 1 copies of d0 by poly_over.  Each
+    coefficient is C times S_k, with C's factors kept apart.
     """
-    num, den = f.expanded()
-    nd = {k: p for (k,), p in num.group_by(["Q"]).items()}
-    dd = {k: p for (k,), p in den.group_by(["Q"]).items()}
-    if not dd:
-        raise SeriesError("zero denominator")
-    dmin = min(dd)
-    nmin = min(nd) if nd else 0
-    if nd and nmin < dmin:
+    if order < 0:
+        raise SeriesError("series needs at least the constant coefficient")
+    zero = RationalFunction.from_int(0)
+    if f.is_zero():
+        return TruncatedSeries([zero] * (order + 1))
+    e, mono = mono_split(f.mono, "Q")
+    if e < 0:
         raise SeriesError("negative valuation in Q: expression is not a power series")
+    free, num, den = {}, [], []
+    for p, k in f.fac.items():
+        if not p.degree("Q"):
+            free[p] = k
+        elif k > 0:
+            num.append((p, k))
+        else:
+            den.append((p, -k))
+    scalar = RationalFunction(f.nc, f.dc, mono, free)
+    nk = {k: p for (k,), p in _expand(num).group_by(["Q"]).items()}
+    dk = {k: p for (k,), p in _expand(den).group_by(["Q"]).items()}
+    d0 = dk[0]
+    top = order - e
 
-    def coeff_rf(table, k):
-        return RationalFunction.from_poly(table.get(k, LaurentPoly({})))
+    if len(d0.terms) == 1:
+        ((m, c),) = d0.terms.items()
 
-    shift = dmin
-    a = TruncatedSeries([coeff_rf(nd, k + shift) for k in range(order + 1)])
-    b = TruncatedSeries([coeff_rf(dd, k + shift) for k in range(order + 1)])
-    return a / b
+        def times_power(p: LaurentPoly, j: int) -> LaurentPoly:
+            if not j or (c == 1 and m == MONO_ONE):
+                return p
+            acc: dict = {}
+            add_shifted(acc, p, mono_pow(m, j), c ** j)
+            return LaurentPoly(acc)
+
+        def coefficient(k: int, p: LaurentPoly) -> RationalFunction:
+            over = RationalFunction(scalar.nc, scalar.dc * c ** (k + 1),
+                                    mono_mul(scalar.mono, mono_pow(mono_inv(m), k + 1)),
+                                    scalar.fac)
+            return over * RationalFunction.from_poly(p)
+    else:
+        powers = [LaurentPoly.const(1), d0]
+
+        def times_power(p: LaurentPoly, j: int) -> LaurentPoly:
+            while len(powers) <= j:
+                powers.append(powers[-1] * d0)
+            return p * powers[j] if j else p
+
+        def coefficient(k: int, p: LaurentPoly) -> RationalFunction:
+            return scalar * poly_over(p, [d0] * (k + 1))
+
+    steps = {j: times_power(d, j - 1) for j, d in dk.items() if 0 < j <= top}
+    ps: List[LaurentPoly] = []
+    for k in range(top + 1):
+        acc = dict(times_power(nk[k], k).terms) if k in nk else {}
+        for j, step in steps.items():
+            if j <= k and ps[k - j]:
+                add_shifted(acc, step * ps[k - j], MONO_ONE, -1)
+        ps.append(LaurentPoly(acc))
+    return TruncatedSeries([zero] * min(e, order + 1)
+                           + [coefficient(k, p) for k, p in enumerate(ps)])

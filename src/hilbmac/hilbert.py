@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .correlators import (bracket_one_closed, chart_series, power_op,
                           vertex_correlator)
-from .exactalg import HilbmacError, exact_scalars, one_like, scalar_sum
+from .exactalg import (HilbmacError, exact_scalars, one_like, power_ratio, rational_scalars,
+                       scalar_sum)
 from .exactalg.series import TruncatedSeries, first_difference, geometric
 from .macdonald import POWER_OPERATIONS
 from .partitions import LazyTable, Partition
@@ -100,6 +101,10 @@ def surface_from_dict(name: str, d: dict) -> Surface:
 
 
 def _mono(t1, t2, w: Weight):
+    """t1^w1 t2^w2: at ints and Fractions one Fraction from power_ratio's
+    integer powers; any other ring forms it as written."""
+    if rational_scalars((t1, t2)):
+        return Fraction(*power_ratio((t1, w[0]), (t2, w[1])))
     return t1 ** w[0] * t2 ** w[1]
 
 
@@ -114,9 +119,10 @@ def _bundle(point: FixedPointDatum, name: str) -> Weight:
 # ---------------------------------------------------------------------------
 
 def _bundle_weights(A: Weight, t1, t2) -> LazyTable:
-    """(a', l') -> the cell's fiber weight t1^{l'+a} t2^{a'+b}, A = (a, b)."""
+    """(a', l') -> the cell's fiber weight t1^{l'+a} t2^{a'+b}, A = (a, b),
+    made as _mono makes it."""
     a, b = A
-    return LazyTable(lambda coarm, coleg: t1 ** (coleg + a) * t2 ** (coarm + b))
+    return LazyTable(lambda coarm, coleg: _mono(t1, t2, (coleg + a, coarm + b)))
 
 
 def chi_C2_series(insertions: Sequence[BundleInsertion], twist_A: Weight,
@@ -223,15 +229,21 @@ def _local_marker_series(point: FixedPointDatum, insertions: Sequence[ToricInser
     """One chart's series, graded by marker exponents up to total degree cap:
     correlators.chart_series at the point's tangent weights, one key per
     marker exponent, whose factors are the insertions' characters of the
-    fiber weights w_B t1i^{l'} t2i^{a'}."""
+    fiber weights w_B t1i^{l'} t2i^{a'}, each one Fraction from power_ratio
+    at ints and Fractions."""
     t1i = _mono(t1, t2, point.tangent[0])
     t2i = _mono(t1, t2, point.tangent[1])
     tA = _mono(t1, t2, (0, 0) if twist is None else _bundle(point, twist))
+    rational = rational_scalars((t1, t2))
     fibers = []
     for ins in insertions:
         wB = _mono(t1, t2, _bundle(point, ins.bundle))
-        fibers.append((POWER_OPERATIONS[ins.operation][0],
-                       LazyTable(lambda coarm, coleg, wB=wB: wB * t1i ** coleg * t2i ** coarm)))
+        if rational:
+            weights = LazyTable(lambda coarm, coleg, wB=wB: Fraction(
+                *power_ratio((wB, 1), (t1i, coleg), (t2i, coarm))))
+        else:
+            weights = LazyTable(lambda coarm, coleg, wB=wB: wB * t1i ** coleg * t2i ** coarm)
+        fibers.append((POWER_OPERATIONS[ins.operation][0], weights))
     keys = _marker_keys(len(insertions), marker_cap)
 
     def characters(mu: Partition, cs):

@@ -516,13 +516,19 @@ def tail_weights(r: int, t) -> LazyTable:
     """At each length l, the list t^{-n l} e_n(t^{-1}, t^{-2}, ...) for
     n = 0..r: the part of E~_r's eigenvalue at mu that depends on mu only
     through its length.  One table serves every mu of one operator; the
-    Euler tails are computed at its first lookup, once per table."""
+    Euler tails are computed at its first lookup, once per table.  At an
+    int or Fraction t each entry is one Fraction, from power_ratio's
+    integer power of t and e_n's numerator and denominator; any other ring
+    forms it as written."""
     (t,) = exact_scalars(t)
+    rational = rational_scalars((t,))
     tails: List = []
 
     def at_length(l: int) -> List:
         if not tails:
             tails.extend(_euler_tails(r, t))
+        if rational:
+            return [Fraction(*power_ratio((t, -n * l), (e, 1))) for n, e in enumerate(tails)]
         return [t ** (-n * l) * e for n, e in enumerate(tails)]
 
     return LazyTable(at_length)

@@ -14,7 +14,8 @@ nonzero exponents, to an int coefficient.  It multiplies, divides and
 prints term by term, with no packing, so it checks the packed kernel of
 hilbmac.exactalg.poly.  And a sum of rational functions that expands each
 cofactor as a whole polynomial before it adds it, which checks rf_sum's
-one-pass numerator.
+one-pass numerator.  And the expansion of a closed form in Q by the
+division of two expanded series, which checks expand_closed_form.
 """
 
 import functools
@@ -24,8 +25,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from hilbmac.exactalg import (BASE_ALPHABET, LaurentPoly, RationalFunction, TruncatedSeries,
-                              one_like, rf)
+from hilbmac.exactalg import (BASE_ALPHABET, LaurentPoly, RationalFunction, SeriesError,
+                              TruncatedSeries, one_like, rf)
 from hilbmac.exactalg.ratfun import _reduce_over
 from hilbmac.macdonald import MacdonaldError, elementary_of
 from hilbmac.partitions import Partition, iter_partitions
@@ -346,3 +347,28 @@ def rf_sum_fold(values) -> RationalFunction:
                 part = part * p
         num = num + part.mono_shift(v.mono).scale(v.nc * (dc // v.dc))
     return _reduce_over(num, dc, den)
+
+
+# ---------------------------------------------------------------------------
+# a closed form expanded in Q by series division
+# ---------------------------------------------------------------------------
+
+def expand_by_series_division(f: RationalFunction, order: int) -> TruncatedSeries:
+    """f expanded in Q as expand_closed_form once did it: numerator and
+    denominator fully expanded, each Q-coefficient made a rational function,
+    and the two series divided by TruncatedSeries' generic fold, whose
+    every coefficient is a sum of rational functions over the expanded
+    lead.  A pole at Q = 0 is a SeriesError."""
+    num, den = f.expanded()
+    nd = {k: p for (k,), p in num.group_by(["Q"]).items()}
+    dd = {k: p for (k,), p in den.group_by(["Q"]).items()}
+    dmin = min(dd)
+    if nd and min(nd) < dmin:
+        raise SeriesError("negative valuation in Q: expression is not a power series")
+
+    def coeff_rf(table, k):
+        return RationalFunction.from_poly(table.get(k, LaurentPoly({})))
+
+    a = TruncatedSeries([coeff_rf(nd, k + dmin) for k in range(order + 1)])
+    b = TruncatedSeries([coeff_rf(dd, k + dmin) for k in range(order + 1)])
+    return a / b

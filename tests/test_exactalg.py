@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hilbmac.correlators import CLOSED_FORMS, base_bracket_z, closed_form_library
 from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError, LaurentPoly,
                               PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
-from hilbmac.exactalg.poly import EXPONENT_LIMIT, MONO_ONE, mono_key, poly_pow
+from hilbmac.exactalg import ratfun
+from hilbmac.exactalg.poly import EXPONENT_LIMIT, MONO_ONE, mono_key, mono_split, poly_pow
 from hilbmac.exactalg.ratfun import poly_over
 
 import oracles
@@ -231,8 +233,109 @@ def test_expand_closed_form_examples():
 
 
 def test_expand_closed_form_rejects_poles_in_Q():
+    for f in (1 / Q, (1 - u) / (Q * (1 - q) * (1 - u * Q)), Q ** -2 * (1 + Q)):
+        with pytest.raises(SeriesError):
+            expand_closed_form(f, 3)
+
+
+def test_expand_closed_form_edge_cases():
+    """A negative order raises SeriesError; zero expands to zeros; a
+    valuation above the order gives zeros only."""
     with pytest.raises(SeriesError):
-        expand_closed_form(1 / Q, 3)
+        expand_closed_form(1 / (1 - u * Q), -1)
+    for order in (0, 4):
+        zeros = expand_closed_form(RationalFunction.from_int(0), order)
+        assert zeros.order == order and all(c.is_zero() for c in zeros.coeffs)
+        assert all(c.is_zero() for c in expand_closed_form(Q ** 5 / (1 - Q), order).coeffs)
+
+
+def _monomial(**exps):
+    p = LaurentPoly.const(1)
+    for name, e in exps.items():
+        p = p * LaurentPoly.var(name, e)
+    (m,) = p.terms
+    return m
+
+
+def test_mono_split_takes_one_variable_out():
+    m = _monomial(q=2, t=-3, Q=5)
+    assert mono_split(m, "Q") == (5, _monomial(q=2, t=-3))
+    assert mono_split(m, "t") == (-3, _monomial(q=2, Q=5))
+    assert mono_split(_monomial(q=2, t=-3), "Q") == (0, _monomial(q=2, t=-3))
+    assert mono_split(_monomial(Q=-(HALF + 1)), "Q") == (-(HALF + 1), MONO_ONE)
+
+
+def _closed_forms():
+    """Every library closed form symbolic, with q and t bound and with all
+    four scalars bound, and the base brackets of z^k."""
+    point = {"q": Fraction(3, 7), "t": Fraction(-5, 2), "u": Fraction(2, 9), "v": Fraction(11, 4)}
+    forms = []
+    for name in CLOSED_FORMS:
+        for bound in ({}, {"q": point["q"], "t": point["t"]}, point):
+            forms.append((f"{name} {sorted(bound)}", closed_form_library(name, **bound),
+                          (0, 3, 8)))
+    forms += [(f"z^{k}", base_bracket_z(k), (8,)) for k in range(-4, 5)]
+    return forms
+
+
+def test_expand_closed_form_prints_as_the_series_division():
+    """The factor-map expansion gives the expanded series division's values
+    and the same canonical strings, coefficient by coefficient."""
+    for label, f, orders in _closed_forms():
+        for order in orders:
+            got = expand_closed_form(f, order)
+            want = oracles.expand_by_series_division(f, order)
+            assert got == want, (label, order)
+            assert [c.canonical_str() for c in got.coeffs] == \
+                [c.canonical_str() for c in want.coeffs], (label, order)
+
+
+def _q_series(p: RationalFunction, order: int) -> TruncatedSeries:
+    """The Q-coefficients of a polynomial in Q, read off its expansion."""
+    groups = p.as_poly().group_by(["Q"])
+    return TruncatedSeries([RationalFunction.from_poly(groups.get((k,), LaurentPoly({})))
+                            for k in range(order + 1)])
+
+
+@pytest.mark.parametrize("num, den", [
+    (1 + Q, 2 - Q),                                                 # d0 = 2
+    (Q ** 0, (1 + q) - t * Q),                                      # d0 = 1 + q
+    ((1 - u * Q) ** 2, ((1 + q) - t * Q) * (1 - q)),
+    (Q ** 2 * (1 - u * Q), (3 * q - t * Q) * (q * t + Q)),         # d0 = 3 q^2 t
+    ((1 + t * Q) * (1 - u), (2 + q + q * Q) ** 2 * (1 - u * v * Q)),
+])
+def test_expand_closed_form_with_a_lead_that_is_not_a_unit(num, den):
+    """d0, the Q^0 part of the Q-dependent denominator, one term and not
+    1, or several terms: the series equals the oracle's and S * D = N."""
+    f = num / den
+    for order in (0, 3, 6):
+        s = expand_closed_form(f, order)
+        assert s == oracles.expand_by_series_division(f, order)
+        assert s * _q_series(den, order) == _q_series(num, order)
+
+
+def test_expand_closed_form_checks_exponent_overflow():
+    """The powers of a one-term d0 are monomial shifts, checked against
+    EXPONENT_LIMIT as every other shift is."""
+    f = 1 / (q ** (HALF + 1) - Q)
+    assert expand_closed_form(f, 0).coeffs[0] == q ** -(HALF + 1)
+    with pytest.raises(ExponentOverflowError):
+        expand_closed_form(f, 2)
+
+
+def test_expand_closed_form_sums_no_rational_functions(monkeypatch):
+    """A prebuilt symbolic closed form expands with rf_sum unreachable:
+    every coefficient is one scalar times one reduced polynomial."""
+    f = closed_form_library("Psi2")
+    want = oracles.expand_by_series_division(f, 6)
+
+    def refuse(values):
+        raise AssertionError("rf_sum called")
+
+    monkeypatch.setattr(ratfun, "rf_sum", refuse)
+    got = expand_closed_form(f, 6)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_expand_closed_form_ring_homomorphism():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilbmac as hb
-from hilbmac import correlators, macdonald, symfun
+from hilbmac import correlators, hilbert, macdonald, symfun
 from hilbmac.correlators import power_op
 from hilbmac.exactalg import RationalFunction, TruncatedSeries, exact_scalars
 from hilbmac.exactalg.ratfun import (clear_denominators, power_ratio, scalar_dot, scalar_product,
@@ -579,8 +579,8 @@ def test_integer_paths_run_the_fold_over_a_prime_field():
 
 # ---------------------------------------------------------------------------
 # the vertex engine's tables, the log terms of <1>, the integral factors,
-# the cell weights and the localization sum from integer powers, against
-# the generic fold
+# the cell weights, the localization sum, the tail weights and the plane's
+# weights from integer powers, against the generic fold
 # ---------------------------------------------------------------------------
 
 def _outcome(run, *args):
@@ -730,6 +730,44 @@ def test_localization_sum_on_integer_pairs_is_the_fold(t1, t2, u, v):
         assert got is want
     else:
         assert _same_chart(got, want)
+
+
+def _tails(r, t):
+    table = macdonald.tail_weights(r, t)
+    return [x for l in range(5) for x in table[l]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.one_of(st.just(Fraction(-2, 3)), ZEROS_AND_RATIONALS))
+def test_tail_weights_from_integer_powers_are_the_fold(r, t):
+    """Each entry t^(-n l) e_n is one Fraction equal to the product the
+    generic ring forms, and t = 0 and t^a = 1 raise as it does."""
+    got, want = _outcome(_tails, r, t), _folded(macdonald, _tails, r, t)
+    assert _same_outcome(got, want)
+    if not isinstance(want, type):
+        assert {type(x) for x in got} == {Fraction}
+
+
+def _plane(t1, t2, u, v):
+    insertions = [BundleInsertion("psi", 2, (1, 0)), BundleInsertion("lambda", 1, (0, -1))]
+    return list(hb.chi_C2_series(insertions, (1, -1), u, v, 2, t1, t2).coeffs)
+
+
+def _toric(t1, t2, u, v):
+    insertions = [ToricInsertion("L1", "lambda"), ToricInsertion("L2", "sigma")]
+    graded = hilbert.toric_chi_series(SURFACE, insertions, "L1", u, v, 2, t1, t2)
+    return [c for key in sorted(graded) for c in graded[key].coeffs]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS, ZEROS_AND_RATIONALS)
+def test_plane_weights_from_integer_powers_are_the_fold(t1, t2, u, v):
+    """The twist, the fiber weights of the plane series and the toric
+    charts' monomials and marker fiber weights, each one Fraction, give the
+    generic products' series, or raise as they do."""
+    for run in (_plane, _toric):
+        assert _same_outcome(_outcome(run, t1, t2, u, v),
+                             _folded(hilbert, run, t1, t2, u, v))
 
 
 # ---------------------------------------------------------------------------
