@@ -9,7 +9,9 @@ bytes, and a test that must catch reordering has to compare something else:
 test_vertex_engine_factor_maps compares the factor maps of the engine's
 series and of the localization sums, hashed, and
 test_macdonald_table_factor_maps those of the symbolic table's
-p-expansions, operator matrices and (q,t) Gram entries.
+p-expansions, operator matrices and (q,t) Gram entries.  Each monomial is
+hashed as its (name, exponent) pairs, so a digest does not depend on how
+the kernel packs a monomial into an int.
 A file is re-captured only when its output changes on purpose, with the
 reason in CHANGES.md.
 """
@@ -22,7 +24,8 @@ import pytest
 
 from hilbmac.cli import dispatch, parse_word
 from hilbmac.correlators import bracket_bruteforce, operator_word, vertex_correlator
-from hilbmac.exactalg import generators
+from hilbmac.exactalg import BASE_ALPHABET, generators
+from hilbmac.exactalg.poly import mono_key
 from hilbmac.hilbert import (BundleInsertion, ToricInsertion, chi_C2_series, chi_via_correlators,
                              load_surface, toric_chi_series)
 from hilbmac.macdonald import MacdonaldTable
@@ -151,31 +154,42 @@ FACTOR_MAP_CASES = {
 
 #: label -> the first 16 hex digits of the sha256 of factor_maps(series)
 FACTOR_MAP_DIGESTS = {
-    "E2 order 4": "add89d3bfd7c1535",
-    "E2 order 4 unprimed": "0443c8f2e1012e41",
-    "E1,E1 order 4": "34c16322b014eb6a",
-    "E1,E1 order 4 unprimed": "7bb0d63a6d5de7a7",
-    "E1,E2 order 4": "fa1428282223d054",
-    "E1,E2 order 4 unprimed": "01f4272994e6c7c9",
-    "Psi3 order 3": "7ba6a45bd74d912e",
-    "Psi3 order 3 unprimed": "f78e15744b52076e",
-    "Lambda3,E1 order 3": "c01155373c8576c4",
-    "E1 order 6": "05e3717565f070ee",
-    "chi psi:2:1,0 twist 1,-1 order 3": "b3812e9a96d1911a",
-    "bruteforce E1 order 3": "a2c980c22c0ebdfd",
-    "bruteforce Psi2 order 3": "6353a1625d74c03b",
-    "bruteforce Lambda2 order 3": "621e2de6fcca2afb",
-    "bruteforce Sigma2 order 3": "8d207462a9a3cbe8",
-    "bruteforce E2 order 3 unprimed": "abeb394c2a35bd9b",
-    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3": "a6835b4eabb8e640",
-    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": "0e41c58abc9f4689",
+    "E2 order 4": "9c4d8b79785e24e2",
+    "E2 order 4 unprimed": "67aa38238a6e0af6",
+    "E1,E1 order 4": "d9654c7ea558b383",
+    "E1,E1 order 4 unprimed": "06671be106264bb9",
+    "E1,E2 order 4": "11f6933289c5aa25",
+    "E1,E2 order 4 unprimed": "c305ccd62d0ea7a9",
+    "Psi3 order 3": "158311d747ea507c",
+    "Psi3 order 3 unprimed": "70c88603145a4eed",
+    "Lambda3,E1 order 3": "abc14cd43cb500f7",
+    "E1 order 6": "0d178dee9e36c82f",
+    "chi psi:2:1,0 twist 1,-1 order 3": "78bfc63b8ca110f2",
+    "bruteforce E1 order 3": "98f02d623eaf3695",
+    "bruteforce Psi2 order 3": "b58030c874eb7fef",
+    "bruteforce Lambda2 order 3": "9f19be15143cd8f8",
+    "bruteforce Sigma2 order 3": "912ed909a6fff02a",
+    "bruteforce E2 order 3 unprimed": "1844d2d081a2588e",
+    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3": "7e07c5425e254144",
+    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": "2cb4fc0c88ded35b",
 }
+
+
+def exponents(m) -> tuple:
+    """A packed monomial as its (name, exponent) pairs, so that a digest
+    pins the arithmetic and not how the kernel packs a monomial."""
+    return tuple((BASE_ALPHABET[i], -ne) for i, ne in mono_key(m)[1])
+
+
+def terms(p) -> list:
+    """A polynomial's terms in dict order, each monomial decoded."""
+    return [(exponents(m), c) for m, c in p.terms.items()]
 
 
 def factor_map(c) -> tuple:
     """A rational function's constants, monomial and factor map, the factors
     and each factor's terms in the order the arithmetic put them there."""
-    return (c.nc, c.dc, c.mono, [(list(p.terms.items()), k) for p, k in c.fac.items()])
+    return (c.nc, c.dc, exponents(c.mono), [(terms(p), k) for p, k in c.fac.items()])
 
 
 def factor_maps(series) -> str:
@@ -223,9 +237,9 @@ def _qt_gram(q, t, degrees) -> list:
 TABLE_FACTOR_MAP_CASES = {
     "P_in_p to degree 4": lambda q, t: _p_expansions(q, t, 4),
     "Laurent operator matrix to degree 5": lambda q, t: _operator_matrices(
-        q, t, 5, lambda e: list(e.terms.items())),
+        q, t, 5, terms),
     "Laurent operator matrix at 1/q to degree 5": lambda q, t: _operator_matrices(
-        1 / q, t, 5, lambda e: list(e.terms.items())),
+        1 / q, t, 5, terms),
     "rational operator matrix to degree 3": lambda q, t: _operator_matrices(
         (1 - q) / (1 + t), t ** 2 / (1 - q), 3, factor_map),
     "qt Gram of P to degree 3": lambda q, t: _qt_gram(q, t, (1, 2, 3)),
@@ -234,12 +248,12 @@ TABLE_FACTOR_MAP_CASES = {
 
 #: label -> the first 16 hex digits of the sha256 of the value's repr
 TABLE_FACTOR_MAP_DIGESTS = {
-    "P_in_p to degree 4": "7513510b11c32476",
-    "Laurent operator matrix to degree 5": "f02e851d740d9a62",
-    "Laurent operator matrix at 1/q to degree 5": "7c1b399fc5aaf271",
-    "rational operator matrix to degree 3": "e5f0ef54a61dd267",
-    "qt Gram of P to degree 3": "dbcdc7e58e54d7db",
-    "qt Gram of P at degree 4": "db8436e25034ee4d",
+    "P_in_p to degree 4": "947a69118c2656fa",
+    "Laurent operator matrix to degree 5": "f8273984bec0bf93",
+    "Laurent operator matrix at 1/q to degree 5": "c89db85001f7c5df",
+    "rational operator matrix to degree 3": "23692fb848997e8c",
+    "qt Gram of P to degree 3": "218e7c3ccd4fd60b",
+    "qt Gram of P at degree 4": "d77ee0bde4b453db",
 }
 
 
