@@ -1,17 +1,21 @@
 """Sparse multivariate Laurent polynomials over a fixed, globally ordered alphabet.
 
-A monomial is one Python int.  The alphabet is frozen at import time with N
-names, and each name owns a signed (balanced-digit) field of FIELD_BITS = 65
-bits; the signed total degree sits above the N fields:
+A monomial is one Python int.  The alphabet is frozen at import time with
+N = 7 names (q, t, u, v, t1, t2, Q), and each name owns a signed
+(balanced-digit) field of FIELD_BITS = 21 bits; the signed total degree
+sits above the N fields:
 
     packed = degree * 2**(FIELD_BITS*N) + sum_k (-e_k) * 2**(FIELD_BITS*(N-1-k))
 
 Variable 0 holds the highest field, and the field stores the negated
 exponent.  So the unit monomial is 0, a product is an integer sum, an
-inverse is a negation, and divisibility is one mask test.  Exponents stay
-within EXPONENT_LIMIT = 2**62, so the sum of two of them (at most 2**63 in
-absolute value) never spills into a neighbouring field.  A product checks
-its operands: when no operand exponent exceeds EXPONENT_LIMIT // 2 in
+inverse is a negation, and divisibility is one mask test.  A monomial of
+small exponents is a few CPython digits, so a product's add and hash are
+short.  Exponents stay within EXPONENT_LIMIT = 2**(FIELD_BITS - 3) =
+262,144, so the sum of two of them (at most 2**19 in absolute value), and
+one of them plus the 2**19 offset that primitive() adds, stay below the
+field's half, 2**20: nothing spills into a neighbouring field.  A product
+checks its operands: when no operand exponent exceeds EXPONENT_LIMIT // 2 in
 absolute value, no product exponent can exceed the limit, and only
 otherwise is each result monomial checked.  Other constructions (shifts,
 add_shifted's shifted sums, quotients) check each result monomial, and
@@ -48,16 +52,16 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-#: exponents are kept far below this bound; exceeding it indicates a runaway
-#: computation rather than a legitimate value.
-EXPONENT_LIMIT = 2 ** 62
-
-BASE_ALPHABET = ("q", "t", "u", "v", "t1", "t2", "w1", "w2", "x", "y", "Q")
+BASE_ALPHABET = ("q", "t", "u", "v", "t1", "t2", "Q")
 
 #: the unit monomial, 1
 MONO_ONE = 0
 
-FIELD_BITS = 65
+FIELD_BITS = 21
+#: the largest absolute exponent; exceeding it raises ExponentOverflowError.
+#: Two exponents within it sum below a field's half, and so does one plus
+#: _OFFSET, which the masks below rely on.
+EXPONENT_LIMIT = 2 ** (FIELD_BITS - 3)
 _N = len(BASE_ALPHABET)
 _DEGREE_SHIFT = FIELD_BITS * _N
 _SHIFT = tuple(FIELD_BITS * (_N - 1 - k) for k in range(_N))

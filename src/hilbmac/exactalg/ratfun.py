@@ -53,11 +53,25 @@ def _expand(factors) -> LaurentPoly:
     return LaurentPoly.const(1) if out is None else out
 
 
+def _merged(fac, other, sign: int = 1) -> Dict[LaurentPoly, int]:
+    """A new factor map: fac with sign times each exponent of other added,
+    and the factors whose exponents cancel dropped."""
+    out = dict(fac)
+    for p, k in other.items():
+        k = out.get(p, 0) + sign * k
+        if k:
+            out[p] = k
+        else:
+            del out[p]
+    return out
+
+
 class RationalFunction:
     """Exact rational function over the frozen alphabet.
 
     Equality is semantic: two values compare equal iff cross-multiplication
-    of expanded numerators and denominators yields equal polynomials.
+    yields equal polynomials, with the factors both values hold cancelled
+    first.
     """
 
     __slots__ = ("nc", "dc", "mono", "fac")
@@ -132,15 +146,8 @@ class RationalFunction:
             return NotImplemented
         if self.nc == 0 or other.nc == 0:
             return RationalFunction.from_int(0)
-        fac = dict(self.fac)
-        for p, k in other.fac.items():
-            k += fac.get(p, 0)
-            if k:
-                fac[p] = k
-            else:
-                del fac[p]
         return RationalFunction(self.nc * other.nc, self.dc * other.dc,
-                                mono_mul(self.mono, other.mono), fac)
+                                mono_mul(self.mono, other.mono), _merged(self.fac, other.fac))
 
     __rmul__ = __mul__
 
@@ -219,14 +226,20 @@ class RationalFunction:
         return num.mono_shift(self.mono).scale(self.nc), den.scale(self.dc)
 
     def __eq__(self, other) -> bool:
+        """Cross-multiplication on the factor maps: each factor's exponent
+        here minus its exponent in other goes to the side its sign picks, so
+        a factor both maps hold cancels before anything is expanded.  Exact,
+        since every factor is a nonzero polynomial."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if (self.nc, self.dc, self.mono, self.fac) == (other.nc, other.dc, other.mono, other.fac):
             return True
-        na, da = self.expanded()
-        nb, db = other.expanded()
-        return na * db == nb * da
+        net = _merged(self.fac, other.fac, -1)
+        left = _expand((p, k) for p, k in net.items() if k > 0)
+        right = _expand((p, -k) for p, k in net.items() if k < 0)
+        return (left.mono_shift(self.mono).scale(self.nc * other.dc)
+                == right.mono_shift(other.mono).scale(other.nc * self.dc))
 
     __hash__ = None
 

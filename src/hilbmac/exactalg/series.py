@@ -23,6 +23,13 @@ class SeriesError(HilbmacError, ArithmeticError):
     pass
 
 
+#: a product's zero by the types of the two leading coefficients, where they
+#: are ints or Fractions: the type that a.zero_coeff() + b.zero_coeff() * 0
+#: has, made with no arithmetic
+_RATIONAL_ZEROS = {(int, int): 0, (int, Fraction): Fraction(0),
+                   (Fraction, int): Fraction(0), (Fraction, Fraction): Fraction(0)}
+
+
 class TruncatedSeries:
     """Power series truncated at a fixed order N (inclusive)."""
 
@@ -94,8 +101,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs])
         a, b = self._align(other)
-        zero = a.zero_coeff() + b.zero_coeff() * 0
         x, y = a.coeffs, b.coeffs
+        zero = _RATIONAL_ZEROS.get((type(x[0]), type(y[0])))
+        if zero is None:
+            zero = a.zero_coeff() + b.zero_coeff() * 0
         return TruncatedSeries([scalar_dot([(x[i], y[k - i]) for i in range(k + 1)], zero)
                                 for k in range(len(x))])
 

@@ -15,7 +15,9 @@ prints term by term, with no packing, so it checks the packed kernel of
 hilbmac.exactalg.poly.  And a sum of rational functions that expands each
 cofactor as a whole polynomial before it adds it, which checks rf_sum's
 one-pass numerator.  And the expansion of a closed form in Q by the
-division of two expanded series, which checks expand_closed_form.
+division of two expanded series, which checks expand_closed_form.  And
+equality by cross-multiplying the whole expanded values, which checks
+RationalFunction.__eq__'s cancellation on the factor maps.
 """
 
 import functools
@@ -372,3 +374,14 @@ def expand_by_series_division(f: RationalFunction, order: int) -> TruncatedSerie
     a = TruncatedSeries([coeff_rf(nd, k + dmin) for k in range(order + 1)])
     b = TruncatedSeries([coeff_rf(dd, k + dmin) for k in range(order + 1)])
     return a / b
+
+
+# ---------------------------------------------------------------------------
+# equality by cross-multiplying the expanded values
+# ---------------------------------------------------------------------------
+
+def cross_multiplied_eq(a: RationalFunction, b: RationalFunction) -> bool:
+    """a == b as num_a * den_b == num_b * den_a, each side expanded whole."""
+    na, da = a.expanded()
+    nb, db = b.expanded()
+    return na * db == nb * da

@@ -8,7 +8,7 @@ from hilbmac.cli import EIGEN_R_BOUND, MU_BOUNDS, dispatch, resolve_mode
 from hilbmac.correlators import CorrelatorError, bracket_one_closed
 from hilbmac.exactalg import (DivisionByZero, DomainError, ExactAlgError, ExponentOverflowError,
                               PoleError, RationalSampler, SeriesError, generators)
-from hilbmac.exactalg.poly import LaurentPoly, poly_pow
+from hilbmac.exactalg.poly import EXPONENT_LIMIT, LaurentPoly, poly_pow
 from hilbmac.hilbert import HilbertError
 from hilbmac.macdonald import MacdonaldError
 from hilbmac.symfun import SymFunError
@@ -249,6 +249,23 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_twist_at_the_exponent_limit(capsys):
+    """At order 1 a twist (A, 0) puts t1^(2A) in a chart term: the largest A
+    that fits is EXPONENT_LIMIT // 2, and one more exits 2 with one error
+    line that names t1."""
+    fits = EXPONENT_LIMIT // 2
+    argv = ["chi", "--insert", "psi:2:1,0", "--order", "1", "--mode", "symbolic", "--twist"]
+    code, out = run_cli(capsys, argv + [f"{fits},0"])
+    assert code == 0 and json.loads(out)["surface"]["twist"] == [fits, 0]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + [f"{fits + 1},0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"hilbmac: error: exponent {2 * fits + 2} exceeds limit for var t1"]
 
 
 @pytest.mark.parametrize("error, builtin", [

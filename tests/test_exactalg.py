@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbmac.correlators import CLOSED_FORMS, base_bracket_z, closed_form_library
-from hilbmac.exactalg import (DivisionByZero, ExactAlgError, ExponentOverflowError, LaurentPoly,
-                              PoleError, RationalFunction, RationalSampler,
+from hilbmac.exactalg import (BASE_ALPHABET, DivisionByZero, ExactAlgError, ExponentOverflowError,
+                              LaurentPoly, PoleError, RationalFunction, RationalSampler,
                               SeriesError, TruncatedSeries, expand_closed_form,
                               generators, geometric, rf_sum)
 from hilbmac.exactalg import ratfun
@@ -420,6 +420,60 @@ def test_rf_sum_matches_the_fold_of_expanded_cofactors(vals):
     assert _exactly(rf_sum(vals)) == _exactly(oracles.rf_sum_fold(vals))
 
 
+def _regrouped(x, regroup, g):
+    """x's value over another factor map: where regroup says so, a factor p
+    of x becomes the one factor p*g over g, so that g is held with either
+    sign and p is not held at all."""
+    fac = {}
+    for (p, k), move in zip(x.fac.items(), regroup):
+        for f, e in ((p * SUM_FACTORS[g], k), (SUM_FACTORS[g], -k)) if move else ((p, k),):
+            fac[f] = fac.get(f, 0) + e
+    return RationalFunction(x.nc, x.dc, x.mono, {f: e for f, e in fac.items() if e})
+
+
+@given(_sum_values, st.lists(st.booleans(), min_size=3, max_size=3),
+       st.integers(0, len(SUM_FACTORS) - 1),
+       st.sampled_from(["regrouped", "expanded", "scaled", "perturbed", "other"]), _sum_values)
+@example(_value(1, 1, (0, 0, 0), {0: 2, 1: -1}), [True, True, True], 0, "regrouped",
+         _value(1, 1, (0, 0, 0), {}))
+@example(_value(-2, 3, (1, 0, -1), {0: 1, 2: -2}), [True, False, True], 1, "perturbed",
+         _value(1, 1, (0, 0, 0), {}))
+@example(_value(1, 2, (0, 1, 0), {3: 1, 4: -1}), [False] * 3, 0, "other",
+         _value(1, 2, (0, 1, 0), {5: 1, 0: -1}))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_eq_on_the_factor_map_agrees_with_cross_multiplication(a, regroup, g, change, other):
+    """== cancels the factors both values hold before it expands anything,
+    and agrees with cross-multiplying the whole expanded values: on equal
+    values over other factor maps (factors shared with mixed sign, or none
+    shared at all) and on unequal ones (another constant, another factor,
+    an unrelated value)."""
+    b = _regrouped(a, regroup, g)
+    if change == "expanded":
+        num, den = a.expanded()
+        b = RationalFunction.from_poly(num) / RationalFunction.from_poly(den)
+    elif change == "scaled":
+        b = 2 * b
+    elif change == "perturbed":
+        b = b * (1 + q * t * u) / (1 + v)
+    elif change == "other":
+        b = other
+    assert (a == b) == (b == a) == oracles.cross_multiplied_eq(a, b)
+    if change in ("regrouped", "expanded"):
+        assert a == b
+    elif change != "other" and a:
+        assert a != b
+
+
+def test_eq_of_values_over_one_factor_map_multiplies_no_polynomials(monkeypatch):
+    """Values whose factors all cancel compare their constants and
+    monomials only."""
+    a, same, other_mono, other_sign = (
+        _value(3, 2, (1, -2, 0), {0: 3, 2: -2, 5: 1}), _value(3, 2, (1, -2, 0), {5: 1, 2: -2, 0: 3}),
+        _value(3, 2, (1, -1, 0), {0: 3, 2: -2, 5: 1}), _value(-3, 2, (1, -2, 0), {0: 3, 2: -2, 5: 1}))
+    monkeypatch.setattr(LaurentPoly, "__mul__", None)
+    assert a == same and a != other_mono and a != other_sign
+
+
 def test_a_sum_over_one_denominator_multiplies_no_polynomials(monkeypatch):
     """Each cofactor is one numerator factor to the first power, or none, so
     the sum forms no product: in particular no product by one."""
@@ -565,25 +619,94 @@ def test_exponents_at_the_limit_stay_apart():
     assert (big_q * big_t).degree("t") == EXPONENT_LIMIT
 
 
+def _exponents(rng, bound) -> dict:
+    """An exponent in [-bound, bound] for every name, half of them at a
+    bound, at zero or next to one, where the fields carry and borrow."""
+    edges = (-bound, 1 - bound, -1, 0, 1, bound - 1, bound)
+    return {n: rng.choice(edges) if rng.random() < 0.5 else rng.randint(-bound, bound)
+            for n in BASE_ALPHABET}
+
+
+def _decoded(p) -> dict:
+    """The one monomial of p as a map from name to nonzero exponent."""
+    (m,) = p.terms
+    return {BASE_ALPHABET[i]: -ne for i, ne in mono_key(m)[1]}
+
+
+def _nonzero(exps) -> dict:
+    return {n: e for n, e in exps.items() if e}
+
+
+def test_every_field_decodes_up_to_the_limit():
+    """Exponents anywhere in +-EXPONENT_LIMIT, in every field at once, decode
+    back through mono_key, degree and mono_split."""
+    rng = random.Random(2)
+    for _ in range(200):
+        exps = _exponents(rng, EXPONENT_LIMIT)
+        m = _monomial(**exps)
+        p = LaurentPoly({m: 1})
+        assert _decoded(p) == _nonzero(exps)
+        assert mono_key(m)[0] == sum(abs(e) for e in exps.values())
+        for n, e in exps.items():
+            assert p.degree(n) == e and mono_split(m, n)[0] == e
+
+
+def test_products_and_quotients_within_half_the_limit_decode_exactly():
+    """Operands with every exponent in +-EXPONENT_LIMIT // 2 multiply and
+    divide without raising, as monomials and as binomials, and every
+    exponent of the result is the sum or difference of theirs."""
+    rng = random.Random(3)
+    one = LaurentPoly.const(1)
+    for _ in range(200):
+        ea, eb = _exponents(rng, HALF), _exponents(rng, HALF)
+        a, b = LaurentPoly({_monomial(**ea): 1}), LaurentPoly({_monomial(**eb): 1})
+        assert _decoded(a * b) == _nonzero({n: ea[n] + eb[n] for n in ea})
+        assert _decoded(a / b) == _nonzero({n: ea[n] - eb[n] for n in ea})
+        if a != one and b != one:
+            prod = (a - one) * (b + one)
+            assert prod == a * b + a - b - one
+            assert prod / (b + one) == a - one
+
+
+def test_products_just_past_the_limit_name_their_variable():
+    """A product or quotient whose exponent of one name lands one past
+    +-EXPONENT_LIMIT raises ExponentOverflowError naming that name, whatever
+    the other fields hold."""
+    rng = random.Random(4)
+    for name in BASE_ALPHABET:
+        for sign in (1, -1):
+            for _ in range(10):
+                ea, eb = _exponents(rng, HALF), _exponents(rng, HALF)
+                ea[name] = sign * rng.randint(1, EXPONENT_LIMIT)
+                eb[name] = sign * (EXPONENT_LIMIT + 1) - ea[name]
+                a, b = LaurentPoly({_monomial(**ea): 1}), LaurentPoly({_monomial(**eb): 1})
+                match = f"exponent {sign * (EXPONENT_LIMIT + 1)} exceeds limit for var {name}$"
+                with pytest.raises(ExponentOverflowError, match=match):
+                    a * b
+                with pytest.raises(ExponentOverflowError, match=match):
+                    a / LaurentPoly({_monomial(**{n: -e for n, e in eb.items()}): 1})
+
+
 def test_print_order_pin():
     """Printed term order and factor order follow the print order (absolute
     degree, then (index, -exponent)), not the integer order division uses.
     The sign of primitive() is picked by the integer order, which agrees with
     the print order on the nonnegative cone where the primitive part lies,
-    so it is pinned here too.  The strings were captured from the
-    tuple-monomial kernel."""
+    so it is pinned here too.  Print order does not depend on how a
+    monomial is packed, so these strings stay fixed when the field width
+    changes."""
     pq, pt, pu, pv, pt1 = (LaurentPoly.var(n) for n in ("q", "t", "u", "v", "t1"))
     a = LaurentPoly.var("q", -1) * pt + pq * LaurentPoly.var("t", -1) + pt1 - (pu * pu * pv).scale(2)
     assert str(a) == "t1 + q*t^-1 + q^-1*t - 2*u^2*v"
-    b = ((LaurentPoly.var("Q") * LaurentPoly.var("t2", -3) - LaurentPoly.var("x", 2) * pq
-          + LaurentPoly.var("w1") * LaurentPoly.var("u", -1) * pt - LaurentPoly.const(5)) * (pq - pt))
-    assert str(b) == ("-5*q + 5*t - q^2*x^2 + q*t*u^-1*w1 + q*t*x^2 - t^2*u^-1*w1"
+    b = ((LaurentPoly.var("Q") * LaurentPoly.var("t2", -3) - LaurentPoly.var("v", 2) * pq
+          + pt1 * LaurentPoly.var("u", -1) * pt - LaurentPoly.const(5)) * (pq - pt))
+    assert str(b) == ("-5*q + 5*t - q^2*v^2 + q*t*u^-1*t1 + q*t*v^2 - t^2*u^-1*t1"
                       " + q*t2^-3*Q - t*t2^-3*Q")
     for p, sign, mono, prim in [
             (a, 1, "q^-1*t^-1", "q^2 + t^2 + q*t*t1 - 2*q*t*u^2*v"),
             (-a, -1, "q^-1*t^-1", "q^2 + t^2 + q*t*t1 - 2*q*t*u^2*v"),
-            (b, 1, "u^-1*t2^-3", "q*u*Q - t*u*Q - 5*q*u*t2^3 + 5*t*u*t2^3 + q*t*t2^3*w1"
-                                 " - t^2*t2^3*w1 - q^2*u*t2^3*x^2 + q*t*u*t2^3*x^2")]:
+            (b, 1, "u^-1*t2^-3", "q*u*Q - t*u*Q - 5*q*u*t2^3 + 5*t*u*t2^3 + q*t*t1*t2^3"
+                                 " - t^2*t1*t2^3 - q^2*u*v^2*t2^3 + q*t*u*v^2*t2^3")]:
         g, m, pp = p.primitive()
         assert (g, str(LaurentPoly({m: 1})), str(pp)) == (sign, mono, prim)
     rt1, rQ = generators("t1", "Q")

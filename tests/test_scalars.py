@@ -432,6 +432,34 @@ def test_series_division_by_scalar_dot_is_the_back_substitution_fold(a, lead, re
     assert _same_values_and_types(list(got), _fold_divide(a, b))
 
 
+def _as_kind(kind, values):
+    """int and Fraction series keep their values from the second on, and
+    take the leading one as kind; a RationalFunction series is q times each
+    value."""
+    if kind is RationalFunction:
+        return [RationalFunction.var("q") * x for x in values]
+    return [kind(values[0]), *values[1:]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([(int, int), (int, Fraction), (Fraction, int), (Fraction, Fraction),
+                        (Fraction, RationalFunction), (RationalFunction, int)]),
+       st.lists(ZEROS_AND_RATIONALS, min_size=1, max_size=6),
+       st.lists(ZEROS_AND_RATIONALS, min_size=1, max_size=6), st.integers(-3, 3),
+       st.integers(-3, 3))
+def test_series_product_has_the_coefficient_types_of_the_folded_zero(kinds, a, b, lead_a, lead_b):
+    """A product of two series takes its zero from the types of their
+    leading coefficients, and every coefficient has the type and value that
+    the zero a.zero_coeff() + b.zero_coeff() * 0 gives it."""
+    a, b = (TruncatedSeries(_as_kind(kind, [lead, *values[1:]]))
+            for kind, lead, values in zip(kinds, (lead_a, lead_b), (a, b)))
+    n = min(a.order, b.order)
+    zero = a.zero_coeff() + b.zero_coeff() * 0
+    want = [scalar_dot([(a.coeffs[i], b.coeffs[k - i]) for i in range(k + 1)], zero)
+            for k in range(n + 1)]
+    assert _same_values_and_types(list((a * b).coeffs), want)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(ZEROS_AND_RATIONALS, max_size=8), st.integers(0, 7), st.integers(0, 7))
 def test_power_and_complete_of_are_the_folds(values, m, k):
