@@ -53,6 +53,7 @@ COMMANDS = {
     "correlate_E1_evaluate": ["correlate", "--word", "E1", "--order", "6", "--mode",
                               "evaluate", "--seed", "7", "--normalized"],
     "chi_psi2": ["chi", "--insert", "psi:2:1,0", "--order", "3"],
+    "chi_psi2_order5": ["chi", "--insert", "psi:2:1,0", "--order", "5"],
     "chi_lambda_sigma": ["chi", "--insert", "lambda:2:0,1", "--insert", "sigma:2:1,0",
                          "--order", "3"],
     "chi_psi1_evaluate": ["chi", "--insert", "psi:1:0,0", "--order", "6", "--mode",
