@@ -144,8 +144,9 @@ def bracket_bruteforce(word: Sequence[DiagonalOperator], u, v, q, t,
         sum_mu (-uQ)^{|mu|} prod_s (q^{a'} - v t^{l'})/(1 - t^l q^{a+1})
                * a_mu * prod_s (t^{-l'} - u^{-1} q^{-a'})/(1 - q^{-a} t^{-(l+1)})
 
-    with a_mu the product of the word's eigenvalues at mu.  The primed flag
-    divides by <1>_{u,v}.
+    with a_mu the product of the word's eigenvalues at mu.  By default
+    (primed=False) the bracket is the raw sum; primed=True divides it by
+    <1>_{u,v}.  vertex_correlator defaults the other way.
 
     This is the localization sum of the chart (t1, t2) = (t^{-1}, q), with
     the word's eigenvalues as the factors of mu: for w = t^{-l'} q^{a'},
@@ -500,7 +501,10 @@ def _expand_word(word: Sequence[DiagonalOperator]) -> List[Tuple[object, Tuple[i
 
 def vertex_correlator(word: Sequence[DiagonalOperator], u, v, q, t,
                       order: int, primed: bool = True) -> TruncatedSeries:
-    """Bracket of a word through the vertex kernels (normalized by default)."""
+    """Bracket of a word through the vertex kernels.  By default
+    (primed=True) it is normalized, divided by <1>_{u,v}; primed=False
+    multiplies <1>_{u,v} back in.  bracket_bruteforce defaults the other
+    way."""
     u, v, q, t = exact_scalars(u, v, q, t)
     zero = u * 0
     total = TruncatedSeries.constant(zero, order)

@@ -562,6 +562,17 @@ def _divide_binomial(num: Dict[int, int], divisor: Dict[int, int]):
     return LaurentPoly(quot)
 
 
+def prime_binomial(p: LaurentPoly) -> bool:
+    """Whether p is a binomial aX + bY whose exponent difference X - Y has
+    coprime entries.  With content 1 such a binomial is irreducible: a
+    monomial change of variables makes X/Y one variable z, and a + b*z
+    with gcd(a, b) = 1 has no factor but a unit."""
+    if len(p.terms) != 2:
+        return False
+    x, y = p.terms
+    return math.gcd(*(e for _, e in _decode(x - y))) == 1
+
+
 def poly_pow(p: LaurentPoly, n: int) -> LaurentPoly:
     """p**n for n >= 0 by repeated squaring, started at the lowest set bit
     of n: p**1 is p itself, with no product by one; p**0 is const(1)."""

@@ -23,7 +23,14 @@ A sum (rf_sum) multiplies only where a cofactor has two factors or a power:
 a product starts from its first factor, never from one, and each cofactor's
 terms are added, shifted and scaled, straight into the one numerator.  Most
 two-term sums share their denominator, so their cofactors are single
-factors and the sum multiplies no polynomials at all.
+factors and the sum multiplies no polynomials at all.  The factors that
+every term holds in its numerator are found in the same pass that builds
+the common denominator; those that are prime binomials dividing no
+denominator factor (the twist factors of a localization sum, such as
+(1 - u)(1 - v)) are set apart, left out of every cofactor, and merged back
+into the reduced sum's factor map.  Being prime to the denominator, they
+change neither the content nor any trial division, so the sum prints as it
+would with them expanded; only the numerator's grouping differs.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Dict, Tuple
 
 from .poly import (MONO_ONE, ExactAlgError, LaurentPoly, PoleError, add_shifted,
                    check_power, mono_eval, mono_inv, mono_mul, mono_pow, poly_pow,
-                   var_index)
+                   prime_binomial, var_index)
 
 
 class DivisionByZero(ExactAlgError):
@@ -347,6 +354,17 @@ def rf_sum(values) -> RationalFunction:
     The numerator is built in one pass: each cofactor's terms go straight
     into one dict, shifted by the term's monomial and scaled by its share
     of the common integer denominator, with no intermediate polynomial.
+
+    A prime binomial (see prime_binomial) that every term holds in its
+    numerator, and that divides no denominator factor, is set apart at its
+    least exponent: it is left out of every cofactor and merged back into
+    the reduced sum's factor map.  The print cannot change.  The product G
+    of the factors set apart is primitive with a positive lowest term, so
+    G*N has the content, the monomial content and the sign of N; and G is
+    prime to every denominator factor d, so d divides G*N exactly when it
+    divides N.  The constants, the monomial, the denominator factors and
+    the expanded numerator are the ones the whole numerator G*N would
+    give; only the grouping of the numerator's factors differs.
     """
     vals = [rf(v) for v in values]
     vals = [v for v in vals if v.nc != 0]
@@ -355,21 +373,38 @@ def rf_sum(values) -> RationalFunction:
     if len(vals) == 1:
         return vals[0]
     den: Dict[LaurentPoly, int] = {}
+    shared = None
     for v in vals:
-        for p, k in v.fac.items():
+        fac = v.fac
+        for p, k in fac.items():
             if k < 0 and den.get(p, 0) < -k:
                 den[p] = -k
+        if shared is None:
+            shared = fac
+        elif shared:
+            shared = {p: min(k, j) for p, k in shared.items()
+                      if k > 0 and (j := fac.get(p, 0)) > 0}
+    cofactor_base = den
+    if shared:
+        # a prime binomial d is divisible by no other prime binomial, and
+        # no term holds d itself in its numerator
+        shared = {p: k for p, k in shared.items() if prime_binomial(p)
+                  and all(prime_binomial(d) or d.divide_exact(p) is None for d in den)}
+        cofactor_base = _merged(den, shared, -1)
     dc = 1
     for v in vals:
         dc = dc * v.dc // math.gcd(dc, v.dc)
     num: Dict[int, int] = {}
     for v in vals:
-        cofactor = dict(den)
+        cofactor = dict(cofactor_base)
         for p, k in v.fac.items():
             cofactor[p] = cofactor.get(p, 0) + k
         part = _expand((p, k) for p, k in cofactor.items() if k > 0)
         add_shifted(num, part, v.mono, v.nc * (dc // v.dc))
-    return _reduce_over(LaurentPoly(num), dc, den)
+    out = _reduce_over(LaurentPoly(num), dc, den)
+    if shared:
+        return RationalFunction(out.nc, out.dc, out.mono, _merged(out.fac, shared))
+    return out
 
 
 def scalar_sum(values):

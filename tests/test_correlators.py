@@ -219,6 +219,18 @@ def test_vertex_engine_unnormalized(point):
     assert raw == bracket_bruteforce(word, u, v, q, t, 4, primed=False)
 
 
+def test_primed_defaults_are_the_documented_ones(point):
+    """bracket_bruteforce defaults to primed=False and vertex_correlator to
+    primed=True; primed and unprimed differ here, so each default is read."""
+    q, t, u, v = point["q"], point["t"], point["u"], point["v"]
+    word = [tilde_e_op(1, q, t)]
+    for bracket, default in ((bracket_bruteforce, False), (vertex_correlator, True)):
+        documented, other = (bracket(word, u, v, q, t, 3, primed=p)
+                             for p in (default, not default))
+        assert documented != other
+        assert bracket(word, u, v, q, t, 3) == documented, bracket.__name__
+
+
 def test_vertex_engine_identity_word(point):
     q, t, u, v = point["q"], point["t"], point["u"], point["v"]
     assert vertex_correlator([identity_op(q, t)], u, v, q, t, 3) == \

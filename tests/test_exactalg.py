@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -403,6 +404,30 @@ def _exactly(x):
     return x.nc, x.dc, x.mono, list(x.fac.items())
 
 
+def _prime_binomial(p) -> bool:
+    """Two terms whose exponent vectors differ by coprime entries."""
+    if len(p.terms) != 2:
+        return False
+    a, b = (dict((i, -ne) for i, ne in mono_key(m)[1]) for m in p.terms)
+    return math.gcd(*(a.get(i, 0) - b.get(i, 0) for i in a.keys() | b.keys())) == 1
+
+
+def _set_apart(vals) -> dict:
+    """The factors rf_sum sets apart: the prime binomials that every nonzero
+    term holds in its numerator, at their least exponent, that divide no
+    denominator factor of any term."""
+    vals = [v for v in vals if v.nc]
+    if len(vals) < 2:
+        return {}
+    den = {p for v in vals for p, k in v.fac.items() if k < 0}
+    out = {}
+    for p in vals[0].fac:
+        k = min(v.fac.get(p, 0) for v in vals)
+        if k > 0 and _prime_binomial(p) and all(d.divide_exact(p) is None for d in den):
+            out[p] = k
+    return out
+
+
 @given(_sums())
 @example([_value(1, 2, (0, 0, 0), {0: 1, 1: -1}), _value(-3, 4, (1, 0, 0), {2: 1, 1: -1})])
 @example([_value(1, 1, (0, 0, 0), {3: 1, 0: -1, 1: -2}), _value(2, 3, (0, 1, 0), {1: -1, 2: -1})])
@@ -411,13 +436,50 @@ def _exactly(x):
 @example([_value(3, 1, (0, 0, 0), {}), _value(-2, 5, (0, 0, 0), {}), _value(1, 1, (0, 0, 0), {})])
 @example([_value(1, 1, (-2, 0, -3), {0: 3, 1: -2}), _value(-1, 1, (0, -1, 0), {5: 2, 1: -3})])
 @example([_value(2, 3, (-1, 1, 0), {0: 2, 2: -1}), _value(-2, 3, (-1, 1, 0), {0: 2, 2: -1})])
+@example([(1 - q) / (1 - q ** 2), (1 - q) * q / (1 - q ** 2)])
+@example([(1 - q ** 2) / (1 - t), (1 - q ** 2) * u / (1 - q * t)])
+@example([(1 + q + u * v) * (1 - t) / (1 - q), 2 * (1 + q + u * v) * (1 - t) * u / (1 - q * t)])
+@example([(1 - t) ** 2 * (1 - q * t) / (1 - q), (1 - t) ** 3 * u / (1 + t)])
+@example([(1 - t) / (1 - q), -(1 - t) * (1 + q) / (1 - q ** 2)])
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_rf_sum_matches_the_fold_of_expanded_cofactors(vals):
-    """The one-pass numerator gives the old fold's value exactly: nc, dc,
-    the monomial and the factor map in its order.  The examples are a shared
-    denominator, a partly shared one, disjoint ones, constants, negative
-    shifts with powers, and a total cancellation."""
-    assert _exactly(rf_sum(vals)) == _exactly(oracles.rf_sum_fold(vals))
+    """The one-pass numerator gives the old fold's value and print: nc, dc,
+    the monomial, the denominator factors in their order, the expanded
+    numerator and canonical_str are the fold's exactly.  The numerator's
+    factors may be grouped otherwise: the factors set apart (_set_apart)
+    stand beside the fold's numerator divided by them, and a sum that sets
+    nothing apart has the fold's factor map in its order.  The examples are
+    a shared denominator, a partly shared one, disjoint ones, constants,
+    negative shifts with powers, and a total cancellation; then a shared
+    1 - q that divides the denominator 1 - q^2 and is kept (the sum prints
+    1), a shared 1 - q^2, which is not prime, a shared trinomial beside a
+    shared 1 - t, a shared 1 - t to the powers 2 and 3, set apart squared,
+    and a shared 1 - t in a sum that cancels to 0."""
+    out, fold = rf_sum(vals), oracles.rf_sum_fold(vals)
+    assert (out.nc, out.dc, out.mono) == (fold.nc, fold.dc, fold.mono)
+    assert ([(p, k) for p, k in out.fac.items() if k < 0]
+            == [(p, k) for p, k in fold.fac.items() if k < 0])
+    assert out.expanded() == fold.expanded()
+    assert out.canonical_str() == fold.canonical_str()
+    apart = _set_apart(vals) if out.nc else {}
+    if not apart:
+        assert _exactly(out) == _exactly(fold)
+        return
+    rest = {p: k for p, k in out.fac.items() if k > 0}
+    numerator = LaurentPoly.const(1)
+    for p, k in fold.fac.items():
+        if k > 0:
+            numerator = numerator * poly_pow(p, k)
+    for p, k in apart.items():
+        rest[p] = rest.get(p, 0) - k
+        numerator = numerator.divide_exact(poly_pow(p, k))
+    assert {p: k for p, k in rest.items() if k} == ({} if numerator.is_const() else {numerator: 1})
+
+
+def test_a_shared_factor_of_the_denominator_is_not_set_apart():
+    """1 - q, which every term holds, divides the denominator 1 - q^2: it
+    stays in the numerator, which trial division then cancels."""
+    assert str((1 - q) / (1 - q ** 2) + (1 - q) * q / (1 - q ** 2)) == "1"
 
 
 def _regrouped(x, regroup, g):

@@ -155,24 +155,24 @@ FACTOR_MAP_CASES = {
 
 #: label -> the first 16 hex digits of the sha256 of factor_maps(series)
 FACTOR_MAP_DIGESTS = {
-    "E2 order 4": "9c4d8b79785e24e2",
-    "E2 order 4 unprimed": "67aa38238a6e0af6",
-    "E1,E1 order 4": "d9654c7ea558b383",
-    "E1,E1 order 4 unprimed": "06671be106264bb9",
-    "E1,E2 order 4": "11f6933289c5aa25",
-    "E1,E2 order 4 unprimed": "c305ccd62d0ea7a9",
-    "Psi3 order 3": "158311d747ea507c",
-    "Psi3 order 3 unprimed": "70c88603145a4eed",
-    "Lambda3,E1 order 3": "abc14cd43cb500f7",
+    "E2 order 4": "212c68d79f22b97a",
+    "E2 order 4 unprimed": "5cf1751d1f3f8980",
+    "E1,E1 order 4": "f01ee8c91da94b53",
+    "E1,E1 order 4 unprimed": "0acecd4b115d65e1",
+    "E1,E2 order 4": "4d59987cb9a05be9",
+    "E1,E2 order 4 unprimed": "54035e040c974fde",
+    "Psi3 order 3": "07f0897488fc1179",
+    "Psi3 order 3 unprimed": "b6fd2f4cd76c4505",
+    "Lambda3,E1 order 3": "da9f9e3f2f3a7d00",
     "E1 order 6": "0d178dee9e36c82f",
-    "chi psi:2:1,0 twist 1,-1 order 3": "78bfc63b8ca110f2",
-    "bruteforce E1 order 3": "98f02d623eaf3695",
-    "bruteforce Psi2 order 3": "b58030c874eb7fef",
-    "bruteforce Lambda2 order 3": "9f19be15143cd8f8",
-    "bruteforce Sigma2 order 3": "912ed909a6fff02a",
-    "bruteforce E2 order 3 unprimed": "1844d2d081a2588e",
-    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3": "7e07c5425e254144",
-    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": "2cb4fc0c88ded35b",
+    "chi psi:2:1,0 twist 1,-1 order 3": "bbbf55f68560127e",
+    "bruteforce E1 order 3": "f097bdaf93e0a8c8",
+    "bruteforce Psi2 order 3": "8e31ce0100439edf",
+    "bruteforce Lambda2 order 3": "6502b9fa66636b24",
+    "bruteforce Sigma2 order 3": "78844eddfea8f98e",
+    "bruteforce E2 order 3 unprimed": "e3e2f20f7b73d11b",
+    "chi_C2 psi:2:1,0 lambda:1:0,1 sigma:2:0,0 twist 1,0 order 3": "585f1bda603484ee",
+    "toric P2 L1 lambda, L1 sigma order 2 key 1,1": "045fee75404471d5",
 }
 
 
@@ -252,7 +252,7 @@ TABLE_FACTOR_MAP_DIGESTS = {
     "P_in_p to degree 4": "947a69118c2656fa",
     "Laurent operator matrix to degree 5": "f8273984bec0bf93",
     "Laurent operator matrix at 1/q to degree 5": "c89db85001f7c5df",
-    "rational operator matrix to degree 3": "23692fb848997e8c",
+    "rational operator matrix to degree 3": "9f08125cee162d25",
     "qt Gram of P to degree 3": "218e7c3ccd4fd60b",
     "qt Gram of P at degree 4": "d77ee0bde4b453db",
 }
